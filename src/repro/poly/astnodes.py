@@ -17,8 +17,9 @@ schedule arithmetic exact end to end.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.poly.affine import AffExpr
@@ -72,10 +73,32 @@ class AffRef(Expr):
         return self.aff.evaluate({k: v for k, v in env.items() if isinstance(v, int)})
 
 
+#: The operators of :class:`BinExpr`, each over two evaluated operands.
+BINARY_OPS: Dict[str, Callable[[object, object], object]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.floordiv,
+    "%": operator.mod,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "&&": lambda a, b: bool(a) and bool(b),
+    "||": lambda a, b: bool(a) or bool(b),
+    "min": min,
+    "max": max,
+}
+
+
 @dataclass(frozen=True)
 class BinExpr(Expr):
     """Binary operation; ``/`` is flooring integer division (all schedule
-    arithmetic in this compiler is over non-negative operands)."""
+    arithmetic in this compiler is over non-negative operands).  Both
+    operands are evaluated before the operator — ``&&``/``||`` do not
+    short-circuit."""
 
     op: str
     lhs: Expr
@@ -84,38 +107,11 @@ class BinExpr(Expr):
     def evaluate(self, env: Mapping[str, object]) -> object:
         a = self.lhs.evaluate(env)
         b = self.rhs.evaluate(env)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a // b
-        if op == "%":
-            return a % b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "&&":
-            return bool(a) and bool(b)
-        if op == "||":
-            return bool(a) or bool(b)
-        if op == "min":
-            return min(a, b)
-        if op == "max":
-            return max(a, b)
-        raise ExecutionError(f"unknown binary operator {op!r}")
+        try:
+            fn = BINARY_OPS[self.op]
+        except KeyError:
+            raise ExecutionError(f"unknown binary operator {self.op!r}") from None
+        return fn(a, b)
 
 
 @dataclass(frozen=True)

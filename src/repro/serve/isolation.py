@@ -48,7 +48,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import repro.errors as errors_mod
 from repro.errors import (
@@ -65,19 +65,36 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _worker_main(conn) -> None:
+#: How often a worker that is idle, or stalled in a simulated hang,
+#: checks that the daemon that forked it is still its parent.
+PARENT_CHECK_S = 0.5
+
+
+def _worker_main(conn, inherited, parent_pid: int) -> None:
     """Worker-subprocess loop: recv pickled job, compile, send result.
 
     Clean compiler failures are reported structurally (exception type +
     message) so the parent re-raises them without striking the key.
     ``SystemExit``/``KeyboardInterrupt`` intentionally propagate — they
     kill the worker, which is exactly the crash the parent must contain.
+
+    A worker never outlives its daemon.  It first closes the parent-side
+    pipe ends it inherited at fork (its own and every earlier
+    sibling's): otherwise the workers keep each other's pipes open, and
+    a killed daemon's ``recv`` never sees EOF.  It also exits once
+    reparented — checked every :data:`PARENT_CHECK_S` while idle and
+    while stalled in a simulated hang.
     """
     from repro.core.pipeline import GemmCompiler
     from repro.faults import FaultInjector
 
+    for other in inherited:
+        other.close()
     while True:
         try:
+            while not conn.poll(PARENT_CHECK_S):
+                if os.getppid() != parent_pid:
+                    return
             job = conn.recv()
         except (EOFError, OSError):
             return
@@ -90,7 +107,11 @@ def _worker_main(conn) -> None:
             if injector.compile_hang():
                 # Simulated hung pass: stall until the parent's deadline
                 # kills us.  Real wall-clock sleep, not simulated time.
-                time.sleep(policy.compile_hang_s)
+                wake = time.monotonic() + policy.compile_hang_s
+                while (left := wake - time.monotonic()) > 0:
+                    if os.getppid() != parent_pid:
+                        return
+                    time.sleep(min(left, PARENT_CHECK_S))
             if injector.compile_crash():
                 raise SystemExit(13)  # the segfault-equivalent
         try:
@@ -277,13 +298,16 @@ class CircuitBreaker:
 
 
 class _Worker:
-    """One recyclable compile subprocess and its parent-side pipe end."""
+    """One recyclable compile subprocess and its parent-side pipe end.
 
-    def __init__(self, ctx, serial: int) -> None:
+    ``siblings`` are the parent-side pipe ends of the pool's other live
+    workers; the child inherits them at fork and closes them."""
+
+    def __init__(self, ctx, serial: int, siblings: List[Any]) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, [parent_conn, *siblings], os.getpid()),
             name=f"swgemm-isolated-{serial}",
             daemon=True,
         )
@@ -358,6 +382,8 @@ class ProcessIsolation:
         self._lock = threading.Lock()
         self._closed = False
         self._serial = 0
+        #: Every spawned worker not yet replaced.
+        self._live: Set[_Worker] = set()
         self.spawned = 0
         self.restarts = 0
         self.kills = 0
@@ -373,16 +399,23 @@ class ProcessIsolation:
     # -- pool plumbing -------------------------------------------------------
 
     def _spawn(self) -> _Worker:
+        # Fork under the lock, so the parent-side pipe ends the child
+        # inherits are exactly those of the live workers it is told to
+        # close.
         with self._lock:
             self._serial += 1
-            serial = self._serial
             self.spawned += 1
-        return _Worker(self._ctx, serial)
+            worker = _Worker(
+                self._ctx, self._serial, [w.conn for w in self._live]
+            )
+            self._live.add(worker)
+        return worker
 
     def _replace(self, worker: _Worker, killed: bool = False) -> None:
         """Reap a dead/poisoned worker and put a fresh one in the pool."""
         worker.kill()
         with self._lock:
+            self._live.discard(worker)
             self.restarts += 1
             if killed:
                 self.kills += 1

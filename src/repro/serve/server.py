@@ -763,6 +763,7 @@ class KernelServer:
     ) -> Dict[str, Any]:
         import numpy as np
 
+        from repro.codegen.elementwise import get_elementwise
         from repro.runtime.executor import run_gemm
 
         spec, options, arch = protocol.spec_and_options(params)
@@ -790,7 +791,14 @@ class KernelServer:
         )
         A_eff = A.swapaxes(-1, -2) if spec.trans_a else A
         B_eff = B.swapaxes(-1, -2) if spec.trans_b else B
-        max_error = float(np.abs(C - alpha * (A_eff @ B_eff)).max())
+        # The reference applies the kernel's own fused element-wise
+        # stages: quantised A in, activated C out.
+        if program.spec.prologue_func:
+            A_eff = get_elementwise(program.spec.prologue_func).numpy_fn(A_eff)
+        expected = alpha * (A_eff @ B_eff)
+        if program.spec.epilogue_func:
+            expected = get_elementwise(program.spec.epilogue_func).numpy_fn(expected)
+        max_error = float(np.abs(C - expected).max())
         result = {
             "key": self.service.reconciled_key(spec, arch, options),
             "source": source,

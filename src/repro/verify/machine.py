@@ -1,14 +1,24 @@
 """A timing-less mesh machine for compile-time schedule verification.
 
-Interprets the generated CPE AST for the *whole* mesh — every CPE as a
-cooperative coroutine, round-robin scheduled — tracking only what the
-safety checks need: which SPM buffer slots an asynchronous DMA/RMA has
-marked in flight, the reply-counter ledger, and the ``synch()`` barrier
-with its RMA arming bit.  It mirrors the runtime semantics of
+Replays the generated CPE AST for the *whole* mesh — every CPE
+round-robin scheduled — tracking only what the safety checks need:
+which SPM buffer slots an asynchronous DMA/RMA has marked in flight,
+the reply-counter ledger, and the ``synch()`` barrier with its RMA
+arming bit.  It mirrors the runtime semantics of
 :mod:`repro.runtime.executor` / :mod:`repro.sunway.spm` exactly, minus
 data movement and the cost model, which makes the double-buffer hazard
 check (§6) and the RMA discipline check (§5) decidable before a kernel
 is ever admitted.
+
+The program body is lowered once, before the run, to a flat list of
+instructions shared by every CPE: loop enter/next and branch/jump for
+the control flow, one instruction per leaf statement, and every
+expression compiled to a closure over the CPE's bindings.  A CPE is a
+program counter, its loop iterators and a barrier token.  One *resume*
+of a CPE runs instructions up to its next leaf statement (one step), or
+re-polls the wait or barrier it is blocked in; ``reply_reset``, the
+arrival half of ``synch()``, comments and control flow take no step of
+their own.
 
 The machine runs one *chunk* problem with ``K = 2·k_step`` so both
 double-buffer parities (even and odd slots of the peeled/pipelined
@@ -20,9 +30,11 @@ this finite run covers the pipelining discipline for every shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.poly.affine import AffExpr
 from repro.poly.astnodes import (
+    BINARY_OPS,
     AffRef,
     ArrayRef,
     BinExpr,
@@ -48,6 +60,11 @@ MAX_STEPS = 2_000_000
 #: Witnesses retained per category before the machine stops recording.
 MAX_WITNESSES = 10
 
+# What an instruction tells ``run()``: keep running this CPE, or end
+# the resume with one step taken, blocked (the same instruction re-polls
+# on the next resume), or at the end of the program.
+_NEXT, _STEP, _BLOCKED, _DONE = 0, 1, 2, 3
+
 
 def _is_rma_counter(name: str) -> bool:
     """Mirror of the executor's disarm rule: RMA/broadcast counters."""
@@ -70,7 +87,8 @@ class MachineResult:
 
 
 class _CpeState:
-    """Per-CPE verification state: in-flight map + reply ledger."""
+    """Per-CPE verification state: in-flight map, reply ledger, and
+    where the CPE is in the instruction stream."""
 
     __slots__ = (
         "rid",
@@ -81,6 +99,11 @@ class _CpeState:
         "waited",
         "armed",
         "env",
+        "ienv",
+        "pc",
+        "loops",
+        "token",
+        "blocked",
     )
 
     def __init__(self, rid: int, cid: int, env: Dict[str, object]) -> None:
@@ -97,6 +120,22 @@ class _CpeState:
         self.waited: Dict[str, int] = {}
         self.armed = False
         self.env = env
+        #: The int bindings of ``env`` — all an ``AffRef`` may read.
+        self.ienv = {k: v for k, v in env.items() if isinstance(v, int)}
+        self.pc = 0
+        #: loop slot -> the running loop's ``range`` iterator.
+        self.loops: List[object] = []
+        #: barrier generation this CPE arrived in.
+        self.token = 0
+        #: why the last resume blocked (deadlock reports).
+        self.blocked = ""
+
+
+#: One lowered instruction: runs on a CPE, moves its program counter
+#: and returns one of ``_NEXT``/``_STEP``/``_BLOCKED``/``_DONE``.
+Instr = Callable[[_CpeState], int]
+#: A compiled expression: its value on a CPE.
+Value = Callable[[_CpeState], object]
 
 
 class ScheduleMachine:
@@ -117,6 +156,7 @@ class ScheduleMachine:
         self.mesh = mesh
         self.params = dict(params)
         self.result = MachineResult()
+        self._loop_slots = 0
         self._arrived = 0
         self._generation = 0
         #: (generation, kind) -> list of (channel, (rid, cid)) senders.
@@ -143,27 +183,26 @@ class ScheduleMachine:
     # -- driving loop -------------------------------------------------------
 
     def run(self) -> MachineResult:
+        code: List[Instr] = []
+        self._lower(self.program.body, code)
+        code.append(_end)
         flat = [s for row in self.states for s in row]
-        coroutines = [self._exec(state, self.program.body) for state in flat]
-        live = list(range(len(flat)))
+        for state in flat:
+            state.loops = [None] * self._loop_slots
+        live = list(flat)
         steps = 0
         while live:
             progressed = False
-            blocked_reasons: List[str] = []
-            for index in list(live):
-                try:
-                    signal = next(coroutines[index])
-                except StopIteration:
-                    live.remove(index)
+            for state in list(live):
+                signal = code[state.pc](state)
+                while not signal:
+                    signal = code[state.pc](state)
+                if signal == _DONE:
+                    live.remove(state)
                     progressed = True
                     continue
                 steps += 1
-                if signal == "blocked":
-                    state = flat[index]
-                    blocked_reasons.append(
-                        f"CPE({state.rid},{state.cid}): {state.env.get('__blocked__', 'waiting')}"
-                    )
-                else:
+                if signal == _STEP:
                     progressed = True
                 if steps > MAX_STEPS:
                     self.result.completed = False
@@ -173,128 +212,237 @@ class ScheduleMachine:
                     self._finish()
                     return self.result
             if not progressed and live:
+                # Every live CPE blocked in this round, each exactly once.
+                reasons = {
+                    f"CPE({state.rid},{state.cid}): {state.blocked}"
+                    for state in live
+                }
                 self.result.completed = False
-                self.result.deadlock = "; ".join(sorted(set(blocked_reasons))[:8])
+                self.result.deadlock = "; ".join(sorted(reasons)[:8])
                 self._finish()
                 return self.result
         self._stats["steps"] = steps
         self._finish()
         return self.result
 
-    # -- statement interpretation ------------------------------------------
+    # -- lowering -------------------------------------------------------------
 
-    def _exec(self, state: _CpeState, stmt: Stmt):
+    def _lower(self, stmt: Stmt, code: List[Optional[Instr]]) -> None:
+        """Append ``stmt``'s instructions to ``code``.  Jump targets not
+        yet known are ``None`` until the code they skip is lowered."""
         if isinstance(stmt, Block):
             for inner in stmt.body:
-                yield from self._exec(state, inner)
-            return
-        if isinstance(stmt, ForLoop):
-            lo = self._eval(stmt.lo, state.env)
-            hi = self._eval(stmt.hi, state.env)
-            for value in range(lo, hi, stmt.step):
-                state.env[stmt.var] = value
-                yield from self._exec(state, stmt.body)
-            state.env.pop(stmt.var, None)
-            return
-        if isinstance(stmt, IfStmt):
-            if self._eval(stmt.cond, state.env):
-                yield from self._exec(state, stmt.then)
-            elif stmt.els is not None:
-                yield from self._exec(state, stmt.els)
-            return
-        if isinstance(stmt, CommStmt):
-            yield from self._exec_comm(state, stmt)
-            return
-        if isinstance(stmt, KernelCall):
-            for what, ref in (
-                ("kernel C operand", stmt.c_ref),
-                ("kernel A operand", stmt.a_ref),
-                ("kernel B operand", stmt.b_ref),
-            ):
-                self._check_read(state, ref, what)
-            yield "step"
-            return
-        if isinstance(stmt, BlockOpStmt):
-            self._check_read(state, stmt.dst, f"block op {stmt.op!r}")
-            yield "step"
-            return
-        if isinstance(stmt, NaiveComputeStmt):
-            self._check_read(state, stmt.target, "naive compute target")
-            for ref in _spm_refs(stmt.value):
-                self._check_read(state, ref, "naive compute operand")
-            yield "step"
-            return
-        if isinstance(stmt, CommentStmt):
-            return
-        # Anything else (AssignStmt over scalars, …) is hazard-neutral.
-        yield "step"
+                self._lower(inner, code)
+        elif isinstance(stmt, ForLoop):
+            slot = self._loop_slots
+            self._loop_slots += 1
+            code.append(_loop_enter(stmt, slot))
+            head = len(code)
+            code.append(None)
+            self._lower(stmt.body, code)
+            code.append(_jump(head))
+            code[head] = _loop_next(stmt.var, slot, head + 1, len(code))
+        elif isinstance(stmt, IfStmt):
+            test = len(code)
+            code.append(None)
+            self._lower(stmt.then, code)
+            if stmt.els is None:
+                code[test] = _branch(stmt.cond, test + 1, len(code))
+            else:
+                skip = len(code)
+                code.append(None)
+                code[test] = _branch(stmt.cond, test + 1, len(code))
+                self._lower(stmt.els, code)
+                code[skip] = _jump(len(code))
+        elif isinstance(stmt, CommStmt):
+            code.extend(self._lower_comm(stmt))
+        elif isinstance(stmt, KernelCall):
+            code.append(self._reads((
+                (stmt.c_ref, "kernel C operand"),
+                (stmt.a_ref, "kernel A operand"),
+                (stmt.b_ref, "kernel B operand"),
+            )))
+        elif isinstance(stmt, BlockOpStmt):
+            code.append(self._reads(((stmt.dst, f"block op {stmt.op!r}"),)))
+        elif isinstance(stmt, NaiveComputeStmt):
+            code.append(self._reads(
+                ((stmt.target, "naive compute target"),)
+                + tuple(
+                    (ref, "naive compute operand")
+                    for ref in _spm_refs(stmt.value)
+                )
+            ))
+        elif not isinstance(stmt, CommentStmt):
+            # Anything else (AssignStmt over scalars, …) is hazard-neutral.
+            code.append(_step)
 
-    def _exec_comm(self, state: _CpeState, stmt: CommStmt):
+    def _lower_comm(self, stmt: CommStmt) -> List[Instr]:
         kind = stmt.kind
-        args = stmt.args
         if kind == "reply_reset":
-            key = self._reply_key(args, state.env)
-            self._flag_unconsumed(state, key, at="reply_reset")
+            return [self._reply_reset(stmt.args)]
+        if kind in ("dma_iget", "dma_iput"):
+            return [self._dma(kind, stmt.args)]
+        if kind in ("dma_wait_value", "rma_wait_value"):
+            return [self._wait(kind, stmt.args)]
+        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
+            return [self._rma(kind, stmt.args)]
+        if kind == "synch":
+            return [self._arrive(), self._barrier()]
+        return [_step]
+
+    def _reads(self, refs) -> Instr:
+        """A compute statement: check every SPM operand it reads."""
+        checks = tuple(
+            (
+                ref.array,
+                _compile(ref.indices[0]) if ref.indices else _constant(0),
+                what,
+            )
+            for ref, what in refs
+            if ref.memory == "spm"
+        )
+        check_slot = self._check_slot
+
+        def reads(state: _CpeState) -> int:
+            inflight = state.inflight
+            for buffer, slot_of, what in checks:
+                slot = slot_of(state)
+                if (buffer, slot) in inflight:
+                    check_slot(state, buffer, slot, what)
+            state.pc += 1
+            return _STEP
+
+        return reads
+
+    def _reply_reset(self, args) -> Instr:
+        key_of = _reply_key(args)
+        flag_unconsumed = self._flag_unconsumed
+
+        def reply_reset(state: _CpeState) -> int:
+            key = key_of(state)
+            flag_unconsumed(state, key, at="reply_reset")
             state.counters[key] = 0
             state.records[key] = []
             state.waited[key] = 0
-            return
-        if kind in ("dma_iget", "dma_iput"):
-            slot = self._eval(args["slot"], state.env)
-            buffer = str(args["buffer"])
-            key = self._reply_key(args, state.env)
-            if kind == "dma_iput":
-                # A put *reads* the SPM source; mirror DMAEngine.iput's
-                # check_readable-then-mark order.
-                self._check_slot(state, buffer, slot, "dma_iput source")
-            state.inflight[(buffer, slot)] = f"{kind}/{key}"
-            state.counters[key] = state.counters.get(key, 0) + 1
-            state.records.setdefault(key, []).append((buffer, slot))
-            self._stats["dma_issues"] += 1
-            yield "step"
-            return
-        if kind in ("dma_wait_value", "rma_wait_value"):
-            key = self._reply_key(args, state.env)
-            value = int(args.get("value", 1))
-            while state.counters.get(key, 0) < value:
-                state.env["__blocked__"] = f"{kind} {key} >= {value}"
-                yield "blocked"
-            state.env.pop("__blocked__", None)
-            self._finish_wait(state, key, value)
-            self._stats["waits"] += 1
-            yield "step"
-            return
-        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
-            self._issue_rma(state, kind, args)
-            self._stats["rma_issues"] += 1
-            yield "step"
-            return
-        if kind == "synch":
-            token = self._generation
-            self._arrived += 1
-            if self._arrived == self.mesh * self.mesh:
-                self._arrived = 0
-                self._generation += 1
-                for row in self.states:
-                    for other in row:
-                        other.armed = True
-            while self._generation <= token:
-                state.env["__blocked__"] = "synch"
-                yield "blocked"
-            state.env.pop("__blocked__", None)
-            self._stats["barriers"] += 1
-            yield "step"
-            return
-        yield "step"
+            state.pc += 1
+            return _NEXT
 
-    def _issue_rma(self, state: _CpeState, kind: str, args) -> None:
-        slot_s = self._eval(args["src_slot"], state.env)
-        slot_d = self._eval(args["dst_slot"], state.env)
-        reply_slot = self._eval(args["reply_slot"], state.env)
+        return reply_reset
+
+    def _dma(self, kind: str, args) -> Instr:
+        slot_of = _compile(args["slot"])
+        buffer = str(args["buffer"])
+        key_of = _reply_key(args)
+        cause = f"{kind}/"
+        # A put *reads* the SPM source; mirror DMAEngine.iput's
+        # check_readable-then-mark order.
+        put = kind == "dma_iput"
+        check_slot = self._check_slot
+        stats = self._stats
+
+        def dma(state: _CpeState) -> int:
+            slot = slot_of(state)
+            key = key_of(state)
+            if put:
+                check_slot(state, buffer, slot, "dma_iput source")
+            state.inflight[(buffer, slot)] = cause + key
+            counters = state.counters
+            counters[key] = counters.get(key, 0) + 1
+            state.records.setdefault(key, []).append((buffer, slot))
+            stats["dma_issues"] += 1
+            state.pc += 1
+            return _STEP
+
+        return dma
+
+    def _wait(self, kind: str, args) -> Instr:
+        key_of = _reply_key(args)
+        value = int(args.get("value", 1))
+        finish_wait = self._finish_wait
+        stats = self._stats
+
+        def wait(state: _CpeState) -> int:
+            key = key_of(state)
+            if state.counters.get(key, 0) < value:
+                state.blocked = f"{kind} {key} >= {value}"
+                return _BLOCKED
+            finish_wait(state, key, value)
+            stats["waits"] += 1
+            state.pc += 1
+            return _STEP
+
+        return wait
+
+    def _rma(self, kind: str, args) -> Instr:
+        src_slot_of = _compile(args["src_slot"])
+        dst_slot_of = _compile(args["dst_slot"])
+        reply_slot_of = _compile(args["reply_slot"])
         src = str(args["src_buffer"])
         dst = str(args["dst_buffer"])
-        replys = f"{args['replys']}#{reply_slot}"
-        replyr = f"{args['replyr']}#{reply_slot}"
+        replys = args["replys"]
+        replyr = args["replyr"]
+        issue = self._issue_rma
+        stats = self._stats
+
+        def rma(state: _CpeState) -> int:
+            slot_s = src_slot_of(state)
+            slot_d = dst_slot_of(state)
+            reply_slot = reply_slot_of(state)
+            issue(
+                state, kind, src, slot_s, dst, slot_d,
+                f"{replys}#{reply_slot}", f"{replyr}#{reply_slot}",
+            )
+            stats["rma_issues"] += 1
+            state.pc += 1
+            return _STEP
+
+        return rma
+
+    def _arrive(self) -> Instr:
+        """The arrival half of ``synch()``: the last CPE of the mesh to
+        arrive opens the barrier and arms every CPE."""
+        mesh_size = self.mesh * self.mesh
+        everyone = [s for row in self.states for s in row]
+
+        def arrive(state: _CpeState) -> int:
+            state.token = self._generation
+            self._arrived += 1
+            if self._arrived == mesh_size:
+                self._arrived = 0
+                self._generation += 1
+                for other in everyone:
+                    other.armed = True
+            state.pc += 1
+            return _NEXT
+
+        return arrive
+
+    def _barrier(self) -> Instr:
+        stats = self._stats
+
+        def barrier(state: _CpeState) -> int:
+            if self._generation <= state.token:
+                state.blocked = "synch"
+                return _BLOCKED
+            stats["barriers"] += 1
+            state.pc += 1
+            return _STEP
+
+        return barrier
+
+    # -- mirrored runtime semantics ----------------------------------------
+
+    def _issue_rma(
+        self,
+        state: _CpeState,
+        kind: str,
+        src: str,
+        slot_s: int,
+        dst: str,
+        slot_d: int,
+        replys: str,
+        replyr: str,
+    ) -> None:
         if not state.armed:
             self._record(
                 self.result.discipline,
@@ -327,8 +475,6 @@ class ScheduleMachine:
         state.counters[replys] = state.counters.get(replys, 0) + 1
         state.records.setdefault(replys, []).append(None)
 
-    # -- mirrored runtime semantics ----------------------------------------
-
     def _finish_wait(self, state: _CpeState, key: str, value: int) -> None:
         """Mirror of ``AthreadRuntime.finish_wait``: consume the first
         ``value`` records, clearing their in-flight marks; a wait on an
@@ -340,12 +486,6 @@ class ScheduleMachine:
         state.waited[key] = max(state.waited.get(key, 0), value)
         if _is_rma_counter(key):
             state.armed = False
-
-    def _check_read(self, state: _CpeState, ref: ArrayRef, what: str) -> None:
-        if ref.memory != "spm":
-            return
-        slot = self._eval(ref.indices[0], state.env) if ref.indices else 0
-        self._check_slot(state, ref.array, slot, what)
 
     def _check_slot(self, state: _CpeState, buffer: str, slot: int, what: str) -> None:
         cause = state.inflight.get((buffer, slot))
@@ -446,29 +586,168 @@ class ScheduleMachine:
                     },
                 )
 
-    # -- expression evaluation ---------------------------------------------
 
-    def _reply_key(self, args, env) -> str:
-        slot = self._eval(args["reply_slot"], env)
-        return f"{args['reply']}#{slot}"
+# -- control-flow instructions ---------------------------------------------
 
-    def _eval(self, expr, env) -> int:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, (VarRef, AffRef)):
-            value = expr.evaluate(
-                {k: v for k, v in env.items() if isinstance(v, int)}
-                if isinstance(expr, AffRef)
-                else env
-            )
-            return value
-        if isinstance(expr, BinExpr):
-            return expr.evaluate(env)
-        if isinstance(expr, int):
-            return expr
-        if isinstance(expr, Expr):
-            return expr.evaluate(env)
+
+def _end(state: _CpeState) -> int:
+    return _DONE
+
+
+def _step(state: _CpeState) -> int:
+    state.pc += 1
+    return _STEP
+
+
+def _jump(target: int) -> Instr:
+    def jump(state: _CpeState) -> int:
+        state.pc = target
+        return _NEXT
+
+    return jump
+
+
+def _branch(cond, then: int, other: int) -> Instr:
+    cond_of = _compile(cond)
+
+    def branch(state: _CpeState) -> int:
+        state.pc = then if cond_of(state) else other
+        return _NEXT
+
+    return branch
+
+
+def _loop_enter(loop: ForLoop, slot: int) -> Instr:
+    """Python ``range`` semantics: both bounds are evaluated once, on
+    entry."""
+    lo_of = _compile(loop.lo)
+    hi_of = _compile(loop.hi)
+    step = loop.step
+
+    def loop_enter(state: _CpeState) -> int:
+        lo = lo_of(state)
+        state.loops[slot] = iter(range(lo, hi_of(state), step))
+        state.pc += 1
+        return _NEXT
+
+    return loop_enter
+
+
+def _loop_next(var: str, slot: int, body: int, exit: int) -> Instr:
+    """Bind the next loop value, or unbind the variable and leave."""
+
+    def loop_next(state: _CpeState) -> int:
+        value = next(state.loops[slot], None)
+        if value is None:
+            state.env.pop(var, None)
+            state.ienv.pop(var, None)
+            state.pc = exit
+        else:
+            state.env[var] = value
+            state.ienv[var] = value
+            state.pc = body
+        return _NEXT
+
+    return loop_next
+
+
+# -- expressions -------------------------------------------------------------
+
+
+def _constant(value) -> Value:
+    return lambda state: value
+
+
+def _compile(expr, operand: bool = False) -> Value:
+    """``expr`` as a closure, with the semantics of its ``evaluate``: an
+    ``AffRef`` sees only the int bindings, ``BinExpr`` evaluates both
+    operands first.  At the top level (``operand`` false) a bare int is
+    its own value and anything else that is not an expression fails with
+    a ``TypeError`` — when evaluated, never when compiled."""
+    if isinstance(expr, IntLit):
+        return _constant(expr.value)
+    if isinstance(expr, AffRef):
+        return _compile_aff_ref(expr)
+    if isinstance(expr, VarRef):
+        name = expr.name
+
+        def lookup(state: _CpeState):
+            try:
+                return state.env[name]
+            except KeyError:
+                return expr.evaluate(state.env)  # raises: unbound
+
+        return lookup
+    if isinstance(expr, BinExpr) and expr.op in BINARY_OPS:
+        op = BINARY_OPS[expr.op]
+        lhs = _compile(expr.lhs, operand=True)
+        rhs = _compile(expr.rhs, operand=True)
+        return lambda state: op(lhs(state), rhs(state))
+    if operand or isinstance(expr, Expr):
+        return lambda state: expr.evaluate(state.env)
+    if isinstance(expr, int):
+        return _constant(expr)
+
+    def fail(state: _CpeState):
         raise TypeError(f"cannot evaluate {expr!r} statically")
+
+    return fail
+
+
+def _compile_aff_ref(ref: AffRef) -> Value:
+    aff = ref.aff
+    if aff.is_constant():
+        return _constant(aff.const)
+    value = _compile_aff(aff)
+
+    def evaluate(state: _CpeState) -> int:
+        try:
+            return value(state.ienv)
+        except KeyError:
+            return aff.evaluate(state.ienv)  # raises: unbound variable
+
+    return evaluate
+
+
+def _compile_aff(aff: AffExpr) -> Callable[[Dict[str, int]], int]:
+    """``const + Σ c·env[v] + Σ c·(g(env) // d)`` as a closure."""
+    const = aff.const
+    terms = tuple(aff.coeffs.items())
+    divs = tuple(
+        (_compile_aff(term.arg), term.divisor, c) for term, c in aff.divs.items()
+    )
+    # The shapes slots and bounds take — ``c·v + k``, ``c·floor(g/d) + k``
+    # and ``v mod d`` as ``v - d·floor(v/d)`` — skip the generic loops:
+    # ~15% of a replay.
+    if not divs and len(terms) == 1:
+        ((var, c),) = terms
+        if c == 1:
+            return lambda env: const + env[var]
+        return lambda env: const + c * env[var]
+    if not terms and len(divs) == 1:
+        ((inner, d, c),) = divs
+        return lambda env: const + c * (inner(env) // d)
+    if len(terms) == 1 and len(divs) == 1:
+        ((var, c),) = terms
+        ((inner, d, k),) = divs
+        return lambda env: const + c * env[var] + k * (inner(env) // d)
+
+    def value(env: Dict[str, int]) -> int:
+        total = const
+        for var, c in terms:
+            total += c * env[var]
+        for inner, d, c in divs:
+            total += c * (inner(env) // d)
+        return total
+
+    return value
+
+
+def _reply_key(args) -> Value:
+    """The reply counter a statement names: ``reply#slot``."""
+    reply = args["reply"]
+    slot_of = _compile(args["reply_slot"])
+    return lambda state: f"{reply}#{slot_of(state)}"
 
 
 def _spm_refs(expr) -> List[ArrayRef]:

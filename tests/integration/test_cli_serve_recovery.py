@@ -55,6 +55,9 @@ def _boot_daemon(tmp_path, ready_name, *extra_args):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        # Its own process group: the daemon's isolation workers share
+        # it, so the test can see (and reap) every process it started.
+        start_new_session=True,
     )
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -65,8 +68,38 @@ def _boot_daemon(tmp_path, ready_name, *extra_args):
                 f"daemon exited early:\n{process.stdout.read()}"
             )
         time.sleep(0.05)
-    process.kill()
+    _kill_group(process)
     raise AssertionError("daemon never wrote the ready file")
+
+
+def _group_members(pgid):
+    """Live (non-zombie) processes of one process group."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        state, pgrp = fields[0], int(fields[2])
+        if pgrp == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _wait_group_gone(pgid, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while _group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return _group_members(pgid)
+
+
+def _kill_group(process):
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    if process.poll() is None:
+        process.wait(timeout=10.0)
 
 
 def _address(info):
@@ -119,6 +152,10 @@ def test_kill9_daemon_replays_journal_and_keeps_acked_work(tmp_path):
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=10.0)
         hang.join(timeout=10.0)
+        # No isolation worker outlives the daemon: the idle one sees EOF
+        # on its pipe, the one stalled in the 120 s hang notices it was
+        # reparented.
+        assert _wait_group_gone(process.pid) == []
 
         # The wedge survived the crash on disk: exactly one accepted
         # record without a tombstone (the acked compile has one).
@@ -126,9 +163,7 @@ def test_kill9_daemon_replays_journal_and_keeps_acked_work(tmp_path):
         assert len(pending) == 1
         assert [b["op"] for b in pending.values()] == ["compile"]
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10.0)
+        _kill_group(process)
 
     # Restart on the same directories.  The tight worker deadline makes
     # the replayed hang fail fast instead of blocking the boot for the
@@ -156,9 +191,7 @@ def test_kill9_daemon_replays_journal_and_keeps_acked_work(tmp_path):
         output = restarted.stdout.read()
         assert "replaying 1 journaled request(s)" in output
     finally:
-        if restarted.poll() is None:
-            restarted.kill()
-            restarted.wait(timeout=10.0)
+        _kill_group(restarted)
 
     # Nothing left to replay: a third boot would start clean.
     pending, _ = scan_segments(tmp_path / "journal")

@@ -61,6 +61,15 @@ def test_compile_run_verify_round_trip(daemon):
         assert again["source"] in ("memory", "disk")
         ran = client.run({"arch": "toy", "M": 32, "N": 32, "K": 16, "seed": 3})
         assert ran["ok"] and ran["max_error"] < 1e-8
+        # Fused kernels are checked against the fused reference.
+        for fused in (
+            {"fusion": "prologue", "prologue_func": "quant"},
+            {"fusion": "epilogue", "epilogue_func": "sigmoid"},
+        ):
+            ran = client.run(
+                {"arch": "toy", "M": 32, "N": 32, "K": 16, "seed": 3, **fused}
+            )
+            assert ran["ok"] and ran["max_error"] < 1e-8, fused
         verified = client.verify({"arch": "toy"})
         assert verified["ok"]
 

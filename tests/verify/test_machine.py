@@ -12,20 +12,26 @@ from repro.poly.astnodes import (
     BufferDecl,
     CommStmt,
     CpeProgram,
+    Expr,
     IntLit,
     ReplyDecl,
 )
 from repro.verify.machine import ScheduleMachine
 
 
-def dma_get(buffer, slot=0, reply="r", reply_slot=0):
+def expr(value):
+    """An int becomes a literal; an AST expression passes through."""
+    return value if isinstance(value, Expr) else IntLit(value)
+
+
+def dma_get(buffer, slot=0, reply="r", reply_slot=0, kind="dma_iget"):
     return CommStmt(
-        "dma_iget",
+        kind,
         {
             "buffer": buffer,
-            "slot": IntLit(slot),
+            "slot": expr(slot),
             "reply": reply,
-            "reply_slot": IntLit(reply_slot),
+            "reply_slot": expr(reply_slot),
         },
     )
 
@@ -33,36 +39,36 @@ def dma_get(buffer, slot=0, reply="r", reply_slot=0):
 def dma_wait(reply="r", reply_slot=0, value=1):
     return CommStmt(
         "dma_wait_value",
-        {"reply": reply, "reply_slot": IntLit(reply_slot), "value": value},
+        {"reply": reply, "reply_slot": expr(reply_slot), "value": value},
     )
 
 
 def rma_wait(reply="rma_rr", reply_slot=0, value=1):
     return CommStmt(
         "rma_wait_value",
-        {"reply": reply, "reply_slot": IntLit(reply_slot), "value": value},
+        {"reply": reply, "reply_slot": expr(reply_slot), "value": value},
     )
 
 
 def read(buffer, slot=0):
     return BlockOpStmt(
         op="scale",
-        dst=ArrayRef(buffer, (IntLit(slot),), memory="spm"),
+        dst=ArrayRef(buffer, (expr(slot),), memory="spm"),
         shape=(1, 1),
     )
 
 
-def row_bcast(src="s", dst="d"):
+def row_bcast(src="s", dst="d", slot=0, kind="rma_row_ibcast"):
     return CommStmt(
-        "rma_row_ibcast",
+        kind,
         {
             "src_buffer": src,
-            "src_slot": IntLit(0),
+            "src_slot": expr(slot),
             "dst_buffer": dst,
-            "dst_slot": IntLit(0),
+            "dst_slot": expr(slot),
             "replys": "rma_rs",
             "replyr": "rma_rr",
-            "reply_slot": IntLit(0),
+            "reply_slot": expr(slot),
         },
     )
 
