@@ -15,13 +15,13 @@ Run:  python examples/custom_architecture.py
 
 import numpy as np
 
-from repro import CompilerOptions, GemmCompiler, GemmSpec, run_gemm
+from repro import CompilerOptions, GemmSpec, api
 from repro.core.tile_model import search_optimal_shape
 from repro.sunway.arch import SW26010, SW26010PRO, ArchSpec, MicroKernelShape
 
 
 def validate(arch, options, M=None, N=None, K=None) -> None:
-    program = GemmCompiler(arch, options).compile(GemmSpec())
+    program = api.compile(GemmSpec(), arch=arch, options=options)
     plan = program.plan
     M = M or plan.chunk_m
     N = N or plan.chunk_n
@@ -29,7 +29,7 @@ def validate(arch, options, M=None, N=None, K=None) -> None:
     rng = np.random.default_rng(5)
     A = rng.standard_normal((M, K))
     B = rng.standard_normal((K, N))
-    C, report = run_gemm(program, A, B, np.zeros((M, N)), beta=0.0)
+    C, report = api.run(program, A, B, beta=0.0)
     error = np.abs(C - A @ B).max()
     print(f"{arch.name:>12s}: tile {plan.mt}x{plan.nt}x{plan.kt}, "
           f"chunk {plan.chunk_m}x{plan.chunk_n}x{plan.k_step}, "
@@ -48,7 +48,7 @@ def main() -> None:
     # real chip), 64 KB SPM -> smaller kernel, DMA-only plan.
     validate(
         SW26010,
-        CompilerOptions(use_asm=True, enable_rma=False, enable_latency_hiding=True),
+        CompilerOptions(enable_rma=False),
         M=256, N=256, K=256,
     )
 

@@ -18,7 +18,7 @@ Run:  python examples/dl_attention_layer.py
 
 import numpy as np
 
-from repro import CompilerOptions, GemmCompiler, GemmSpec, SW26010PRO, run_gemm
+from repro import CompilerOptions, GemmSpec, SW26010PRO, api
 from repro.codegen.elementwise import get_elementwise
 from repro.xmath.library import XMathLibrary
 
@@ -28,13 +28,10 @@ HEADS = 4
 
 def batched_projections(rng) -> float:
     """Q/K/V/O projections for every head as one batched launch."""
-    spec = GemmSpec(batch_param="BS")
-    program = GemmCompiler(
-        SW26010PRO, CompilerOptions.full().with_(batch=True)
-    ).compile(spec)
+    program = api.compile(GemmSpec(batch_param="BS"), batch=True)
     X = rng.standard_normal((HEADS, SEQ, MODEL)) * 0.1
     W = rng.standard_normal((HEADS, MODEL, MODEL)) * 0.1
-    out, report = run_gemm(program, X, W, None, beta=0.0)
+    out, report = api.run(program, X, W, beta=0.0)
     assert np.allclose(out, np.einsum("bik,bkj->bij", X, W), atol=1e-10)
     print(f"batched projections ({HEADS} heads of {SEQ}x{MODEL}x{MODEL}):")
     print(f"  functional run: {report.elapsed_seconds * 1e3:.3f} ms, "
@@ -59,13 +56,10 @@ def batched_projections(rng) -> float:
 
 def quantised_weights(rng) -> None:
     """W is quantised on the fly while feeding the GEMM (prologue fusion)."""
-    spec = GemmSpec(prologue_func="quant")
-    program = GemmCompiler(
-        SW26010PRO, CompilerOptions.full().with_(fusion="prologue")
-    ).compile(spec)
+    program = api.compile(GemmSpec(prologue_func="quant"), fusion="prologue")
     X = rng.standard_normal((SEQ, MODEL)) * 0.1
     W = rng.standard_normal((MODEL, MODEL)) * 0.1
-    out, report = run_gemm(program, X, W, None, beta=0.0)
+    out, report = api.run(program, X, W, beta=0.0)
     quant = get_elementwise("quant").numpy_fn
     assert np.allclose(out, quant(X) @ W, atol=1e-10)
     print(f"\nfused quantisation prologue: {report.elapsed_seconds * 1e3:8.3f} ms "
@@ -77,14 +71,13 @@ def quantised_weights(rng) -> None:
 
 def activated_output(rng) -> None:
     """The output projection with its activation fused on the CPEs."""
-    spec = GemmSpec(epilogue_func="sigmoid")
-    program = GemmCompiler(
-        SW26010PRO,
-        CompilerOptions.full().with_(fusion="epilogue", epilogue_func="sigmoid"),
-    ).compile(spec)
+    program = api.compile(
+        GemmSpec(epilogue_func="sigmoid"),
+        fusion="epilogue", epilogue_func="sigmoid",
+    )
     X = rng.standard_normal((SEQ, MODEL)) * 0.1
     W = rng.standard_normal((MODEL, MODEL)) * 0.1
-    out, report = run_gemm(program, X, W, None, beta=0.0)
+    out, report = api.run(program, X, W, beta=0.0)
     sigmoid = get_elementwise("sigmoid").numpy_fn
     assert np.allclose(out, sigmoid(X @ W), atol=1e-10)
 

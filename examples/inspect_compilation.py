@@ -11,12 +11,17 @@ the paper, live:
 4. the final tree with DMA/RMA extension nodes and peeling (Figs. 9/11);
 5. the generated athread C (§7).
 
-Run:  python examples/inspect_compilation.py [--no-hiding]
+The raw pass pipeline is the point here, so it compiles with
+:class:`repro.core.pipeline.GemmCompiler` rather than the cached
+``repro.api.compile``.
+
+Run:  python examples/inspect_compilation.py [--schedule=off]
 """
 
 import sys
 
-from repro import CompilerOptions, GemmCompiler, GemmSpec
+from repro import CompilerOptions, GemmSpec
+from repro.core.pipeline import GemmCompiler
 from repro.core.decomposition import decompose
 from repro.core.tile_model import plan_for_kernel, search_optimal_shape
 from repro.poly.dependences import analyze_statement
@@ -28,8 +33,8 @@ def headline(text: str) -> None:
 
 
 def main() -> None:
-    hiding = "--no-hiding" not in sys.argv
-    options = CompilerOptions.full() if hiding else CompilerOptions.with_rma()
+    schedule = "off" if "--schedule=off" in sys.argv else "recipe"
+    options = CompilerOptions.full().with_(schedule=schedule)
     spec = GemmSpec()
 
     headline("dependence analysis (what isl annotates, Sec. 2.2)")

@@ -24,15 +24,14 @@ Quick start — the stable facade is :mod:`repro.api`::
     record = api.tune(GemmSpec(), shape=(576, 1024, 512))
     print(record.candidate.name(), f"{100 * record.improvement:.1f}% faster")
 
-The pre-facade entry points (``GemmCompiler``, ``run_gemm``,
-``KernelService``) still work but emit ``DeprecationWarning`` with their
-migration hint — see :mod:`repro.compat`.
+``schedule`` is the one knob for the §6 latency-hiding pipeline
+(``"recipe"``, ``"optimize"`` or ``"off"``).  A raw, uncached pass
+pipeline is :class:`repro.core.pipeline.GemmCompiler`.
 """
 
 from repro import api
 from repro.api import Client, GemmResult, connect
 from repro.codegen.backend import backend_names, get_backend, resolve_kernel
-from repro.compat import GemmCompiler, run_gemm
 from repro.core import CompilerOptions, GemmSpec
 from repro.core.options import SchedulePolicy, TileConfig
 from repro.faults import FaultInjector, FaultPolicy, RetryPolicy, tile_checksum
@@ -113,8 +112,5 @@ __all__ = [
     "get_backend",
     "backend_names",
     "resolve_kernel",
-    # deprecated shims (warn on use)
-    "GemmCompiler",
-    "run_gemm",
     "__version__",
 ]

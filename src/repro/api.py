@@ -1,7 +1,6 @@
 """The stable public API.
 
-Four verbs cover what four PRs of entry points (``GemmCompiler``,
-``KernelService``, bare ``run_gemm``, the CLI helpers) grew organically:
+Four verbs cover compiling, running, tuning and verifying a kernel:
 
 * :func:`compile` — spec in, admission-verified
   :class:`~repro.runtime.program.CompiledProgram` out, served through
@@ -14,15 +13,19 @@ Four verbs cover what four PRs of entry points (``GemmCompiler``,
 * :func:`verify` — run the static admission verifier over a program and
   return its :class:`~repro.verify.VerificationReport`.
 
-Everything here is re-exported from ``repro`` itself; the old entry
-points still work but emit :class:`DeprecationWarning` with a one-line
-migration hint (see :mod:`repro.compat`).
+Everything here is re-exported from ``repro`` itself.  Compiler
+options pass as keyword overrides, e.g.::
 
-Compiler options pass as keyword overrides, e.g.::
-
-    program = api.compile(spec, enable_rma=False)
+    program = api.compile(spec, enable_rma=False, schedule="off")
     result = api.run(program, a, b)
     record = api.tune(spec, shape=(576, 1024, 512))
+
+``schedule`` selects the §6 latency-hiding pipeline — ``"recipe"`` (the
+default), ``"optimize"`` or ``"off"`` — and takes a mode string, a
+``{"mode", "allow", "deny"}`` mapping or a
+:class:`~repro.core.options.SchedulePolicy`.  Hiding needs the asm
+kernel: ``use_asm=False`` compiles without it, and ``use_asm=False``
+with ``schedule="optimize"`` is a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.options import CompilerOptions, SchedulePolicy, TileConfig
+from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.executor import run_gemm as _run_gemm
@@ -83,24 +86,7 @@ def _coerce_options(
             f"unknown compiler option(s) {sorted(unknown)}; valid options "
             f"are {sorted(_OPTION_FIELDS)}"
         )
-    if "schedule" in overrides:
-        # Accept the structured SchedulePolicy, a bare mode string
-        # ("recipe"/"optimize"/"off"), or a {"mode", "allow", "deny"}
-        # mapping — callers shouldn't need to import the dataclass.
-        overrides = {
-            **overrides,
-            "schedule": SchedulePolicy.parse(overrides["schedule"]),
-        }
     base = options or CompilerOptions()
-    if (
-        overrides.get("use_asm") is False
-        and "enable_latency_hiding" not in overrides
-        and base.enable_latency_hiding
-    ):
-        # Latency hiding pipelines the asm kernel; without the kernel it
-        # has nothing to hide behind, so derive it off (the CLI's
-        # --no-use-asm does the same).
-        overrides = {**overrides, "enable_latency_hiding": False}
     return base.with_(**overrides) if overrides else base
 
 

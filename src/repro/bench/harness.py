@@ -596,9 +596,7 @@ def schedule_sweep(
         if tile is not None:
             mt, nt, kt = tile
             base = base.with_(
-                tile_config=TileConfig(
-                    mt, nt, kt, buffer_depth=2, k_strip=arch.mesh_rows
-                )
+                tile_config=TileConfig(mt, nt, kt, k_strip=arch.mesh_rows)
             )
         optimized = base.with_(schedule=SchedulePolicy(mode="optimize"))
         recipe_perf = sim.simulate(M, N, K, base, batch=batch)
@@ -642,9 +640,7 @@ def schedule_sweep(
     if tile is not None:
         mt, nt, kt = tile
         search_base = search_base.with_(
-            tile_config=TileConfig(
-                mt, nt, kt, buffer_depth=2, k_strip=arch.mesh_rows
-            )
+            tile_config=TileConfig(mt, nt, kt, k_strip=arch.mesh_rows)
         )
     searched = greedy_pass_order(
         simulated_evaluator(shape, search_base, arch=arch, service=service),

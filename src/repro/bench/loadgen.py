@@ -51,7 +51,7 @@ HOT_KERNELS: Tuple[Dict[str, Any], ...] = (
 )
 
 COLD_KERNELS: Tuple[Dict[str, Any], ...] = (
-    {"enable_latency_hiding": False},
+    {"schedule": "off"},
     {"trans_a": True},
     {"trans_b": True},
     {"trans_a": True, "trans_b": True},

@@ -14,7 +14,7 @@ the pass-pipeline introspection surface::
     swgemm passes list                         # the variant-aware pipeline
     swgemm compile --print-after all           # IR snapshot after each pass
     swgemm compile --print-after dma-derivation
-    swgemm compile --disable-pass latency-hiding   # == the §8.1 ablation
+    swgemm compile --schedule=off              # the §8.1 no-hiding ablation
     swgemm compile --dump-ir irdir             # one snapshot file per pass
 
 plus the compilation-service surface::
@@ -243,12 +243,11 @@ def _spec_and_options(args):
 
     source = _load_source(args.source) if getattr(args, "source", None) else DEFAULT_GEMM_C
     spec, inferred = extract_spec(source, return_options=True)
-    if args.no_use_asm or args.no_rma or args.no_hiding:
+    if args.no_use_asm or args.no_rma:
         options = CompilerOptions(
             batch=args.batch,
             use_asm=not args.no_use_asm,
             enable_rma=not args.no_rma,
-            enable_latency_hiding=not (args.no_hiding or args.no_use_asm),
         )
     else:
         options = inferred
@@ -263,10 +262,9 @@ def _apply_schedule(args, options):
     """Fold ``--schedule`` / ``--schedule-passes`` into an option set.
 
     ``recipe`` pins the fixed §6 pipeline, ``optimize`` layers the
-    replay-proven rewrite stack on top of it, ``off`` is the structured
-    spelling of the deprecated ``--no-hiding``.  Reconciliation
-    canonicalises the policy (and drops it when it cannot run), so the
-    cache key only ever sees the normal form.
+    replay-proven rewrite stack on top of it, ``off`` disables latency
+    hiding.  Reconciliation canonicalises the policy, so the cache key
+    only ever sees the normal form.
     """
     from repro.core.options import SchedulePolicy
     from repro.errors import ConfigurationError
@@ -279,20 +277,10 @@ def _apply_schedule(args, options):
         )
     if mode is None:
         return options
-    if mode == "optimize" and (
-        getattr(args, "no_hiding", False) or getattr(args, "no_use_asm", False)
-    ):
-        raise ConfigurationError(
-            "--schedule=optimize rewrites the latency-hiding pipeline and "
-            "cannot be combined with --no-hiding / --no-use-asm"
-        )
     allow = ()
     if passes:
         allow = tuple(p.strip() for p in passes.split(",") if p.strip())
-    policy = SchedulePolicy(mode=mode, allow=allow)
-    if mode == "off":
-        options = options.with_(enable_latency_hiding=False)
-    return options.with_(schedule=policy)
+    return options.with_(schedule=SchedulePolicy(mode=mode, allow=allow))
 
 
 def _apply_micro_kernel(args, options):
@@ -310,9 +298,7 @@ def _apply_micro_kernel(args, options):
 
 def _introspection_requested(args) -> bool:
     return bool(
-        getattr(args, "print_after", None)
-        or getattr(args, "disable_pass", None)
-        or getattr(args, "dump_ir", None)
+        getattr(args, "print_after", None) or getattr(args, "dump_ir", None)
     )
 
 
@@ -320,15 +306,11 @@ def _build_introspected(args, spec, options) -> "CompiledProgram":
     """Direct (cache-bypassing) compile with pass-level introspection.
 
     Snapshots live on the compile context, not on cached artifacts, so
-    ``--print-after`` / ``--dump-ir`` always run the real pipeline;
-    ``--disable-pass`` rides along for the same bit-exact guarantee.
+    ``--print-after`` / ``--dump-ir`` always run the real pipeline.
     """
     from repro.core.pipeline import GemmCompiler
 
-    compiler = GemmCompiler(
-        _arch_from_args(args), options,
-        disable_passes=tuple(args.disable_pass or ()),
-    )
+    compiler = GemmCompiler(_arch_from_args(args), options)
 
     def sink(pass_, header, snapshot):
         print(header)
@@ -442,10 +424,7 @@ def cmd_passes_list(args) -> int:
     from repro.core.pipeline import GemmCompiler
 
     spec, options = _spec_and_options(args)
-    compiler = GemmCompiler(
-        _arch_from_args(args), options,
-        disable_passes=tuple(args.disable_pass or ()),
-    )
+    compiler = GemmCompiler(_arch_from_args(args), options)
     passes = compiler.pipeline_for(spec)
     effective = compiler.effective_options(spec)
     print(
@@ -544,13 +523,11 @@ def cmd_tune(args) -> int:
         # No source: let the tuner pick the (possibly batched) default
         # spec for --batch-count, honoring any explicit knob flags.
         spec, options = None, None
-        if args.no_use_asm or args.no_rma or args.no_hiding:
+        if args.no_use_asm or args.no_rma:
             from repro.core.options import CompilerOptions
 
             options = CompilerOptions.full().with_(
-                use_asm=not args.no_use_asm,
-                enable_rma=not args.no_rma,
-                enable_latency_hiding=not (args.no_hiding or args.no_use_asm),
+                use_asm=not args.no_use_asm, enable_rma=not args.no_rma
             )
         if getattr(args, "micro_kernel", None):
             from repro.core.options import CompilerOptions
@@ -874,9 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the inline assembly kernel")
         p.add_argument("--no-rma", action="store_true",
                        help="disable RMA broadcasts")
-        p.add_argument("--no-hiding", action="store_true",
-                       help="disable memory latency hiding (deprecated: "
-                       "use --schedule=off)")
         p.add_argument(
             "--schedule", choices=("recipe", "optimize", "off"),
             default=None, metavar="MODE",
@@ -894,23 +868,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the admission verifier (escape hatch; "
                        "generated code is bit-exact either way)")
 
-    def add_introspection(p, with_snapshots=True):
+    def add_introspection(p):
         p.add_argument(
-            "--disable-pass", action="append", metavar="PASS",
-            help="disable a pipeline pass (repeatable; e.g. latency-hiding, "
-            "rma-derivation) — rebuilds the matching ablation pipeline",
+            "--print-after", action="append", metavar="PASS",
+            help="print the IR snapshot after the named pass "
+            "(repeatable; 'all' prints every pass; bypasses the cache)",
         )
-        if with_snapshots:
-            p.add_argument(
-                "--print-after", action="append", metavar="PASS",
-                help="print the IR snapshot after the named pass "
-                "(repeatable; 'all' prints every pass; bypasses the cache)",
-            )
-            p.add_argument(
-                "--dump-ir", metavar="DIR",
-                help="write one numbered IR snapshot file per pass to DIR "
-                "(bypasses the cache)",
-            )
+        p.add_argument(
+            "--dump-ir", metavar="DIR",
+            help="write one numbered IR snapshot file per pass to DIR "
+            "(bypasses the cache)",
+        )
 
     p_compile = sub.add_parser(
         "compile", help="generate athread C files", parents=[shared]
@@ -949,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     add_common(p_passes_list)
-    add_introspection(p_passes_list, with_snapshots=False)
     p_passes_list.set_defaults(func=cmd_passes_list)
 
     p_run = sub.add_parser(

@@ -27,12 +27,11 @@ from repro.codegen.backend import (
     register_backend,
     resolve_kernel,
 )
-from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel, get_kernel
+from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel
 
 __all__ = [
     "AsmMicroKernel",
     "NaiveKernel",
-    "get_kernel",
     "GeneratedMicroKernel",
     "KernelBackend",
     "ParametricKernelBackend",

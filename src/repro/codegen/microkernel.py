@@ -91,16 +91,3 @@ class NaiveKernel(_KernelBase):
     def seconds_per_call(self) -> float:
         s = self.shape
         return self.arch.naive_time_s(s.mt, s.nt, s.kt)
-
-
-def get_kernel(
-    arch: ArchSpec, use_asm: bool, shape: Optional[MicroKernelShape] = None
-) -> _KernelBase:
-    """Kernel selection for the compiled program.
-
-    ``shape`` overrides the arch's default micro-kernel contract — the
-    autotuner path, where the tile plan (not the arch constant) is the
-    single source of truth for the kernel shape.
-    """
-    cls = AsmMicroKernel if use_asm else NaiveKernel
-    return cls(arch, shape)

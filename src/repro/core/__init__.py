@@ -18,7 +18,7 @@ End-to-end pipeline (§2.3):
 
 Public entry point: :class:`repro.core.pipeline.GemmCompiler` — a thin
 facade over the instrumented pass pipeline of :mod:`repro.core.passes`
-(per-pass timings, IR snapshots, diagnostics, disable/replace hooks).
+(per-pass timings, IR snapshots, diagnostics, pass replacement hooks).
 """
 
 from repro.core.options import CompilerOptions

@@ -4,9 +4,9 @@ Mirrors the command-line surface described in §8: the compiler generates
 athread code for one SW26010Pro cluster by default, ``--batch`` enables the
 batched-GEMM path (Fig. 3), ``--no-use-asm`` bypasses the inline assembly
 kernel and emits plain loop code.  The additional switches
-(``enable_rma`` / ``enable_latency_hiding``) expose the intermediate code
-variants of the performance breakdown (§8.1) — the paper's orange and
-green bars — and the fusion modes of §7.3.
+(``enable_rma`` / ``schedule``) expose the intermediate code variants of
+the performance breakdown (§8.1) — the paper's orange and green bars —
+and the fusion modes of §7.3.
 """
 
 from __future__ import annotations
@@ -34,22 +34,17 @@ class TileConfig:
     contract (§3.1 — 64×64×32 on SW26010Pro); the autotuner
     (:mod:`repro.tune`) instead searches this
     space.  A ``TileConfig`` carries the (X̂, Ŷ, Ẑ) tile sizes plus the
-    two pipeline knobs that interact with them:
-
-    * ``buffer_depth`` — SPM slots per input buffer.  ``None`` derives
-      the depth from ``enable_latency_hiding`` (2 when hiding, else 1);
-      an explicit 1 forces single buffering (and disables hiding during
-      option reconciliation), an explicit 2 forces double buffering.
-    * ``k_strip`` — the k-strip-mine factor.  ``None`` derives it from
-      the RMA mode (mesh size with RMA, 1 without, §5.2); an explicit
-      value must match that derivation or the plan is rejected — the
-      field exists so search-space points are self-describing.
+    k-strip-mine factor ``k_strip``.  ``None`` derives it from the RMA
+    mode (mesh size with RMA, 1 without, §5.2); an explicit value must
+    match that derivation or the plan is rejected — the field exists so
+    search-space points are self-describing.  The SPM buffer depth is
+    not a field: it follows from latency hiding (2 slots when hiding,
+    else 1, see :attr:`CompilerOptions.latency_hiding`).
     """
 
     mt: int
     nt: int
     kt: int
-    buffer_depth: Optional[int] = None
     k_strip: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -59,10 +54,6 @@ class TileConfig:
                     f"tile {name}={value} must be a positive multiple of "
                     f"{TILE_ALIGN} (SIMD register blocking)"
                 )
-        if self.buffer_depth not in (None, 1, 2):
-            raise ConfigurationError(
-                f"buffer_depth={self.buffer_depth!r} must be None, 1 or 2"
-            )
         if self.k_strip is not None and self.k_strip <= 0:
             raise ConfigurationError(
                 f"k_strip={self.k_strip!r} must be None or positive"
@@ -72,21 +63,16 @@ class TileConfig:
         return MicroKernelShape(self.mt, self.nt, self.kt)
 
     def name(self) -> str:
-        parts = [f"{self.mt}x{self.nt}x{self.kt}"]
-        if self.buffer_depth is not None:
-            parts.append(f"d{self.buffer_depth}")
-        if self.k_strip is not None:
-            parts.append(f"s{self.k_strip}")
-        return "-".join(parts)
+        name = f"{self.mt}x{self.nt}x{self.kt}"
+        return name if self.k_strip is None else f"{name}-s{self.k_strip}"
 
     def is_default_for(self, arch: "ArchSpec") -> bool:
         """True when this config pins exactly the arch's analytical
-        default with derived pipeline knobs — such configs normalise to
+        default with a derived k-strip — such configs normalise to
         ``tile_config=None`` in cache keys."""
         mk = arch.micro_kernel
         return (
             (self.mt, self.nt, self.kt) == (mk.mt, mk.nt, mk.kt)
-            and self.buffer_depth is None
             and self.k_strip is None
         )
 
@@ -102,7 +88,7 @@ ELEMENTWISE_FUNCS = ("quant", "relu", "sigmoid", "tanh", "identity")
 
 #: Schedule policy modes: "recipe" pins the fixed §6 pipeline, "optimize"
 #: runs the schedule rewrite stack over it, "off" disables latency hiding
-#: entirely (the structured spelling of the legacy ``--no-hiding``).
+#: entirely.
 SCHEDULE_MODES = ("recipe", "optimize", "off")
 
 #: The schedule rewrites, in canonical application order.  Defined here —
@@ -119,16 +105,16 @@ SCHEDULE_PASS_NAMES = (
 
 @dataclass(frozen=True)
 class SchedulePolicy:
-    """Structured replacement for the boolean ``hiding`` knob sprawl.
+    """How the §6 latency-hiding pipeline is scheduled — the only knob
+    that selects it.
 
     ``mode`` selects between the fixed recipe, the rewrite stack and no
     pipelining at all; ``allow``/``deny`` filter (and, for ``allow``,
     order) the rewrites that run in ``optimize`` mode.  Reconciliation
     (:func:`repro.core.passes.reconcile_options`) canonicalises policies
-    so equivalent requests share cache keys: ``recipe`` and ``off``
-    collapse into the legacy ``enable_latency_hiding`` bit and
-    ``schedule=None``; a surviving ``optimize`` pins its resolved pass
-    tuple explicitly.
+    so equivalent requests share cache keys: a compile without latency
+    hiding carries ``off``, ``recipe`` drops its filters, and a
+    surviving ``optimize`` pins its resolved pass tuple explicitly.
     """
 
     mode: str = "recipe"
@@ -162,13 +148,15 @@ class SchedulePolicy:
         return tuple(name for name in base if name not in self.deny)
 
     @staticmethod
-    def parse(value) -> Optional["SchedulePolicy"]:
+    def parse(value) -> "SchedulePolicy":
         """Coerce a wire/CLI value into a policy.
 
-        Accepts ``None`` (keep the default), a mode string, a mapping
+        Accepts ``None`` (the default policy), a mode string, a mapping
         with ``mode``/``allow``/``deny`` keys, or a ready policy.
         """
-        if value is None or isinstance(value, SchedulePolicy):
+        if value is None:
+            return SchedulePolicy()
+        if isinstance(value, SchedulePolicy):
             return value
         if isinstance(value, str):
             return SchedulePolicy(mode=value)
@@ -202,8 +190,6 @@ class CompilerOptions:
     use_asm: bool = True
     #: Share input tiles across the mesh with RMA broadcasts (§5).
     enable_rma: bool = True
-    #: Two-level software pipelining + double buffering (§6).
-    enable_latency_hiding: bool = True
     #: Fusion pattern: "none", "prologue" (quantisation of A) or
     #: "epilogue" (activation of C) — §7.3.
     fusion: str = "none"
@@ -211,8 +197,8 @@ class CompilerOptions:
     prologue_func: str = "quant"
     #: Element-wise function used by the fused epilogue.
     epilogue_func: str = "relu"
-    #: Tunable tile/pipeline configuration (``None`` = the arch's
-    #: analytical default shape with derived pipeline knobs).  Set by the
+    #: Tunable tile configuration (``None`` = the arch's analytical
+    #: default shape with a derived k-strip).  Set by the
     #: autotuner (:mod:`repro.tune`) or ``--tile MTxNTxKT`` explicitly.
     tile_config: Optional[TileConfig] = None
     #: Micro-kernel backend generating the compute kernel (``None`` =
@@ -232,15 +218,16 @@ class CompilerOptions:
     #: Normalised away in cache keys: verified and unverified compiles
     #: of the same request produce the same code.
     verify: bool = True
-    #: Structured schedule policy (``--schedule``).  ``None`` means the
-    #: legacy ``enable_latency_hiding`` bit decides between recipe and
-    #: off; reconciliation collapses redundant policies back to ``None``
-    #: so old and new spellings share cache keys.  Validation against
-    #: ``enable_latency_hiding`` happens in reconciliation, not here —
-    #: intermediate ``with_()`` states may be inconsistent.
-    schedule: Optional[SchedulePolicy] = None
+    #: Two-level software pipelining + double buffering (§6), as a
+    #: schedule policy (``--schedule``): the fixed ``recipe``, the
+    #: ``optimize`` rewrite stack on top of it, or ``off``.  The only
+    #: field that selects the §6 pipeline; read it through
+    #: :attr:`latency_hiding`.  Accepts anything
+    #: :meth:`SchedulePolicy.parse` does (``None`` is the default).
+    schedule: SchedulePolicy = SchedulePolicy()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "schedule", SchedulePolicy.parse(self.schedule))
         if self.fusion not in FUSION_MODES:
             raise ConfigurationError(
                 f"unknown fusion mode {self.fusion!r}; expected one of {FUSION_MODES}"
@@ -249,14 +236,14 @@ class CompilerOptions:
             raise ConfigurationError(f"unknown prologue func {self.prologue_func!r}")
         if self.epilogue_func not in ELEMENTWISE_FUNCS:
             raise ConfigurationError(f"unknown epilogue func {self.epilogue_func!r}")
-        if self.enable_latency_hiding and not self.use_asm:
-            # The paper's baseline (red bars) is DMA-only naive code; its
-            # pipeline is only meaningful around the fast kernel.  Allowing
-            # the combination would be harmless but would not correspond to
-            # any measured variant, so reject it loudly.
+        if self.schedule.mode == "optimize" and not self.use_asm:
+            # The rewrite stack rewrites the latency-hiding pipeline, which
+            # only exists around the fast kernel: without it there is
+            # nothing to optimize, so reject the request loudly.
             raise ConfigurationError(
-                "enable_latency_hiding requires use_asm (the breakdown's "
-                "baseline variant disables both)"
+                "schedule mode 'optimize' (--schedule=optimize) rewrites "
+                "the latency-hiding pipeline, which needs the asm kernel; "
+                "it cannot be combined with use_asm=False (--no-use-asm)"
             )
         if self.kernel_backend is not None:
             # Lazy import: the backend registry lives above this module
@@ -269,28 +256,30 @@ class CompilerOptions:
                     f"registered: {', '.join(backend_names())}"
                 )
 
+    @property
+    def latency_hiding(self) -> bool:
+        """Whether the §6 pipeline runs: it needs the asm kernel and a
+        schedule policy other than ``off``."""
+        return self.use_asm and self.schedule.mode != "off"
+
     # -- named variants of the §8.1 breakdown -------------------------------
 
     @staticmethod
     def baseline() -> "CompilerOptions":
         """Red bars: automatic DMA only, naive CPE loops."""
         return CompilerOptions(
-            use_asm=False, enable_rma=False, enable_latency_hiding=False
+            use_asm=False, enable_rma=False, schedule=SchedulePolicy("off")
         )
 
     @staticmethod
     def with_asm() -> "CompilerOptions":
         """Orange bars: + inline assembly micro kernel."""
-        return CompilerOptions(
-            use_asm=True, enable_rma=False, enable_latency_hiding=False
-        )
+        return CompilerOptions(enable_rma=False, schedule=SchedulePolicy("off"))
 
     @staticmethod
     def with_rma() -> "CompilerOptions":
         """Green bars: + RMA broadcasts, latency hiding still off."""
-        return CompilerOptions(
-            use_asm=True, enable_rma=True, enable_latency_hiding=False
-        )
+        return CompilerOptions(schedule=SchedulePolicy("off"))
 
     @staticmethod
     def full() -> "CompilerOptions":
@@ -302,11 +291,11 @@ class CompilerOptions:
             base = "dma-only"
         elif not self.enable_rma:
             base = "+asm"
-        elif not self.enable_latency_hiding:
+        elif not self.latency_hiding:
             base = "+rma"
         else:
             base = "+hiding"
-        if self.schedule is not None and self.schedule.mode == "optimize":
+        if self.schedule.mode == "optimize":
             passes = self.schedule.pass_names()
             if passes == SCHEDULE_PASS_NAMES:
                 base = f"{base}+sched"

@@ -17,11 +17,6 @@ one opaque ``compile`` function:
   structured :class:`~repro.core.diagnostics.PassDiagnostic` records;
 * :func:`pipeline_identity` hashes the pass list so the compilation
   service's cache keys change whenever the pipeline changes.
-
-Disabling a pass is an *options rewrite* followed by a pipeline rebuild:
-``--disable-pass latency-hiding`` yields exactly the compiler the §8.1
-no-hiding ablation uses, bit for bit, because both construct the same
-effective option set and therefore the same pipeline.
 """
 
 from __future__ import annotations
@@ -42,12 +37,7 @@ from repro.core.diagnostics import PassDiagnostic, PassStat
 from repro.core.dma import DmaSpec, derive_dma_specs
 from repro.core.latency_hiding import insert_communication
 from repro.core.lowering import MICRO_KERNEL_MARK, GemmLowering
-from repro.core.options import (
-    ELEMENTWISE_FUNCS,
-    SCHEDULE_PASS_NAMES,
-    CompilerOptions,
-    SchedulePolicy,
-)
+from repro.core.options import ELEMENTWISE_FUNCS, CompilerOptions, SchedulePolicy
 from repro.core.rma import RmaSpec, derive_rma_specs
 from repro.core.spec import GemmSpec
 from repro.core.tile_model import TilePlan, plan_for_kernel
@@ -89,13 +79,18 @@ def reconcile_options(
 
     With ``arch`` supplied, the tile configuration is normalised too: a
     config pinning exactly the arch's analytical default collapses to
-    ``tile_config=None``, and redundant pipeline knobs (a
-    ``buffer_depth``/``k_strip`` equal to what the options/arch already
-    derive) are cleared — so an autotuned point that happens to restate
+    ``tile_config=None``, and a ``k_strip`` equal to what the arch
+    derives is cleared — so an autotuned point that happens to restate
     the defaults addresses the same artifact as a plain request.  An
     arch without an RMA fabric also clears ``enable_rma`` (on SW26010
     the flag cannot select any code path), so default requests compile
     on every registered arch.
+
+    The schedule policy is canonicalised last: a compile without latency
+    hiding carries ``off``, an ``optimize`` policy pins its resolved pass
+    tuple (or, when nothing is left to run, becomes the plain recipe),
+    and ``recipe`` drops its inert filters — so every spelling of one
+    pipeline shares one cache key.
     """
     if spec.is_batched and not options.batch:
         raise CompilationError(
@@ -149,49 +144,26 @@ def reconcile_options(
         options = options.with_(enable_rma=False)
 
     cfg = options.tile_config
-    if cfg is not None:
-        # An explicit single-buffer depth overrides latency hiding (it is
-        # the more specific tuner knob); an explicit depth of 2 without
-        # hiding has no pipeline to feed, so it is derived away.
-        if cfg.buffer_depth == 1 and options.enable_latency_hiding:
-            options = options.with_(enable_latency_hiding=False)
-        if cfg.buffer_depth is not None:
-            # Once hiding is resolved the depth is fully derived (2 with
-            # hiding, else 1), so the explicit field is always redundant.
-            cfg = replace(cfg, buffer_depth=None)
-        if arch is not None:
-            derived_strip = (
-                arch.mesh_rows
-                if options.enable_rma and arch.rma_supported
-                else 1
-            )
-            if cfg.k_strip == derived_strip:
-                cfg = replace(cfg, k_strip=None)
-            if cfg.is_default_for(arch):
-                cfg = None
+    if cfg is not None and arch is not None:
+        derived_strip = (
+            arch.mesh_rows if options.enable_rma and arch.rma_supported else 1
+        )
+        if cfg.k_strip == derived_strip:
+            cfg = replace(cfg, k_strip=None)
+        if cfg.is_default_for(arch):
+            cfg = None
         if cfg is not options.tile_config:
             options = options.with_(tile_config=cfg)
 
-    # The structured schedule policy is canonicalised last, once the
-    # legacy hiding bit has settled: "off" folds into that bit, "recipe"
-    # restates the default, and an "optimize" that cannot run (no
-    # pipeline to rewrite, or an empty pass set) collapses too — so
-    # every spelling of the same pipeline shares one cache key, and a
-    # surviving policy pins its resolved pass tuple explicitly.
     policy = options.schedule
-    if policy is not None:
-        if policy.mode == "off":
-            options = options.with_(enable_latency_hiding=False, schedule=None)
-        elif policy.mode == "recipe":
-            options = options.with_(schedule=None)
-        elif not options.enable_latency_hiding or not policy.pass_names():
-            options = options.with_(schedule=None)
-        else:
-            canonical = SchedulePolicy(
-                mode="optimize", allow=policy.pass_names()
-            )
-            if canonical != policy:
-                options = options.with_(schedule=canonical)
+    if not options.latency_hiding:
+        canonical = SchedulePolicy(mode="off")
+    elif policy.mode == "optimize" and policy.pass_names():
+        canonical = SchedulePolicy(mode="optimize", allow=policy.pass_names())
+    else:
+        canonical = SchedulePolicy()
+    if canonical != policy:
+        options = options.with_(schedule=canonical)
     return options
 
 
@@ -277,7 +249,7 @@ class CompileContext:
             + (f" epilogue={spec.epilogue_func}" if spec.epilogue_func else ""),
             f"options: variant={options.variant_name()} fusion={options.fusion} "
             f"batch={options.batch} use_asm={options.use_asm} "
-            f"rma={options.enable_rma} hiding={options.enable_latency_hiding}",
+            f"rma={options.enable_rma} hiding={options.latency_hiding}",
             f"arch: {self.arch.name}",
         ]
         if self.summary is not None:
@@ -357,7 +329,7 @@ class Pass:
     """One stage of the compiler, mapped to the paper section it
     reproduces."""
 
-    #: Stable identifier, used by ``--disable-pass`` / ``--print-after``.
+    #: Stable identifier, used by ``--print-after`` / ``--dump-ir``.
     name: str = "<unnamed>"
     #: Paper section ("§3", "§4", ...).
     section: str = "§?"
@@ -799,48 +771,6 @@ def _reply_decls(dec, dma_specs, rma_specs) -> List[ReplyDecl]:
 # Pipeline construction
 # ---------------------------------------------------------------------------
 
-#: ``--disable-pass`` is an options rewrite + rebuild, which is what makes
-#: the disabled pipeline *identical* to the corresponding §8.1 ablation.
-DISABLE_REWRITES: Dict[str, Dict[str, object]] = {
-    LatencyHidingPass.name: {"enable_latency_hiding": False},
-    RmaDerivationPass.name: {"enable_rma": False},
-    VerificationPass.name: {"verify": False},
-}
-
-
-def apply_disabled_passes(
-    options: CompilerOptions, disabled: Sequence[str]
-) -> CompilerOptions:
-    """Rewrite ``options`` so the default pipeline omits each pass."""
-    for name in disabled:
-        if name.startswith("schedule:"):
-            rewrite_name = name.split(":", 1)[1]
-            if rewrite_name not in SCHEDULE_PASS_NAMES:
-                raise ConfigurationError(
-                    f"unknown schedule rewrite {rewrite_name!r}; known: "
-                    f"{', '.join(SCHEDULE_PASS_NAMES)}"
-                )
-            policy = options.schedule
-            if policy is not None and policy.mode == "optimize":
-                deny = tuple(dict.fromkeys(policy.deny + (rewrite_name,)))
-                options = options.with_(
-                    schedule=SchedulePolicy(
-                        mode="optimize", allow=policy.allow, deny=deny
-                    )
-                )
-            # Without an optimize policy the pass is not scheduled at
-            # all — disabling it is already satisfied.
-            continue
-        rewrite = DISABLE_REWRITES.get(name)
-        if rewrite is None:
-            raise ConfigurationError(
-                f"pass {name!r} cannot be disabled; disableable passes: "
-                f"{sorted(DISABLE_REWRITES)} and schedule:<rewrite>"
-            )
-        options = options.with_(**rewrite)
-    return options
-
-
 def build_pipeline(
     spec: GemmSpec,
     arch: ArchSpec,
@@ -868,9 +798,9 @@ def build_pipeline(
     if spec.epilogue_func:
         passes.append(EpilogueFusionPass())
     passes.append(MicroKernelMarkPass())
-    if options.enable_latency_hiding:
+    if options.latency_hiding:
         passes.append(LatencyHidingPass())
-        if options.schedule is not None and options.schedule.mode == "optimize":
+        if options.schedule.mode == "optimize":
             for rewrite in options.schedule.pass_names():
                 passes.append(ScheduleRewritePass(rewrite))
     else:

@@ -27,7 +27,6 @@ from repro.core.passes import (
     Pass,
     PassManager,
     SnapshotSink,
-    apply_disabled_passes,
     build_pipeline,
     pipeline_identity,
     reconcile_options,
@@ -40,31 +39,25 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 class GemmCompiler:
     """Compile naive GEMM specifications to SW26010Pro athread programs.
 
-    ``disable_passes`` removes disableable passes by rewriting the
-    effective options and rebuilding the pipeline — disabling
-    ``latency-hiding`` therefore reproduces the §8.1 no-hiding ablation
-    bit-exactly.  ``replacements`` swaps a named default pass for a
-    custom :class:`~repro.core.passes.Pass` instance.
+    ``replacements`` swaps a named default pass for a custom
+    :class:`~repro.core.passes.Pass` instance.
     """
 
     def __init__(
         self,
         arch: ArchSpec = SW26010PRO,
         options: Optional[CompilerOptions] = None,
-        disable_passes: Sequence[str] = (),
         replacements: Optional[Mapping[str, Pass]] = None,
     ) -> None:
         self.arch = arch
         self.options = options or CompilerOptions()
-        self.disable_passes = tuple(disable_passes)
         self.replacements = dict(replacements or {})
 
     # -- public API ---------------------------------------------------------
 
     def effective_options(self, spec: GemmSpec) -> CompilerOptions:
         """The reconciled option set this compiler would compile with."""
-        options = reconcile_options(spec, self.options, self.arch)
-        return apply_disabled_passes(options, self.disable_passes)
+        return reconcile_options(spec, self.options, self.arch)
 
     def pipeline_for(self, spec: GemmSpec) -> List[Pass]:
         """The variant-aware pass list for one spec."""

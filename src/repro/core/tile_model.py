@@ -174,10 +174,9 @@ def plan_for_kernel(
 
     ``shape`` defaults to ``options.tile_config`` when one is set (the
     autotuner path), otherwise to the arch's analytical default.  An
-    explicit tile config's pipeline knobs must cohere with the option
-    set: a ``buffer_depth`` contradicting the latency-hiding mode or a
-    ``k_strip`` contradicting the RMA strip-mine factor is rejected —
-    the pruner relies on this to discard inconsistent search points.
+    explicit tile config's ``k_strip`` must cohere with the option set:
+    one contradicting the RMA strip-mine factor is rejected — the pruner
+    relies on this to discard inconsistent search points.
     The selected kernel backend must also accept the shape
     (:class:`~repro.errors.ConfigurationError` otherwise), so the
     pruner discards shapes the generator refuses for free.
@@ -201,15 +200,8 @@ def plan_for_kernel(
         raise ConfigurationError(
             f"{arch.name} has no SPM RMA; compile with enable_rma=False"
         )
-    double = options.enable_latency_hiding
+    double = options.latency_hiding
     if cfg is not None:
-        expected_depth = 2 if double else 1
-        if cfg.buffer_depth is not None and cfg.buffer_depth != expected_depth:
-            raise ConfigurationError(
-                f"tile config pins buffer_depth={cfg.buffer_depth} but "
-                f"enable_latency_hiding={double} derives depth "
-                f"{expected_depth}; reconcile the options first"
-            )
         expected_strip = arch.mesh_rows if use_rma else 1
         if cfg.k_strip is not None and cfg.k_strip != expected_strip:
             raise ConfigurationError(

@@ -69,7 +69,7 @@ def predict(
     chunk_m, chunk_n = kernel.mt * mesh, kernel.nt * mesh
     n_chunks = (M // chunk_m) * (N // chunk_n) * batch
     use_rma = options.enable_rma and arch.rma_supported
-    hide = options.enable_latency_hiding
+    hide = options.latency_hiding
 
     if options.use_asm:
         t_k = arch.kernel_time_s(kernel.mt, kernel.nt, kernel.kt)

@@ -51,8 +51,12 @@ def register(cls: type, tag: str, encode_fn, decode_fn) -> None:
     _DECODERS[tag] = decode_fn
 
 
-def register_dataclass(cls: type, tag: str = "") -> None:
-    """Field-wise registration; the constructor must accept every field."""
+def register_dataclass(cls: type, tag: str = "", upgrade=None) -> None:
+    """Field-wise registration; the constructor must accept every field.
+
+    ``upgrade`` maps the decoded fields of a payload written by an older
+    version of ``cls`` onto the current fields before construction.
+    """
     tag = tag or cls.__name__
     names = [f.name for f in dataclass_fields(cls)]
 
@@ -60,7 +64,8 @@ def register_dataclass(cls: type, tag: str = "") -> None:
         return {n: encode(getattr(obj, n)) for n in names}
 
     def dec(payload: dict):
-        return cls(**{n: decode(v) for n, v in payload.items()})
+        fields = {n: decode(v) for n, v in payload.items()}
+        return cls(**(upgrade(fields) if upgrade is not None else fields))
 
     register(cls, tag, enc, dec)
 
@@ -273,11 +278,25 @@ def _register_all() -> None:
         register_dataclass(cls)
 
     # -- compiler dataclasses --------------------------------------------
+    # Payloads written before cache schema 6 (persisted tuning records,
+    # older artifacts) still carry the retired latency-hiding spellings:
+    # the ``enable_latency_hiding`` bit beside a ``schedule`` that could
+    # be None, and ``TileConfig.buffer_depth``, which always restated
+    # that bit.  Decode them onto the one ``schedule`` field.
+    def upgrade_options(fields: dict) -> dict:
+        if fields.pop("enable_latency_hiding", True) is False:
+            fields["schedule"] = SchedulePolicy(mode="off")
+        return fields
+
+    def upgrade_tile(fields: dict) -> dict:
+        fields.pop("buffer_depth", None)
+        return fields
+
+    register_dataclass(CompilerOptions, upgrade=upgrade_options)
+    register_dataclass(TileConfig, upgrade=upgrade_tile)
     for cls in (
         GemmSpec,
-        TileConfig,
         SchedulePolicy,
-        CompilerOptions,
         FaultPolicy,
         RetryPolicy,
         BufferSpec,

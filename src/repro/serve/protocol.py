@@ -267,16 +267,15 @@ _OPTION_KEYS = (
     "batch",
     "use_asm",
     "enable_rma",
-    "enable_latency_hiding",
     "fusion",
     "prologue_func",
     "epilogue_func",
     "kernel_backend",
     "verify",
-    # structured schedule policy: a mode string ("recipe"/"optimize"/
-    # "off") or a {"mode", "allow", "deny"} object; parsed by
-    # SchedulePolicy.parse via the facade's option coercion, so bad
-    # values surface as structured ProtocolErrors like every other knob.
+    # the latency-hiding schedule policy: a mode string ("recipe"/
+    # "optimize"/"off") or a {"mode", "allow", "deny"} object; parsed by
+    # SchedulePolicy.parse when the options are built, so bad values
+    # surface as structured ProtocolErrors like every other knob.
     "schedule",
 )
 
@@ -309,7 +308,7 @@ def spec_and_options(params: Dict[str, Any]):
 
     The option path reuses :func:`repro.api._coerce_options`, so the
     wire surface inherits the facade's semantics exactly (unknown knobs
-    rejected, ``use_asm=False`` derives latency hiding off).  Fault
+    rejected, ``schedule="optimize"`` without ``use_asm`` refused).  Fault
     injection rides along per request: either the ``fault`` shorthand
     ``{"seed", "rate", "max_retries"}`` (the documented chaos profile)
     or a full ``fault_policy`` / ``retry_policy`` object as produced by

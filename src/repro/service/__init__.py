@@ -16,7 +16,6 @@ from repro.service.cache import AdmissionLRUCache, LRUCache
 from repro.service.keys import CACHE_SCHEMA_VERSION, cache_key, canonical_blob
 from repro.service.service import (
     CompileService,
-    KernelService,
     ServiceConfig,
     get_default_service,
     set_default_service,
@@ -30,7 +29,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
     "CompileService",
-    "KernelService",
     "LRUCache",
     "ServiceConfig",
     "cache_key",

@@ -17,8 +17,8 @@ Two normalisation steps keep the key honest:
   explicit fusion option) share one key, while fused and unfused specs
   can never collide;
 * the **pipeline identity** (:func:`repro.core.passes.pipeline_identity`)
-  enters the payload, so editing the pass pipeline — disabling,
-  replacing or reordering passes — invalidates exactly the artifacts it
+  enters the payload, so editing the pass pipeline — replacing,
+  reordering or adding passes — invalidates exactly the artifacts it
   must.
 """
 
@@ -51,8 +51,11 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 #: encoding.  5: the schedule IR — ``SchedulePolicy`` joined
 #: ``CompilerOptions`` (its canonical pass tuple and the per-rewrite
 #: ``schedule:<name>`` pipeline passes address rewritten timelines
-#: separately from the fixed recipe).
-CACHE_SCHEMA_VERSION = 5
+#: separately from the fixed recipe).  6: ``schedule`` became the only
+#: latency-hiding knob — ``enable_latency_hiding`` and
+#: ``TileConfig.buffer_depth`` left the options blob, and the policy is
+#: never ``None``.
+CACHE_SCHEMA_VERSION = 6
 
 
 def canonical_blob(obj: object) -> str:

@@ -247,19 +247,6 @@ class CompileService:
                 return True
         return self._store is not None and self._store.path_for(key).exists()
 
-    def compile(
-        self,
-        spec: GemmSpec,
-        arch: Optional[ArchSpec] = None,
-        options: Optional[CompilerOptions] = None,
-        timeout_s: Optional[float] = None,
-        shape_hint: Optional[Tuple[int, ...]] = None,
-    ) -> CompiledProgram:
-        """Alias of :meth:`get_program` (the KernelService verb)."""
-        return self.get_program(
-            spec, arch, options, timeout_s=timeout_s, shape_hint=shape_hint
-        )
-
     def set_compile_fn(self, compile_fn: CompileFn) -> None:
         """Swap the compile function behind the cache/single-flight stack.
 
@@ -425,21 +412,16 @@ class CompileService:
         winner.
 
         Only requests that leave every tunable knob at its default are
-        eligible: an explicit ``tile_config`` (or a deliberately reduced
-        variant — no-asm, no-RMA, no-hiding ablations) states intent the
+        eligible: an explicit ``tile_config``, a deliberately reduced
+        variant (the no-asm and no-RMA ablations) or a schedule policy
+        other than the recipe (``off``, ``optimize``) states intent the
         tuner must not override.
         """
-        if shape_hint is None or options.tile_config is not None:
-            return options
-        defaults = CompilerOptions()
         if (
-            options.use_asm,
-            options.enable_rma,
-            options.enable_latency_hiding,
-        ) != (
-            defaults.use_asm,
-            defaults.enable_rma,
-            defaults.enable_latency_hiding,
+            shape_hint is None
+            or options.tile_config is not None
+            or not (options.use_asm and options.enable_rma)
+            or options.schedule.mode != "recipe"
         ):
             return options
         from repro.tune.records import record_key, shape_class
@@ -641,27 +623,6 @@ class CompileService:
     def _flush_persistent(self, deltas: Dict[str, float]) -> None:
         if self._store is not None:
             self._store.bump_persistent_stats(deltas)
-
-
-class KernelService(CompileService):
-    """Deprecated name of :class:`CompileService`.
-
-    Kept as a warning subclass (not a bare alias): existing constructor
-    call sites keep working — instances remain ``CompileService``s in
-    every ``isinstance`` sense — but each construction warns once with
-    the migration hint while the codebase moves to :mod:`repro.api`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        import warnings
-
-        warnings.warn(
-            "KernelService is deprecated; construct CompileService or use "
-            "the repro.api facade (api.compile / api.tune)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ The tuner instead searches the surrounding configuration space:
 
 * (X̂, Ŷ, Ẑ) tile sizes — a power-of-two-ish grid around the arch's
   analytical default (quarter to double per dimension, SIMD-aligned);
-* the k-strip factor and SPM buffer depth — pinned on each candidate's
+* the k-strip factor — pinned on each candidate's
   :class:`~repro.core.options.TileConfig` so search points are
   self-describing (option reconciliation collapses redundant pins);
-* RMA broadcasts on/off and latency hiding on/off;
+* RMA broadcasts on/off and latency hiding on/off (the SPM buffer depth,
+  2 or 1, follows from the latter and is part of the candidate name);
 * the schedule policy — the fixed §6 recipe vs. the replay-proven
   schedule rewrite stack (``--schedule=optimize``), searched only where
   it can run (hiding candidates on the asm path);
@@ -48,6 +49,8 @@ class Candidate:
 
     tile: TileConfig
     enable_rma: bool = True
+    #: Latency hiding on this point; it also fixes the SPM buffer depth
+    #: the name shows (``-d2`` with hiding, ``-d1`` without).
     enable_latency_hiding: bool = True
     #: Which generator produces the micro kernel for ``tile``'s shape.
     #: ``"vendor"`` (the default, and the only pre-v2 value) keeps
@@ -59,10 +62,15 @@ class Candidate:
     schedule: Optional[str] = None
 
     def name(self) -> str:
+        tile = self.tile
+        depth = 2 if self.enable_latency_hiding else 1
+        label = f"{tile.mt}x{tile.nt}x{tile.kt}-d{depth}"
+        if tile.k_strip is not None:
+            label += f"-s{tile.k_strip}"
         flags = ("rma" if self.enable_rma else "dma") + (
             "+hide" if self.enable_latency_hiding else ""
         )
-        label = f"{self.tile.name()}:{flags}"
+        label += f":{flags}"
         if self.kernel_backend != "vendor":
             label += f":{self.kernel_backend}"
         if self.schedule == "optimize":
@@ -84,26 +92,21 @@ class Candidate:
     def apply(self, options: CompilerOptions) -> CompilerOptions:
         """The caller's options steered to this point.
 
-        Latency hiding only exists around the fast kernel
-        (``use_asm``), so a no-asm base keeps hiding off regardless.
         ``"vendor"`` maps to ``kernel_backend=None`` — the reconciled
         default — so vendor candidates address the same cache keys as
         pre-v2 tuning runs.
         """
-        hiding = self.enable_latency_hiding and options.use_asm
+        if not self.enable_latency_hiding:
+            mode = "off"
+        else:
+            mode = self.schedule or "recipe"
         return options.with_(
             tile_config=self.tile,
             enable_rma=self.enable_rma,
-            enable_latency_hiding=hiding,
             kernel_backend=None
             if self.kernel_backend == "vendor"
             else self.kernel_backend,
-            # The rewrite stack only exists on top of the hiding recipe;
-            # reconciliation would drop a policy on a non-hiding compile
-            # anyway, so map it to the canonical None up front.
-            schedule=SchedulePolicy(mode="optimize")
-            if self.schedule == "optimize" and hiding
-            else None,
+            schedule=SchedulePolicy(mode=mode),
         )
 
 
@@ -128,9 +131,7 @@ def enumerate_candidates(
         else (False,)
     )
     hiding_choices: Sequence[bool] = (
-        (True, False)
-        if base_options.use_asm and base_options.enable_latency_hiding
-        else (False,)
+        (True, False) if base_options.latency_hiding else (False,)
     )
     # Backends only differentiate the asm path (no-asm compiles run the
     # naive kernel regardless); shapes the parametric generator refuses
@@ -153,7 +154,6 @@ def enumerate_candidates(
                                     mt=mt,
                                     nt=nt,
                                     kt=kt,
-                                    buffer_depth=2 if hiding else 1,
                                     k_strip=arch.mesh_rows if rma else 1,
                                 )
                                 candidates.append(
@@ -168,18 +168,14 @@ def default_candidate(arch: ArchSpec, base_options: CompilerOptions) -> Candidat
     """The paper's point: the arch's analytical tile with the base
     pipeline — the baseline every tuned config must beat."""
     use_rma = base_options.enable_rma and arch.rma_supported
-    hiding = base_options.enable_latency_hiding and base_options.use_asm
     mk = arch.micro_kernel
     return Candidate(
         TileConfig(
-            mt=mk.mt,
-            nt=mk.nt,
-            kt=mk.kt,
-            buffer_depth=2 if hiding else 1,
+            mt=mk.mt, nt=mk.nt, kt=mk.kt,
             k_strip=arch.mesh_rows if use_rma else 1,
         ),
         enable_rma=use_rma,
-        enable_latency_hiding=hiding,
+        enable_latency_hiding=base_options.latency_hiding,
     )
 
 

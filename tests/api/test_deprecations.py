@@ -1,63 +1,14 @@
-"""The pre-facade entry points keep working, but warn with a migration
-hint; the internal spellings they wrap stay silent."""
+"""No entry point warns: the package ships no deprecated spellings, and
+the internal homes of the compiler, executor, service and kernel
+selection stay silent under ``-W error::DeprecationWarning``."""
 
 import warnings
 
 import numpy as np
-import pytest
 
 import repro
 from repro.service import CompileService, ServiceConfig
 from repro.sunway.arch import TOY_ARCH
-
-
-def test_top_level_gemm_compiler_warns_and_works():
-    with pytest.warns(DeprecationWarning, match="repro.api.compile"):
-        compiler = repro.GemmCompiler(TOY_ARCH)
-    program = compiler.compile(repro.GemmSpec())
-    assert program.verification is not None
-
-
-def test_top_level_run_gemm_warns_and_returns_tuple():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        program = repro.GemmCompiler(TOY_ARCH).compile(repro.GemmSpec())
-    a = np.ones((32, 16))
-    b = np.ones((16, 32))
-    with pytest.warns(DeprecationWarning, match="repro.api.run"):
-        c, report = repro.run_gemm(program, a, b, beta=0.0)
-    assert np.allclose(c, a @ b)
-
-
-def test_kernel_service_warns_and_stays_a_compile_service():
-    from repro.service import KernelService
-
-    with pytest.warns(DeprecationWarning, match="CompileService"):
-        svc = KernelService(ServiceConfig(enabled=False))
-    assert isinstance(svc, CompileService)
-    program = svc.get_program(
-        repro.GemmSpec(), TOY_ARCH, repro.CompilerOptions()
-    )
-    assert program.verification is not None
-
-
-def test_compat_get_kernel_warns_and_matches_backend():
-    """The legacy kernel-selection helper routes through the backend
-    registry, with the single-warning migration hint."""
-    from repro.codegen.backend import get_backend
-    from repro.compat import get_kernel
-
-    with pytest.warns(DeprecationWarning, match="resolve_kernel"):
-        kernel = get_kernel(TOY_ARCH, use_asm=True)
-    reference = get_backend("vendor").generate(
-        TOY_ARCH.micro_kernel, TOY_ARCH.simd_doubles, TOY_ARCH
-    )
-    assert kernel.name == reference.name
-    assert kernel.seconds_per_call == reference.seconds_per_call
-
-    with pytest.warns(DeprecationWarning, match="resolve_kernel"):
-        naive = get_kernel(TOY_ARCH, use_asm=False)
-    assert naive.name.startswith("naive_")
 
 
 def test_internal_spellings_do_not_warn():

@@ -64,9 +64,6 @@ EXPECTED_EXPORTS = sorted(
         "get_backend",
         "backend_names",
         "resolve_kernel",
-        # deprecated shims (warn on use)
-        "GemmCompiler",
-        "run_gemm",
         "__version__",
     ]
 )

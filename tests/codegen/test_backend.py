@@ -1,7 +1,7 @@
 """The kernel backend layer (:mod:`repro.codegen.backend`).
 
 Covers the registry, the vendor backend's bit-exact equivalence with the
-pre-refactor ``get_kernel`` path, the parametric generator's legality
+pre-refactor asm kernel, the parametric generator's legality
 checks and cost model, and ``resolve_kernel`` as the single entry point
 the pipeline/lowering/executor share.
 """
@@ -19,7 +19,7 @@ from repro.codegen.backend import (
     resolve_kernel,
     select_register_block,
 )
-from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel, get_kernel
+from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel
 from repro.core.options import CompilerOptions, TileConfig
 from repro.errors import ConfigurationError
 from repro.sunway.arch import SW26010, SW26010PRO, MicroKernelShape
@@ -46,9 +46,9 @@ class TestRegistry:
 class TestVendorBackend:
     def test_bit_exact_with_pre_refactor_get_kernel(self):
         """The default path must not change at all: same class, same
-        name, same cost as the pre-backend ``get_kernel``."""
+        name, same cost as the pre-backend asm kernel selection."""
         shape = SW26010PRO.micro_kernel
-        old = get_kernel(SW26010PRO, use_asm=True)
+        old = AsmMicroKernel(SW26010PRO)
         new = get_backend("vendor").generate(
             shape, SW26010PRO.simd_doubles, SW26010PRO
         )

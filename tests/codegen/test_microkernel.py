@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.codegen.elementwise import available_functions, get_elementwise
-from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel, get_kernel
+from repro.codegen.backend import resolve_kernel
+from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel
+from repro.core.options import CompilerOptions
 from repro.errors import ConfigurationError, ExecutionError
 from repro.sunway.arch import SW26010PRO, TOY_ARCH, MicroKernelShape
 
@@ -38,8 +40,10 @@ def test_naive_is_much_slower():
 
 
 def test_get_kernel_dispatch():
-    assert isinstance(get_kernel(SW26010PRO, True), AsmMicroKernel)
-    assert isinstance(get_kernel(SW26010PRO, False), NaiveKernel)
+    asm = resolve_kernel(SW26010PRO, CompilerOptions())
+    naive = resolve_kernel(SW26010PRO, CompilerOptions(use_asm=False))
+    assert isinstance(asm, AsmMicroKernel)
+    assert isinstance(naive, NaiveKernel)
 
 
 def test_profile():

@@ -11,11 +11,7 @@ from repro.core import (
     pipeline_identity,
     reconcile_options,
 )
-from repro.core.passes import (
-    DISABLE_REWRITES,
-    TileSelectionPass,
-    apply_disabled_passes,
-)
+from repro.core.passes import TileSelectionPass
 from repro.errors import CompilationError, ConfigurationError
 from repro.runtime import serde
 from repro.sunway.arch import SW26010PRO, TOY_ARCH
@@ -78,24 +74,15 @@ def test_pipeline_identity_is_stable_and_shape_sensitive():
     assert a != c
 
 
-# -- disable / replace hooks -------------------------------------------------
+# -- schedule off / replace hooks --------------------------------------------
 
 
-def test_disable_unknown_pass_rejected():
-    with pytest.raises(ConfigurationError):
-        apply_disabled_passes(CompilerOptions.full(), ("dma-derivation",))
-
-
-def test_disable_rewrites_cover_expected_passes():
-    assert set(DISABLE_REWRITES) == {"latency-hiding", "rma-derivation", "verify"}
-
-
-def test_disable_latency_hiding_matches_ablation_bit_exactly():
-    """``--disable-pass latency-hiding`` must reproduce the §8.1
+def test_schedule_off_matches_ablation_bit_exactly():
+    """``schedule="off"`` on the full options must reproduce the §8.1
     no-hiding ablation: identical plan, identical AST, identical
     effective options."""
     disabled = GemmCompiler(
-        SW26010PRO, CompilerOptions.full(), disable_passes=("latency-hiding",)
+        SW26010PRO, CompilerOptions.full().with_(schedule="off")
     ).compile(GemmSpec())
     ablation = GemmCompiler(SW26010PRO, CompilerOptions.with_rma()).compile(
         GemmSpec()

@@ -21,11 +21,6 @@ def test_tiles_must_be_positive_multiples_of_align(bad):
         TileConfig(*bad)
 
 
-def test_buffer_depth_must_be_none_1_or_2():
-    with pytest.raises(ConfigurationError, match="buffer_depth"):
-        TileConfig(64, 64, 32, buffer_depth=3)
-
-
 def test_k_strip_must_be_positive():
     with pytest.raises(ConfigurationError, match="k_strip"):
         TileConfig(64, 64, 32, k_strip=0)
@@ -33,10 +28,7 @@ def test_k_strip_must_be_positive():
 
 def test_name_encodes_all_pins():
     assert TileConfig(32, 128, 32).name() == "32x128x32"
-    assert (
-        TileConfig(32, 128, 32, buffer_depth=2, k_strip=8).name()
-        == "32x128x32-d2-s8"
-    )
+    assert TileConfig(32, 128, 32, k_strip=8).name() == "32x128x32-s8"
 
 
 def test_default_for_round_trips():
@@ -57,23 +49,12 @@ def test_default_config_collapses_to_none():
     assert out.tile_config is None
 
 
-def test_explicit_single_buffer_disables_hiding():
-    options = CompilerOptions.full().with_(
-        tile_config=TileConfig(32, 128, 32, buffer_depth=1)
-    )
-    out = reconcile_options(GemmSpec(), options, SW26010PRO)
-    assert not out.enable_latency_hiding
-    assert out.tile_config.buffer_depth is None
-
-
 def test_redundant_pins_are_cleared():
     options = CompilerOptions.full().with_(
-        tile_config=TileConfig(
-            32, 128, 32, buffer_depth=2, k_strip=SW26010PRO.mesh_rows
-        )
+        tile_config=TileConfig(32, 128, 32, k_strip=SW26010PRO.mesh_rows)
     )
     out = reconcile_options(GemmSpec(), options, SW26010PRO)
-    assert out.enable_latency_hiding
+    assert out.latency_hiding
     assert out.tile_config == TileConfig(32, 128, 32)
 
 
@@ -94,15 +75,6 @@ def test_plan_follows_the_tile_config():
     )
     plan = plan_for_kernel(SW26010PRO, options)
     assert (plan.mt, plan.nt, plan.kt) == (32, 128, 32)
-
-
-def test_mismatched_buffer_depth_is_rejected():
-    no_hiding = CompilerOptions.full().with_(enable_latency_hiding=False)
-    with pytest.raises(ConfigurationError, match="buffer_depth"):
-        plan_for_kernel(
-            SW26010PRO,
-            no_hiding.with_(tile_config=TileConfig(64, 64, 32, buffer_depth=2)),
-        )
 
 
 def test_variant_name_carries_the_tile_suffix():

@@ -1,6 +1,6 @@
 """The pass-pipeline introspection surface of the swgemm CLI:
-``swgemm passes list``, ``--print-after``, ``--dump-ir``,
-``--disable-pass``."""
+``swgemm passes list``, ``--print-after``, ``--dump-ir``, and the
+``--schedule=off`` ablation."""
 
 import pytest
 
@@ -53,7 +53,7 @@ def test_passes_list_variants(tmp_path, capsys):
     assert "+batch" in out or "batch" in out
     assert main(["passes", "list", "--no-rma"]) == 0
     assert "rma-derivation" not in capsys.readouterr().out
-    assert main(["passes", "list", "--disable-pass", "latency-hiding"]) == 0
+    assert main(["passes", "list", "--schedule=off"]) == 0
     out = capsys.readouterr().out
     assert "latency-hiding" not in out
     assert "communication-schedule" in out
@@ -113,23 +113,20 @@ def test_dump_ir_writes_one_file_per_pass(tmp_path):
             assert "--- schedule tree ---" in path.read_text()
 
 
-def test_disable_pass_matches_ablation_byte_exactly(tmp_path):
-    """``--disable-pass latency-hiding`` and ``--no-hiding`` must write
-    byte-identical outputs (§8.1 ablation equivalence)."""
-    a = tmp_path / "disabled"
-    b = tmp_path / "ablation"
-    assert main(
-        ["compile", "-o", str(a), "--disable-pass", "latency-hiding"]
-    ) == 0
-    assert main(["compile", "-o", str(b), "--no-hiding"]) == 0
-    assert read_tree(a) == read_tree(b)
+def test_schedule_off_matches_ablation_byte_exactly(tmp_path):
+    """``--schedule=off`` must write exactly the sources of the §8.1
+    no-hiding ablation (``CompilerOptions.with_rma()``)."""
+    from repro.core import CompilerOptions, GemmCompiler, GemmSpec
 
-
-def test_disable_unknown_pass_fails(tmp_path):
-    out = tmp_path / "out"
-    assert main(
-        ["compile", "-o", str(out), "--disable-pass", "dma-derivation"]
-    ) != 0
+    out = tmp_path / "off"
+    assert main(["compile", "-o", str(out), "--schedule=off"]) == 0
+    ablation = GemmCompiler(options=CompilerOptions.with_rma()).compile(
+        GemmSpec()
+    )
+    assert read_tree(out) == {
+        "gemm_cpe.c": ablation.cpe_source(),
+        "gemm_mpe.c": ablation.mpe_source(),
+    }
 
 
 def test_tree_supports_print_after(capsys):

@@ -1,0 +1,74 @@
+"""Payloads written before cache schema 6 still decode.
+
+Schema 6 made ``CompilerOptions.schedule`` the only latency-hiding knob:
+``enable_latency_hiding`` and ``TileConfig.buffer_depth`` are gone, and
+the policy is never ``None``.  The fixtures under
+``tests/golden/legacy/`` were written by the schema-5 code: encoded
+option sets, and one tuning record as ``swgemm tune`` persisted it
+(toy arch, 48×80×32, seed 0, budget 6).  They must decode onto the one
+field and — for the record — still steer compiles.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro import api
+from repro.core import CompilerOptions, GemmSpec
+from repro.core.options import SCHEDULE_PASS_NAMES, SchedulePolicy, TileConfig
+from repro.core.passes import reconcile_options
+from repro.runtime import serde
+from repro.service import CompileService, ServiceConfig
+from repro.sunway.arch import SW26010PRO, TOY_ARCH
+from repro.tune.records import TuningRecordStore
+
+LEGACY = Path(__file__).resolve().parents[1] / "golden" / "legacy"
+RECORD = LEGACY / "tuning_record_schema5.json"
+
+full = CompilerOptions.full()
+EXPECTED = {
+    "full": full,
+    "baseline": CompilerOptions.baseline(),
+    "with_asm": CompilerOptions.with_asm(),
+    "with_rma": CompilerOptions.with_rma(),
+    "optimize": full.with_(
+        schedule=SchedulePolicy("optimize", allow=SCHEDULE_PASS_NAMES)
+    ),
+    "off_policy": full.with_(schedule="off"),
+    "pinned_depth": full.with_(
+        tile_config=TileConfig(32, 32, 16, k_strip=8),
+        kernel_backend="parametric",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_schema5_options_decode_onto_the_schedule_field(name):
+    payload = json.loads((LEGACY / "options_schema5.json").read_text())[name]
+    decoded = serde.decode(payload)
+    assert decoded == EXPECTED[name]
+    spec = GemmSpec()
+    assert reconcile_options(spec, decoded, SW26010PRO) == reconcile_options(
+        spec, EXPECTED[name], SW26010PRO
+    )
+
+
+def test_schema5_tuning_record_decodes_and_steers(tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "tuning").mkdir(parents=True)
+    key = json.loads(RECORD.read_text())["key"]
+    shutil.copy(RECORD, cache / "tuning" / f"{key}.json")
+
+    record = TuningRecordStore(cache / "tuning").get(key)
+    assert record is not None
+    assert record.candidate.name() == "16x16x8-d2-s1:dma+hide"
+    assert record.candidate.tile == TileConfig(16, 16, 8, k_strip=1)
+
+    service = CompileService(ServiceConfig(cache_dir=cache))
+    program = api.compile(GemmSpec(), arch=TOY_ARCH, shape=(48, 80, 32),
+                          service=service)
+    assert service.tuning_hits == 1
+    assert program.plan.kernel_shape == record.candidate.tile.shape()
+    assert program.options.latency_hiding

@@ -6,7 +6,6 @@ import pytest
 from repro.core import CompilerOptions, GemmSpec
 from repro.core.options import SCHEDULE_PASS_NAMES, SchedulePolicy
 from repro.core.passes import build_pipeline, reconcile_options
-from repro.core.pipeline import GemmCompiler
 from repro.errors import ConfigurationError
 from repro.runtime import serde
 from repro.service.keys import cache_key
@@ -18,7 +17,7 @@ from repro.sunway.arch import SW26010PRO
 
 def test_parse_accepts_mode_strings_and_dicts():
     assert SchedulePolicy.parse("optimize").mode == "optimize"
-    assert SchedulePolicy.parse(None) is None
+    assert SchedulePolicy.parse(None) == SchedulePolicy()
     policy = SchedulePolicy.parse(
         {"mode": "optimize", "allow": ["reorder-issues"]}
     )
@@ -59,28 +58,23 @@ def test_pass_names_honours_allow_and_deny():
 
 
 def test_reconcile_canonicalises_recipe_to_none():
+    """A recipe policy's filters are inert: it reconciles to the default
+    policy (what a ``None`` policy meant before schema 6)."""
     spec = GemmSpec()
     options = CompilerOptions.full().with_(
-        schedule=SchedulePolicy(mode="recipe")
+        schedule=SchedulePolicy(mode="recipe", deny=("retire-waits",))
     )
-    assert reconcile_options(spec, options, SW26010PRO).schedule is None
+    assert reconcile_options(spec, options, SW26010PRO).schedule == (
+        SchedulePolicy()
+    )
 
 
 def test_reconcile_off_disables_hiding():
     spec = GemmSpec()
     options = CompilerOptions.full().with_(schedule=SchedulePolicy(mode="off"))
     reconciled = reconcile_options(spec, options, SW26010PRO)
-    assert reconciled.schedule is None
-    assert not reconciled.enable_latency_hiding
-
-
-def test_reconcile_drops_optimize_without_hiding():
-    spec = GemmSpec()
-    options = CompilerOptions.full().with_(
-        enable_latency_hiding=False,
-        schedule=SchedulePolicy(mode="optimize"),
-    )
-    assert reconcile_options(spec, options, SW26010PRO).schedule is None
+    assert reconciled.schedule == SchedulePolicy(mode="off")
+    assert not reconciled.latency_hiding
 
 
 def test_reconcile_normalises_optimize_to_resolved_allow_list():
@@ -167,19 +161,6 @@ def test_recipe_pipeline_has_no_schedule_passes():
     options = reconcile_options(spec, CompilerOptions.full(), SW26010PRO)
     names = [p.name for p in build_pipeline(spec, SW26010PRO, options)]
     assert not any(n.startswith("schedule:") for n in names)
-
-
-def test_disable_pass_maps_into_policy_deny():
-    compiler = GemmCompiler(
-        SW26010PRO,
-        CompilerOptions.full().with_(
-            schedule=SchedulePolicy(mode="optimize")
-        ),
-        disable_passes=("schedule:retire-waits",),
-    )
-    names = [p.name for p in compiler.pipeline_for(GemmSpec())]
-    assert "schedule:retire-waits" not in names
-    assert "schedule:split-waits" in names
 
 
 def test_variant_name_reflects_the_policy():

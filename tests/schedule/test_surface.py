@@ -1,5 +1,6 @@
 """The schedule policy across the public surfaces: facade, wire
-protocol, CLI and the deprecation shim."""
+protocol and CLI — including the one rule they share, that ``optimize``
+needs the asm kernel."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 import repro
 from repro import api
 from repro.cli import main
-from repro.core import CompilerOptions, GemmSpec
+from repro.core import GemmSpec
 from repro.core.options import SchedulePolicy
+from repro.core.passes import reconcile_options
 from repro.errors import ConfigurationError
 from repro.serve.protocol import ProtocolError, spec_and_options
 from repro.service import CompileService, ServiceConfig
@@ -20,6 +22,15 @@ def toy_service():
     return CompileService(ServiceConfig(cache_dir=None))
 
 
+def assert_self_describing(program):
+    """The program's options are already canonical, and its variant name
+    says ``+sched`` exactly when a schedule rewrite pass ran."""
+    options = program.options
+    assert reconcile_options(program.spec, options, program.arch) == options
+    rewrote = any(s.name.startswith("schedule:") for s in program.pass_stats)
+    assert ("+sched" in options.variant_name()) == rewrote
+
+
 # -- facade ----------------------------------------------------------------
 
 
@@ -27,7 +38,6 @@ def test_api_compile_accepts_schedule_strings(toy_service):
     program = api.compile(
         GemmSpec(), arch=TOY_ARCH, schedule="optimize", service=toy_service
     )
-    assert program.options.schedule is not None
     assert program.options.schedule.mode == "optimize"
     assert any(
         s.name.startswith("schedule:") for s in program.pass_stats
@@ -50,6 +60,19 @@ def test_api_compile_rejects_bad_schedule(toy_service):
     with pytest.raises(ConfigurationError):
         api.compile(GemmSpec(), arch=TOY_ARCH, schedule="warp-speed",
                     service=toy_service)
+
+
+def test_api_compile_rejects_optimize_without_asm(toy_service):
+    with pytest.raises(ConfigurationError, match="--schedule=optimize"):
+        api.compile(GemmSpec(), arch=TOY_ARCH, use_asm=False,
+                    schedule="optimize", service=toy_service)
+    for use_asm, schedule in (
+        (True, "recipe"), (True, "optimize"), (True, "off"),
+        (False, "recipe"), (False, "off"),
+    ):
+        program = api.compile(GemmSpec(), arch=TOY_ARCH, use_asm=use_asm,
+                              schedule=schedule, service=toy_service)
+        assert_self_describing(program)
 
 
 def test_schedule_policy_is_a_top_level_export():
@@ -76,6 +99,21 @@ def test_wire_schedule_mode_string():
     assert options.schedule == SchedulePolicy(mode="optimize")
 
 
+def test_wire_rejects_optimize_without_asm(toy_service):
+    with pytest.raises(ProtocolError, match="--schedule=optimize"):
+        spec_and_options(
+            {"arch": "toy", "use_asm": False, "schedule": "optimize"}
+        )
+    for params in (
+        {"schedule": "optimize"},
+        {"schedule": "off"},
+        {"use_asm": False},
+        {"use_asm": False, "schedule": "off"},
+    ):
+        spec, options, arch = spec_and_options({"arch": "toy", **params})
+        assert_self_describing(toy_service.get_program(spec, arch, options))
+
+
 def test_wire_schedule_structured_object():
     _, options, _ = spec_and_options(
         {"arch": "toy",
@@ -96,27 +134,6 @@ def test_wire_schedule_structured_object():
 def test_wire_rejects_bad_schedule_as_protocol_error(bad):
     with pytest.raises(ProtocolError):
         spec_and_options({"arch": "toy", "schedule": bad})
-
-
-# -- deprecation shim ------------------------------------------------------
-
-
-def test_hiding_options_shim_warns_and_maps_bit_exactly():
-    from repro.compat import hiding_options
-    from repro.service.keys import cache_key
-
-    spec = GemmSpec()
-    with pytest.deprecated_call():
-        on = hiding_options(True)
-    with pytest.deprecated_call():
-        off = hiding_options(False)
-    assert cache_key(spec, options=on) == cache_key(
-        spec, options=CompilerOptions.full()
-    )
-    assert cache_key(spec, options=off) == cache_key(
-        spec,
-        options=CompilerOptions.full().with_(enable_latency_hiding=False),
-    )
 
 
 # -- CLI -------------------------------------------------------------------
@@ -148,10 +165,17 @@ def test_cli_schedule_passes_filters_the_stack(capsys):
     assert "schedule:split-waits" not in out
 
 
-def test_cli_rejects_optimize_with_no_hiding(capsys):
-    assert main(["passes", "list", "--schedule=optimize", "--no-hiding"]) == 1
+def test_cli_rejects_optimize_without_asm(capsys):
+    assert main(["passes", "list", "--schedule=optimize", "--no-use-asm"]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("swgemm: error:")
     assert "--schedule=optimize" in err
+    for flags in ([], ["--schedule=optimize"], ["--schedule=off"],
+                  ["--no-use-asm"], ["--no-use-asm", "--schedule=off"]):
+        assert main(["passes", "list", *flags]) == 0
+        out = capsys.readouterr().out
+        variant = out.split("variant '", 1)[1].split("'", 1)[0]
+        assert ("+sched" in variant) == ("schedule:" in out), flags
 
 
 def test_cli_rejects_schedule_passes_without_optimize(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import CompilerOptions, GemmCompiler, GemmSpec
 from repro.poly.astnodes import BufferDecl
-from repro.service import ArtifactStore, KernelService, ServiceConfig, cache_key
+from repro.service import ArtifactStore, CompileService, ServiceConfig, cache_key
 from repro.sunway.arch import TOY_ARCH
 
 
@@ -87,9 +87,9 @@ def test_verify_on_load_can_be_bypassed(tmp_path):
 
 def test_service_recompiles_after_quarantine(tmp_path):
     config = ServiceConfig(cache_dir=tmp_path / "cache")
-    svc = KernelService(config)
+    svc = CompileService(config)
     spec, options = GemmSpec(), CompilerOptions.full()
-    program = svc.compile(spec, TOY_ARCH, options)
+    program = svc.get_program(spec, TOY_ARCH, options)
     key = svc.key_for(spec, TOY_ARCH, options)
 
     # Poison the disk artifact behind the service's back.
@@ -103,8 +103,8 @@ def test_service_recompiles_after_quarantine(tmp_path):
 
     # A fresh service (cold memory tier) must refuse the poisoned
     # artifact and transparently recompile through the admission gate.
-    svc2 = KernelService(config)
-    recompiled = svc2.compile(spec, TOY_ARCH, options)
+    svc2 = CompileService(config)
+    recompiled = svc2.get_program(spec, TOY_ARCH, options)
     assert recompiled.verification is not None and recompiled.verification.ok
     assert all(
         b.name != "poison" for b in recompiled.cpe_program.buffers

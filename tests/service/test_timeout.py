@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import CompilerOptions, GemmCompiler, GemmSpec
 from repro.errors import CompileTimeout
-from repro.service import KernelService, ServiceConfig
+from repro.service import CompileService, ServiceConfig
 from repro.sunway.arch import TOY_ARCH
 
 
@@ -20,13 +20,13 @@ def service(tmp_path=None, **kwargs):
     config = ServiceConfig(
         cache_dir=tmp_path / "cache" if tmp_path else None, **kwargs
     )
-    return KernelService(config)
+    return CompileService(config)
 
 
 def test_exhausted_deadline_fails_before_compiling(tmp_path):
     svc = service(tmp_path)
     with pytest.raises(CompileTimeout) as err:
-        svc.compile(GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=0.0)
+        svc.get_program(GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=0.0)
     assert "deadline" in str(err.value)
     assert err.value.timeout_s <= 0.0
     assert svc.compile_count == 0
@@ -34,12 +34,12 @@ def test_exhausted_deadline_fails_before_compiling(tmp_path):
 
 def test_generous_deadline_compiles_normally(tmp_path):
     svc = service(tmp_path)
-    program = svc.compile(
+    program = svc.get_program(
         GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=120.0
     )
     assert program.verification is not None and program.verification.ok
     # A repeat under deadline is a cache hit, not a recompile.
-    again = svc.compile(
+    again = svc.get_program(
         GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=120.0
     )
     assert again is program or again.plan == program.plan
@@ -61,13 +61,13 @@ def test_waiter_timeout_is_counted_and_structured():
         release.wait(timeout=10.0)
         return GemmCompiler(arch, options).compile(spec)
 
-    svc = KernelService(ServiceConfig(), compile_fn=slow_compile)
+    svc = CompileService(ServiceConfig(), compile_fn=slow_compile)
     spec, options = GemmSpec(), CompilerOptions.full()
 
     owner_result = {}
 
     def owner():
-        owner_result["program"] = svc.compile(spec, TOY_ARCH, options)
+        owner_result["program"] = svc.get_program(spec, TOY_ARCH, options)
 
     thread = threading.Thread(target=owner)
     thread.start()
@@ -76,7 +76,7 @@ def test_waiter_timeout_is_counted_and_structured():
         # The second request joins the flight and must time out waiting,
         # not hang until the owner finishes.
         with pytest.raises(CompileTimeout) as err:
-            svc.compile(spec, TOY_ARCH, options, timeout_s=0.05)
+            svc.get_program(spec, TOY_ARCH, options, timeout_s=0.05)
         assert "exceeded" in str(err.value)
         assert svc.flight_timeouts == 1
         assert svc.stats()["single_flight_timeouts"] == 1
@@ -85,7 +85,7 @@ def test_waiter_timeout_is_counted_and_structured():
         thread.join(timeout=10.0)
     assert owner_result["program"] is not None
     # A timed-out waiter can re-attempt once the flight has landed.
-    assert svc.compile(spec, TOY_ARCH, options, timeout_s=5.0) is not None
+    assert svc.get_program(spec, TOY_ARCH, options, timeout_s=5.0) is not None
 
 
 def test_legacy_compile_fn_without_timeout_kwarg():
@@ -93,12 +93,12 @@ def test_legacy_compile_fn_without_timeout_kwarg():
         time.sleep(0.05)
         return object()
 
-    svc = KernelService(ServiceConfig(enabled=False), compile_fn=legacy)
+    svc = CompileService(ServiceConfig(enabled=False), compile_fn=legacy)
     # No deadline: the stub result passes straight through the bypass.
-    assert svc.compile(GemmSpec(), TOY_ARCH, CompilerOptions.full()) is not None
+    assert svc.get_program(GemmSpec(), TOY_ARCH, CompilerOptions.full()) is not None
     # A deadline shorter than the compile is enforced post-hoc.
     with pytest.raises(CompileTimeout):
-        svc.compile(
+        svc.get_program(
             GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=0.01
         )
 

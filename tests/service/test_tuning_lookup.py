@@ -93,3 +93,35 @@ def test_memory_only_service_has_a_working_store():
     service = CompileService(ServiceConfig(enabled=False))
     assert service.tuning_store.root is None
     assert service.tuning_store.keys() == []
+
+
+def test_schedule_off_is_not_steered(tmp_path):
+    """A tuning record must not override ``schedule="off"``: steering
+    reads the schedule field, and only the default recipe is eligible —
+    through the facade and through the serve ops' wire path alike."""
+    from repro import api
+    from repro.serve.protocol import shape_hint, spec_and_options
+
+    service = CompileService(ServiceConfig(cache_dir=tmp_path / "cache"))
+    shape = (48, 80, 32)
+    record = api.tune(GemmSpec(), arch=TOY_ARCH, shape=shape, seed=0,
+                      budget=6, service=service)
+    assert record.candidate.name() == "16x16x8-d2-s1:dma+hide"
+
+    steered = api.compile(GemmSpec(), arch=TOY_ARCH, shape=shape,
+                          service=service)
+    assert steered.plan.kernel_shape == record.candidate.tile.shape()
+
+    off = api.compile(GemmSpec(), arch=TOY_ARCH, shape=shape,
+                      schedule="off", service=service)
+    names = [s.name for s in off.pass_stats]
+    assert "communication-schedule" in names
+    assert "latency-hiding" not in names
+    assert off.plan.kernel_shape == TOY_ARCH.micro_kernel
+
+    params = {"arch": "toy", "schedule": "off",
+              "M": shape[0], "N": shape[1], "K": shape[2]}
+    spec, options, arch = spec_and_options(params)
+    wire = service.get_program(spec, arch, options,
+                               shape_hint=shape_hint(params))
+    assert wire.options == off.options

@@ -27,11 +27,11 @@ def test_space_version_bumped_for_backend_axis():
 def test_vendor_candidate_names_unchanged_from_v1():
     """The default backend adds no suffix, so tuning-record config
     strings written before the backend axis existed still match."""
-    c = Candidate(TileConfig(64, 64, 32, buffer_depth=2, k_strip=8))
+    c = Candidate(TileConfig(64, 64, 32, k_strip=8))
     assert c.kernel_backend == "vendor"
     assert ":vendor" not in c.name()
     parametric = Candidate(
-        TileConfig(64, 64, 32, buffer_depth=2, k_strip=8),
+        TileConfig(64, 64, 32, k_strip=8),
         kernel_backend="parametric",
     )
     assert parametric.name().endswith(":parametric")
@@ -89,7 +89,7 @@ def test_pruner_marks_backend_refused_shapes_infeasible():
     spec = GemmSpec()
     base = CompilerOptions.full()
     refused = Candidate(
-        TileConfig(64, 36, 32, buffer_depth=2, k_strip=8),
+        TileConfig(64, 36, 32, k_strip=8),
         kernel_backend="parametric",
     )
     verdict = analyze(spec, SW26010PRO, base, refused)
@@ -97,7 +97,7 @@ def test_pruner_marks_backend_refused_shapes_infeasible():
     assert "parametric" in verdict.reason
 
     accepted = Candidate(
-        TileConfig(64, 64, 32, buffer_depth=2, k_strip=8),
+        TileConfig(64, 64, 32, k_strip=8),
         kernel_backend="parametric",
     )
     assert analyze(spec, SW26010PRO, base, accepted).feasible
