@@ -25,7 +25,7 @@ already rewritten for issue-ahead) that the lowering delegate turns into
 
 Reply-counter resets are always scheduled *before* the ``synch()`` that
 precedes an RMA launch group, so no CPE can zero a counter that another
-CPE has already bumped — the simulator's coroutine scheduler would turn
+CPE has already bumped — the simulator's min-clock scheduler would turn
 such a race into a deadlock, and the test-suite checks it stays absent.
 """
 

@@ -2,9 +2,9 @@
 
 * :mod:`repro.runtime.program` — the :class:`CompiledProgram` container
   (schedule tree + CPE AST + SPM buffer plan + metadata);
-* :mod:`repro.runtime.executor` — the coroutine-based AST interpreter
-  that runs 64 concurrent CPE programs against the simulated cluster,
-  validating numerics *and* communication discipline;
+* :mod:`repro.runtime.executor` — the interpreter that runs the 64 CPE
+  programs, lowered to one flat instruction stream, against the
+  simulated cluster, validating numerics *and* communication discipline;
 * :mod:`repro.runtime.simulator` — the timed evaluation used by the
   benchmark harness (chunk-level discrete simulation, extrapolated over
   the homogeneous chunk grid);

@@ -2,14 +2,17 @@
 
 Each CPE executes the *same* generated program (SPMD) with its own
 ``Rid``/``Cid`` bindings, exactly as the athread slave function would.
-The interpreter runs the 64 programs as cooperatively scheduled
-coroutines: a CPE blocks (yields) when it spins on a reply counter whose
-transfer has not completed or when it arrives at the mesh barrier, so
-cross-CPE interactions — a receiver waiting for a broadcast its sender
-has not issued yet — behave exactly like the hardware's spin loops.  A
-scheduling round in which no CPE makes progress is reported as a
-deadlock with each CPE's blocking reason, which turns schedule bugs into
-actionable failures instead of hangs.
+The body is lowered once per run by :func:`repro.poly.flat.lower` — the
+lowering the verifier's schedule machine runs too — with leaf
+instructions that call the athread runtime, and each CPE runs it as a
+cursor.  A CPE blocks when it spins on a reply counter whose transfer
+has not completed or when it arrives at the mesh barrier: the wait
+re-polls the next time the CPE is resumed, so cross-CPE interactions —
+a receiver waiting for a broadcast its sender has not issued yet —
+behave exactly like the hardware's spin loops.  A scheduling round in
+which no CPE makes progress is reported as a deadlock with each CPE's
+blocking reason, which turns schedule bugs into actionable failures
+instead of hangs.
 
 Two modes share all of this logic:
 
@@ -27,7 +30,8 @@ hiding pass failed to overlap a transfer, the measured time shows it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Mapping, Optional, Tuple
+from itertools import product
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,21 +39,25 @@ from repro.errors import ExecutionError, SynchronizationError
 from repro.codegen.elementwise import get_elementwise
 from repro.codegen.backend import resolve_kernel
 from repro.poly.astnodes import (
-    AffRef,
+    BINARY_OPS,
     ArrayRef,
     BinExpr,
-    Block,
     BlockOpStmt,
-    CommentStmt,
     CommStmt,
-    Expr,
-    ForLoop,
-    IfStmt,
-    IntLit,
     KernelCall,
     NaiveComputeStmt,
     Stmt,
-    VarRef,
+)
+from repro.poly.flat import (
+    BLOCKED,
+    DONE,
+    NEXT,
+    STEP,
+    Cursor,
+    Instr,
+    compile_expr,
+    lower,
+    reply_key,
 )
 from repro.runtime.program import CompiledProgram
 from repro.sunway.athread import AthreadRuntime
@@ -73,6 +81,21 @@ class ExecutionReport:
     @property
     def padded_gflops(self) -> float:
         return self.padded_flops / self.elapsed_seconds / 1e9
+
+
+class _Cursor(Cursor):
+    """One CPE's place in the lowered program."""
+
+    __slots__ = ("cpe", "token", "waited_since")
+
+    def __init__(self, cpe: CPE, env: Dict[str, object], slots: int) -> None:
+        super().__init__(env, slots)
+        self.cpe = cpe
+        #: barrier generation this CPE arrived in.
+        self.token = 0
+        #: the watchdog's budget start: when the wait this CPE is blocked
+        #: in first failed to pass (None when not blocked in a wait).
+        self.waited_since: Optional[float] = None
 
 
 class Executor:
@@ -145,15 +168,14 @@ class Executor:
                 self.guard.on_spm(str(cpe), cpe.spm.used_bytes)
         self.cluster.begin_spawn()
 
-        coroutines: List[Tuple[CPE, Generator]] = []
-        for cpe in self.cluster.all_cpes():
-            env: Dict[str, object] = dict(params)
-            env["Rid"] = cpe.rid
-            env["Cid"] = cpe.cid
-            env["alpha"] = alpha
-            env["beta"] = beta
-            coroutines.append((cpe, self._exec_stmt(cpe, program.cpe_program.body, env)))
-        self._schedule(coroutines)
+        # The instruction stream is local to the run: its closures hold
+        # this executor, so keeping it on ``self`` would be a cycle.
+        code, slots = lower(program.cpe_program.body, self._leaf)
+        self._schedule(code, [
+            _Cursor(cpe, dict(params, Rid=cpe.rid, Cid=cpe.cid, alpha=alpha,
+                              beta=beta), slots)
+            for cpe in self.cluster.all_cpes()
+        ])
 
         elapsed = self.cluster.elapsed()
         return ExecutionReport(
@@ -178,26 +200,25 @@ class Executor:
     # barrier) are modelled with availability times, so requests must be
     # presented in (approximately) virtual-time order: always resume the
     # runnable CPE whose clock is smallest — conservative discrete-event
-    # simulation with the coroutine as the event source.  Generators yield
-    # "step" after every clock-advancing statement and "blocked" when a
-    # spin-wait cannot complete; blocked CPEs re-poll whenever anyone else
-    # makes progress.
+    # simulation.  A resume ends after every clock-advancing statement,
+    # or blocked in a spin-wait; blocked CPEs re-poll whenever anyone
+    # else makes progress.
 
-    def _schedule(self, coroutines: List[Tuple[CPE, Generator]]) -> None:
-        runnable: List[Tuple[CPE, Generator]] = list(coroutines)
-        blocked: List[Tuple[CPE, Generator]] = []
+    def _schedule(self, code: List[Instr], cursors: List[_Cursor]) -> None:
+        runnable: List[_Cursor] = list(cursors)
+        blocked: List[_Cursor] = []
         while runnable or blocked:
             if not runnable:
                 # Everyone is blocked: one re-poll round must progress.
                 before = self._progress
-                next_runnable: List[Tuple[CPE, Generator]] = []
-                still_blocked: List[Tuple[CPE, Generator]] = []
-                for cpe, gen in blocked:
-                    status = self._resume(cpe, gen)
-                    if status == "dead":
+                next_runnable: List[_Cursor] = []
+                still_blocked: List[_Cursor] = []
+                for cursor in blocked:
+                    status = self._resume(code, cursor)
+                    if status == DONE:
                         continue
-                    target = still_blocked if status == "blocked" else next_runnable
-                    target.append((cpe, gen))
+                    target = still_blocked if status == BLOCKED else next_runnable
+                    target.append(cursor)
                 if not next_runnable and still_blocked and self._progress == before:
                     reasons = "; ".join(
                         f"CPE({r},{c}): {why}"
@@ -210,25 +231,32 @@ class Executor:
                 runnable, blocked = next_runnable, still_blocked
                 continue
             # Resume the runnable CPE with the smallest virtual clock.
-            idx = min(range(len(runnable)), key=lambda n: runnable[n][0].clock)
-            cpe, gen = runnable.pop(idx)
+            idx = min(range(len(runnable)), key=lambda n: runnable[n].cpe.clock)
+            cursor = runnable.pop(idx)
             before = self._progress
-            status = self._resume(cpe, gen)
-            if status == "blocked":
-                blocked.append((cpe, gen))
-            elif status != "dead":
-                runnable.append((cpe, gen))
+            status = self._resume(code, cursor)
+            if status == BLOCKED:
+                blocked.append(cursor)
+            elif status != DONE:
+                runnable.append(cursor)
             if self._progress != before and blocked:
                 # Progress may have satisfied someone's wait: re-arm them.
                 runnable.extend(blocked)
                 blocked = []
 
-    def _resume(self, cpe: CPE, gen: Generator) -> str:
-        try:
-            return next(gen) or "step"
-        except StopIteration:
+    def _resume(self, code: List[Instr], cursor: _Cursor) -> int:
+        signal = code[cursor.pc](cursor)
+        while not signal:
+            signal = code[cursor.pc](cursor)
+        if signal == DONE:
             self._progress += 1
-            return "dead"
+        return signal
+
+    def _advance(self, cursor: _Cursor, signal: int = STEP) -> int:
+        """The end of a leaf instruction that did its work."""
+        self._progress += 1
+        cursor.pc += 1
+        return signal
 
     def _watchdog_error(
         self, cpe: CPE, kind: str, key: str, value: int, lost: bool
@@ -258,75 +286,92 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Statement interpretation
+    # Leaf instructions
     # ------------------------------------------------------------------
 
-    def _exec_stmt(self, cpe: CPE, stmt: Stmt, env: Dict[str, object]):
-        if isinstance(stmt, Block):
-            for s in stmt.body:
-                yield from self._exec_stmt(cpe, s, env)
-            return
-        if isinstance(stmt, ForLoop):
-            lo = self._eval_int(stmt.lo, env)
-            hi = self._eval_int(stmt.hi, env)
-            for value in range(lo, hi, stmt.step):
-                env[stmt.var] = value
-                yield from self._exec_stmt(cpe, stmt.body, env)
-            env.pop(stmt.var, None)
-            return
-        if isinstance(stmt, IfStmt):
-            if self._eval_scalar(stmt.cond, env, cpe):
-                yield from self._exec_stmt(cpe, stmt.then, env)
-            elif stmt.els is not None:
-                yield from self._exec_stmt(cpe, stmt.els, env)
-            return
+    def _leaf(self, stmt: Stmt) -> List[Instr]:
         if isinstance(stmt, CommStmt):
-            yield from self._exec_comm(cpe, stmt, env)
-            return
+            return self._comm(stmt)
         if isinstance(stmt, KernelCall):
-            self._exec_kernel(cpe, stmt, env)
-            yield "step"
-            return
+            return [self._kernel_call(stmt)]
         if isinstance(stmt, BlockOpStmt):
-            self._exec_blockop(cpe, stmt, env)
-            yield "step"
-            return
+            return [self._block_op(stmt)]
         if isinstance(stmt, NaiveComputeStmt):
-            self._exec_naive(cpe, stmt, env)
-            yield "step"
-            return
-        if isinstance(stmt, CommentStmt):
-            return
-        raise ExecutionError(f"cannot interpret statement {type(stmt).__name__}")
+            return [self._naive(stmt)]
+        return [_fail(f"cannot interpret statement {type(stmt).__name__}")]
 
-    # ------------------------------------------------------------------
-    # Communication statements (the §7.1 extension node type)
-    # ------------------------------------------------------------------
+    # -- communication statements (the §7.1 extension node type) ----------
 
-    def _reply_key(self, args: Mapping[str, object], env, slot_key: str = "reply_slot") -> str:
-        slot = self._eval_int(args[slot_key], env)
-        base = args["reply"] if "reply" in args else None
-        return f"{base}#{slot}"
-
-    def _exec_comm(self, cpe: CPE, stmt: CommStmt, env: Dict[str, object]):
+    def _comm(self, stmt: CommStmt) -> List[Instr]:
         kind = stmt.kind
         args = stmt.args
-        rt = self.runtime
         if kind == "reply_reset":
-            rt.reply_reset(cpe, self._reply_key(args, env))
-            self._progress += 1
-            return
+            return [self._reply_reset(args)]
         if kind in ("dma_iget", "dma_iput"):
-            self._issue_dma(cpe, kind, args, env)
-            self._progress += 1
-            yield "step"  # channel occupancy depends on virtual-time order
-            return
+            return [self._dma(kind, args)]
         if kind in ("dma_wait_value", "rma_wait_value"):
-            key = self._reply_key(args, env)
-            value = int(args.get("value", 1))
-            waited_since: Optional[float] = None
-            while not rt.reply_satisfied(cpe, key, value):
-                self._blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
+            return [self._wait(kind, args)]
+        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
+            return [self._rma(kind, args)]
+        if kind == "synch":
+            return self._synch()
+        return [_fail(f"unknown communication statement {kind!r}")]
+
+    def _reply_reset(self, args) -> Instr:
+        key_of = reply_key(args)
+        reset = self.runtime.reply_reset
+
+        def reply_reset(cursor: _Cursor) -> int:
+            reset(cursor.cpe, key_of(cursor))
+            return self._advance(cursor, NEXT)
+
+        return reply_reset
+
+    def _dma(self, kind: str, args) -> Instr:
+        name = str(args["array"])
+        row_of, col_of, slot_of = (
+            compile_expr(args[key]) for key in ("row", "col", "slot")
+        )
+        batch = args.get("batch")
+        batch_of = compile_expr(batch) if batch is not None else None
+        length, size = int(args["len"]), int(args["size"])
+        buffer = str(args["buffer"])
+        key_of = reply_key(args)
+        rt = self.runtime
+
+        def dma(cursor: _Cursor) -> int:
+            array = rt.main_array(name)
+            ld = int(array.shape[-1])
+            row = row_of(cursor)
+            col = col_of(cursor)
+            if batch_of is not None:
+                row += batch_of(cursor) * array.shape[-2]
+            offset = row * ld + col
+            tile = (buffer, slot_of(cursor))
+            reply = key_of(cursor)
+            if kind == "dma_iget":
+                rt.dma_iget(cursor.cpe, tile, name, offset, size, length,
+                            ld - length, reply)
+            else:
+                rt.dma_iput(cursor.cpe, name, offset, tile, size, length,
+                            ld - length, reply)
+            # channel occupancy depends on virtual-time order
+            return self._advance(cursor)
+
+        return dma
+
+    def _wait(self, kind: str, args) -> Instr:
+        key_of = reply_key(args)
+        value = int(args.get("value", 1))
+        rt = self.runtime
+        elapsed = self.cluster.elapsed
+        blocked = self._blocked
+
+        def wait(cursor: _Cursor) -> int:
+            cpe = cursor.cpe
+            key = key_of(cursor)
+            if not rt.reply_satisfied(cpe, key, value):
+                blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
                 # Watchdog: a reply that the fault plane dropped will never
                 # arrive — diagnose immediately.  Otherwise give the wait a
                 # bounded budget of *virtual* time while the rest of the
@@ -334,225 +379,220 @@ class Executor:
                 # instead of spinning until the global deadlock detector.
                 if key in cpe.lost_replies:
                     raise self._watchdog_error(cpe, kind, key, value, lost=True)
-                if waited_since is None:
-                    waited_since = self.cluster.elapsed()
+                if cursor.waited_since is None:
+                    cursor.waited_since = elapsed()
                 elif (
                     self._watchdog_s > 0
-                    and self.cluster.elapsed() - waited_since > self._watchdog_s
+                    and elapsed() - cursor.waited_since > self._watchdog_s
                 ):
                     raise self._watchdog_error(cpe, kind, key, value, lost=False)
-                yield "blocked"
-            self._blocked.pop((cpe.rid, cpe.cid), None)
+                return BLOCKED
+            cursor.waited_since = None
+            blocked.pop((cpe.rid, cpe.cid), None)
             rt.finish_wait(cpe, key, value)
-            self._progress += 1
-            yield "step"
-            return
-        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
-            slot_s = self._eval_int(args["src_slot"], env)
-            slot_d = self._eval_int(args["dst_slot"], env)
-            reply_slot = self._eval_int(args["reply_slot"], env)
-            replys = f"{args['replys']}#{reply_slot}"
-            replyr = f"{args['replyr']}#{reply_slot}"
-            issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
-            issue(
-                cpe,
-                (str(args["src_buffer"]), slot_s),
-                (str(args["dst_buffer"]), slot_d),
-                int(args["size"]),
-                replys,
-                replyr,
-            )
-            self._progress += 1
-            yield "step"
-            return
-        if kind == "synch":
-            token = rt.barrier_arrive(cpe)
-            while not rt.barrier_passed(token):
-                self._blocked[(cpe.rid, cpe.cid)] = "synch"
-                yield "blocked"
-            self._blocked.pop((cpe.rid, cpe.cid), None)
-            self._progress += 1
-            yield "step"
-            return
-        raise ExecutionError(f"unknown communication statement {kind!r}")
+            return self._advance(cursor)
 
-    def _issue_dma(self, cpe: CPE, kind: str, args: Mapping[str, object], env) -> None:
-        array_name = str(args["array"])
-        array = self.runtime.main_array(array_name)
-        ld = int(array.shape[-1])
-        row = self._eval_int(args["row"], env)
-        col = self._eval_int(args["col"], env)
-        if args.get("batch") is not None:
-            batch_idx = self._eval_int(args["batch"], env)
-            offset = (batch_idx * array.shape[-2] + row) * ld + col
-        else:
-            offset = row * ld + col
-        length = int(args["len"])
-        size = int(args["size"])
-        strip = ld - length
-        slot = self._eval_int(args["slot"], env)
-        buffer = str(args["buffer"])
-        reply = self._reply_key(args, env)
-        if kind == "dma_iget":
-            self.runtime.dma_iget(
-                cpe, (buffer, slot), array_name, offset, size, length, strip, reply
-            )
-        else:
-            self.runtime.dma_iput(
-                cpe, array_name, offset, (buffer, slot), size, length, strip, reply
-            )
+        return wait
 
-    # ------------------------------------------------------------------
-    # Compute statements
-    # ------------------------------------------------------------------
-
-    def _slot_view(self, cpe: CPE, ref: ArrayRef, env) -> Tuple[np.ndarray, int]:
-        slot = self._eval_int(ref.indices[0], env)
-        cpe.spm.check_readable(ref.array, slot)
-        return cpe.spm.slot(ref.array, slot), slot
-
-    def _exec_kernel(self, cpe: CPE, stmt: KernelCall, env) -> None:
-        c_view, _ = self._slot_view(cpe, stmt.c_ref, env)
-        a_view, _ = self._slot_view(cpe, stmt.a_ref, env)
-        b_view, _ = self._slot_view(cpe, stmt.b_ref, env)
-        alpha = float(self._eval_scalar(stmt.alpha, env, cpe))
-        if self.move_data:
-            # Transposed entry points read the SPM tiles in their storage
-            # layouts (kt×mt / nt×kt); the zero-copy transpose restores
-            # the kernel's canonical contract shapes.
-            a_eff = a_view.T if stmt.trans_a else a_view
-            b_eff = b_view.T if stmt.trans_b else b_view
-            self.kernel.execute(c_view, a_eff, b_eff, alpha)
-        self.runtime.charge_compute(
-            cpe, self.kernel.seconds_per_call * self._kernel_time_factor
+    def _rma(self, kind: str, args) -> Instr:
+        src_slot_of, dst_slot_of, reply_slot_of = (
+            compile_expr(args[key]) for key in ("src_slot", "dst_slot", "reply_slot")
         )
-        cpe.stats["kernel_calls"] += 1
-        self._progress += 1
+        src, dst = str(args["src_buffer"]), str(args["dst_buffer"])
+        size = int(args["size"])
+        replys, replyr = args["replys"], args["replyr"]
+        rt = self.runtime
+        issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
 
-    def _exec_blockop(self, cpe: CPE, stmt: BlockOpStmt, env) -> None:
-        view, _ = self._slot_view(cpe, stmt.dst, env)
-        elements = stmt.shape[0] * stmt.shape[1]
+        def rma(cursor: _Cursor) -> int:
+            slot_s = src_slot_of(cursor)
+            slot_d = dst_slot_of(cursor)
+            reply_slot = reply_slot_of(cursor)
+            issue(
+                cursor.cpe, (src, slot_s), (dst, slot_d), size,
+                f"{replys}#{reply_slot}", f"{replyr}#{reply_slot}",
+            )
+            return self._advance(cursor)
+
+        return rma
+
+    def _synch(self) -> List[Instr]:
+        """``synch()``: arrive at the barrier, then spin until it opens."""
+        rt = self.runtime
+        blocked = self._blocked
+
+        def arrive(cursor: _Cursor) -> int:
+            cursor.token = rt.barrier_arrive(cursor.cpe)
+            cursor.pc += 1
+            return NEXT
+
+        def barrier(cursor: _Cursor) -> int:
+            cpe = cursor.cpe
+            if not rt.barrier_passed(cursor.token):
+                blocked[(cpe.rid, cpe.cid)] = "synch"
+                return BLOCKED
+            blocked.pop((cpe.rid, cpe.cid), None)
+            return self._advance(cursor)
+
+        return [arrive, barrier]
+
+    # -- compute statements ----------------------------------------------------
+
+    def _tile(self, ref: ArrayRef) -> Callable[[_Cursor], np.ndarray]:
+        """The SPM tile ``ref``'s slot index selects, checked readable."""
+        name = ref.array
+        slot_of = compile_expr(ref.indices[0])
+
+        def tile(cursor: _Cursor) -> np.ndarray:
+            spm = cursor.cpe.spm
+            slot = slot_of(cursor)
+            spm.check_readable(name, slot)
+            return spm.slot(name, slot)
+
+        return tile
+
+    def _kernel_done(self, seconds: float) -> Instr:
+        """The bookkeeping that ends a kernel call or naive compute."""
+        charge = self.runtime.charge_compute
+
+        def kernel_done(cursor: _Cursor) -> int:
+            cpe = cursor.cpe
+            charge(cpe, seconds)
+            cpe.stats["kernel_calls"] += 1
+            return self._advance(cursor)
+
+        return kernel_done
+
+    def _kernel_call(self, stmt: KernelCall) -> Instr:
+        c_of, a_of, b_of = map(self._tile, (stmt.c_ref, stmt.a_ref, stmt.b_ref))
+        alpha_of = compile_expr(stmt.alpha)
+        trans_a, trans_b = stmt.trans_a, stmt.trans_b
+        execute = self.kernel.execute if self.move_data else None
+        done = self._kernel_done(
+            self.kernel.seconds_per_call * self._kernel_time_factor
+        )
+
+        def kernel_call(cursor: _Cursor) -> int:
+            c_view, a_view, b_view = c_of(cursor), a_of(cursor), b_of(cursor)
+            alpha = float(alpha_of(cursor))
+            if execute is not None:
+                # Transposed entry points read the SPM tiles in their
+                # storage layouts (kt×mt / nt×kt); the zero-copy transpose
+                # restores the kernel's canonical contract shapes.
+                a_eff = a_view.T if trans_a else a_view
+                b_eff = b_view.T if trans_b else b_view
+                execute(c_view, a_eff, b_eff, alpha)
+            return done(cursor)
+
+        return kernel_call
+
+    def _block_op(self, stmt: BlockOpStmt) -> Instr:
         if stmt.op == "scale":
-            factor = float(self._eval_scalar(stmt.factor, env, cpe))
-            if self.move_data:
-                view *= factor
+            func = None
+            factor_of = compile_expr(stmt.factor)
             rate = self.program.arch.cpe_elementwise_rate
         elif stmt.op == "apply":
             func = get_elementwise(stmt.func)
-            if self.move_data:
-                view[...] = func.numpy_fn(view)
             rate = func.cpe_rate
         else:
-            raise ExecutionError(f"unknown block op {stmt.op!r}")
-        self.runtime.charge_compute(cpe, elements / rate, kind="blockop")
-        self._progress += 1
+            return _fail(f"unknown block op {stmt.op!r}")
+        tile = self._tile(stmt.dst)
+        move_data = self.move_data
+        seconds = stmt.shape[0] * stmt.shape[1] / rate
+        charge = self.runtime.charge_compute
 
-    def _exec_naive(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
+        def block_op(cursor: _Cursor) -> int:
+            view = tile(cursor)
+            if func is None:
+                factor = float(factor_of(cursor))
+                if move_data:
+                    view *= factor
+            elif move_data:
+                view[...] = func.numpy_fn(view)
+            charge(cursor.cpe, seconds, kind="blockop")
+            return self._advance(cursor)
+
+        return block_op
+
+    def _naive(self, stmt: NaiveComputeStmt) -> Instr:
         seconds = self.program.arch.naive_time_s(*stmt.extents)
-        seconds *= self._kernel_time_factor
-        if self.move_data:
-            if self.scalar_naive:
-                self._exec_naive_scalar(cpe, stmt, env)
-            else:
-                self._exec_naive_vectorised(cpe, stmt, env)
-        self.runtime.charge_compute(cpe, seconds)
-        cpe.stats["kernel_calls"] += 1
-        self._progress += 1
+        done = self._kernel_done(seconds * self._kernel_time_factor)
+        if not self.move_data:
+            return done
+        update = _scalar_oracle(stmt) if self.scalar_naive else self._matmul(stmt)
 
-    def _exec_naive_scalar(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
-        extents = stmt.extents
-        local = dict(env)
-        for i0 in range(extents[0]):
-            local[stmt.loop_vars[0]] = i0
-            for i1 in range(extents[1]):
-                local[stmt.loop_vars[1]] = i1
-                for i2 in range(extents[2]):
-                    local[stmt.loop_vars[2]] = i2
-                    value = self._eval_scalar(stmt.value, local, cpe)
-                    self._store_scalar(cpe, stmt.target, local, value, accumulate=True)
+        def naive(cursor: _Cursor) -> int:
+            update(cursor)
+            return done(cursor)
 
-    def _exec_naive_vectorised(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
+        return naive
+
+    def _matmul(self, stmt: NaiveComputeStmt) -> Callable[[_Cursor], None]:
         """Fast path: the --no-use-asm body is always the canonical GEMM
         update, so the whole point-loop box evaluates as one matmul."""
-        alpha_expr, a_ref, b_ref = _match_gemm_value(stmt.value)
-        c_view, _ = self._slot_view(cpe, _slot_only(stmt.target), env)
-        a_view, _ = self._slot_view(cpe, _slot_only(a_ref), env)
-        b_view, _ = self._slot_view(cpe, _slot_only(b_ref), env)
-        alpha = float(self._eval_scalar(alpha_expr, env, cpe))
-        a_eff = a_view.T if stmt.trans_a else a_view
-        b_eff = b_view.T if stmt.trans_b else b_view
-        c_view += alpha * (a_eff @ b_eff)
+        value = stmt.value
+        if not (
+            isinstance(value, BinExpr)
+            and value.op == "*"
+            and isinstance(value.rhs, ArrayRef)
+            and isinstance(value.lhs, BinExpr)
+            and value.lhs.op == "*"
+            and isinstance(value.lhs.rhs, ArrayRef)
+        ):
+            return _fail(
+                "naive compute statement does not match the canonical GEMM form"
+            )
+        c_of, a_of, b_of = map(self._tile, (stmt.target, value.lhs.rhs, value.rhs))
+        alpha_of = compile_expr(value.lhs.lhs)
+        trans_a, trans_b = stmt.trans_a, stmt.trans_b
 
-    def _store_scalar(
-        self, cpe: CPE, ref: ArrayRef, env, value: float, accumulate: bool
-    ) -> None:
-        view, _ = self._slot_view(cpe, _slot_only(ref), env)
-        idx = tuple(self._eval_int(e, env) for e in ref.indices[1:])
-        if accumulate:
-            view[idx] += value
-        else:
-            view[idx] = value
+        def matmul(cursor: _Cursor) -> None:
+            c_view, a_view, b_view = c_of(cursor), a_of(cursor), b_of(cursor)
+            alpha = float(alpha_of(cursor))
+            a_eff = a_view.T if trans_a else a_view
+            b_eff = b_view.T if trans_b else b_view
+            c_view += alpha * (a_eff @ b_eff)
 
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
+        return matmul
 
-    def _eval_int(self, expr, env) -> int:
-        value = self._eval_scalar(expr, env, None)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ExecutionError(f"expected integer, got {value!r}")
-        return int(value)
 
-    def _eval_scalar(self, expr, env, cpe: Optional[CPE]):
-        if isinstance(expr, (IntLit,)):
-            return expr.value
-        if isinstance(expr, VarRef):
-            return expr.evaluate(env)
-        if isinstance(expr, AffRef):
-            return expr.evaluate(env)
-        if isinstance(expr, BinExpr):
-            a = self._eval_scalar(expr.lhs, env, cpe)
-            b = self._eval_scalar(expr.rhs, env, cpe)
-            return BinExpr(expr.op, _Const(a), _Const(b)).evaluate({})
+def _fail(message: str) -> Callable[[_Cursor], int]:
+    """An instruction that raises ``ExecutionError(message)`` when run."""
+
+    def fail(cursor: _Cursor) -> int:
+        raise ExecutionError(message)
+
+    return fail
+
+
+def _scalar_oracle(stmt: NaiveComputeStmt) -> Callable[[_Cursor], None]:
+    """The ``--no-use-asm`` test oracle: the scalar statement at every
+    point of its loop box, each SPM element read and written in place."""
+
+    def element(ref: ArrayRef, env, spm) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        slot = ref.indices[0].evaluate(env)
+        spm.check_readable(ref.array, slot)
+        return spm.slot(ref.array, slot), tuple(e.evaluate(env) for e in ref.indices[1:])
+
+    def value(expr, env, spm):
         if isinstance(expr, ArrayRef):
-            if cpe is None:
-                raise ExecutionError("array reference outside CPE context")
-            view, _ = self._slot_view(cpe, _slot_only(expr), env)
-            idx = tuple(self._eval_int(e, env) for e in expr.indices[1:])
+            view, idx = element(expr, env, spm)
             return float(view[idx])
-        if hasattr(expr, "evaluate"):
-            return expr.evaluate(env)
-        if isinstance(expr, (int, float)):
-            return expr
-        raise ExecutionError(f"cannot evaluate expression {expr!r}")
+        if isinstance(expr, BinExpr):
+            lhs, rhs = value(expr.lhs, env, spm), value(expr.rhs, env, spm)
+            return BINARY_OPS[expr.op](lhs, rhs)
+        return expr.evaluate(env)
 
+    def update(cursor: _Cursor) -> None:
+        spm = cursor.cpe.spm
+        local = dict(cursor.env)
+        for point in product(*(range(extent) for extent in stmt.extents)):
+            local.update(zip(stmt.loop_vars, point))
+            total = value(stmt.value, local, spm)
+            view, idx = element(stmt.target, local, spm)
+            view[idx] += total
 
-@dataclass(frozen=True)
-class _Const(Expr):
-    value: object
-
-    def evaluate(self, env):
-        return self.value
-
-
-def _slot_only(ref: ArrayRef) -> ArrayRef:
-    """A view of the same buffer keeping only the slot index."""
-    return ArrayRef(ref.array, (ref.indices[0],), ref.memory)
-
-
-def _match_gemm_value(value) -> Tuple[object, ArrayRef, ArrayRef]:
-    if (
-        isinstance(value, BinExpr)
-        and value.op == "*"
-        and isinstance(value.rhs, ArrayRef)
-        and isinstance(value.lhs, BinExpr)
-        and value.lhs.op == "*"
-        and isinstance(value.lhs.rhs, ArrayRef)
-    ):
-        return value.lhs.lhs, value.lhs.rhs, value.rhs
-    raise ExecutionError(
-        "naive compute statement does not match the canonical GEMM form"
-    )
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +689,7 @@ def run_gemm(
         report.stats["guard_events"] = guard.events
         report.stats["guard_divergences"] = len(guard.divergences)
 
-    result = c_main[..., :M, :N].copy()
-    if batched:
-        C[...] = result
-    else:
-        C[...] = result
+    C[...] = c_main[..., :M, :N]
     for name in (spec.a_name, spec.b_name, spec.c_name):
         cluster.memory.free(name)
     return C, report

@@ -7,9 +7,9 @@ schedule makes a *chunk decomposition* exact: the mesh processes
 C tile's get/put is never overlapped across chunks — §6.1 notes C's
 latency cannot be hidden).  The simulator therefore:
 
-1. runs the real coroutine interpreter (timing-only, no data movement)
-   on **one chunk** — 512×512×K with the full pipeline, barriers, channel
-   contention and edge effects;
+1. runs the real executor (timing-only, no data movement) on **one
+   chunk** — 512×512×K with the full pipeline, barriers, channel
+   contention and edge effects (:func:`run_chunk`);
 2. multiplies by the number of chunks and adds the one-off spawn cost.
 
 Chunk times are cached per ``(arch, options, K, fusion, batch)`` so shape
@@ -63,6 +63,39 @@ class PerfResult:
                f"({100 * self.peak_fraction:.2f}% peak)"
 
 
+def run_chunk(
+    program: CompiledProgram,
+    K: int,
+    cluster: Cluster,
+    guard: Optional[object] = None,
+) -> Tuple[float, float]:
+    """``(chunk seconds, bubble fraction)`` of one timed ``chunk_m ×
+    chunk_n × K`` mesh pass of ``program`` on ``cluster``, spawn excluded.
+
+    The bubble fraction, ``1 − compute / (n_cpes · chunk)``, is the share
+    of total CPE-time the mesh spends *outside* the micro kernel —
+    waiting on DMA/RMA, in barriers, or in scale/fixup code."""
+    spec, plan = program.spec, program.plan
+    if K % plan.k_step:
+        raise ConfigurationError(
+            f"K={K} is not a multiple of the k step {plan.k_step}"
+        )
+    cm, cn = plan.chunk_m, plan.chunk_n
+    lead = (1,) if spec.is_batched else ()
+    cluster.memory.alloc(spec.a_name, lead + (cm, K))
+    cluster.memory.alloc(spec.b_name, lead + (K, cn))
+    cluster.memory.alloc(spec.c_name, lead + (cm, cn))
+    params = {spec.m_param: cm, spec.n_param: cn, spec.k_param: K}
+    if lead:
+        params[spec.batch_param] = 1
+    report = Executor(program, cluster, move_data=False, guard=guard).run(params)
+    chunk = report.elapsed_seconds - cluster.arch.spawn_us * 1e-6
+    n_cpes = plan.mesh * plan.mesh
+    compute = report.stats.get("compute_seconds", 0.0)
+    bubble = max(0.0, 1.0 - compute / (n_cpes * chunk)) if chunk > 0 else 0.0
+    return chunk, bubble
+
+
 class PerformanceSimulator:
     """Chunk-extrapolating timed simulation."""
 
@@ -114,53 +147,26 @@ class PerformanceSimulator:
     def chunk_stats(
         self, K: int, options: CompilerOptions, spec: Optional[GemmSpec] = None
     ) -> Tuple[float, float]:
-        """``(chunk seconds, bubble fraction)`` for one mesh pass.
-
-        The bubble fraction is the share of total CPE-time the mesh
-        spends *outside* the micro kernel — waiting on DMA/RMA, in
-        barriers, or in scale/fixup code.  It is what the schedule
-        rewrites attack, so it rides along with every timing."""
+        """:func:`run_chunk` for one mesh pass, cached per ``(options,
+        spec, K)``.  The bubble fraction is what the schedule rewrites
+        attack, so it rides along with every timing."""
         spec = spec or self._default_spec(options)
         key = (options, spec, K)
         if key in self._chunk_cache:
             return self._chunk_cache[key]
         program = self.program_for(options, spec)
-        plan = program.plan
-        if K % plan.k_step:
-            raise ConfigurationError(
-                f"K={K} is not a multiple of the k step {plan.k_step}"
-            )
         cluster = Cluster(
             self.arch,
             fault_policy=options.fault_policy,
             retry_policy=options.retry_policy,
         )
-        cm, cn = plan.chunk_m, plan.chunk_n
-        batched = spec.is_batched
-        a_shape = (1, cm, K) if batched else (cm, K)
-        b_shape = (1, K, cn) if batched else (K, cn)
-        c_shape = (1, cm, cn) if batched else (cm, cn)
-        cluster.memory.alloc(spec.a_name, a_shape)
-        cluster.memory.alloc(spec.b_name, b_shape)
-        cluster.memory.alloc(spec.c_name, c_shape)
         guard = None
         if self.guarded:
             from repro.verify import CertificateGuard
 
             guard = CertificateGuard.from_program(program)
-        executor = Executor(program, cluster, move_data=False, guard=guard)
-        params = {spec.m_param: cm, spec.n_param: cn, spec.k_param: K}
-        if batched:
-            params[spec.batch_param] = 1
-        report = executor.run(params)
-        chunk = report.elapsed_seconds - self.arch.spawn_us * 1e-6
-        n_cpes = plan.mesh * plan.mesh
-        compute = report.stats.get("compute_seconds", 0.0)
-        bubble = (
-            max(0.0, 1.0 - compute / (n_cpes * chunk)) if chunk > 0 else 0.0
-        )
-        self._chunk_cache[key] = (chunk, bubble)
-        return chunk, bubble
+        self._chunk_cache[key] = run_chunk(program, K, cluster, guard)
+        return self._chunk_cache[key]
 
     # -- the headline API ----------------------------------------------------------
 

@@ -19,8 +19,8 @@ Real SW26010Pro hardware is inaccessible, so this subpackage provides a
   8×8 mesh (cluster);
 * :mod:`repro.sunway.dma_engine` — ``dma_iget``/``dma_iput`` with the
   paper's ``size``/``len``/``strip`` semantics and reply counters (§4);
-* :mod:`repro.sunway.rma_engine` — point-to-point and row/column/all
-  broadcasts with ``replys``/``replyr`` semantics (§5);
+* :mod:`repro.sunway.rma_engine` — the row/column broadcasts with
+  ``replys``/``replyr`` semantics (§5);
 * :mod:`repro.sunway.athread` — the athread-style runtime facade the
   generated programs execute against.
 

@@ -8,10 +8,10 @@ top of the simulated cluster so the AST interpreter reads like the
 generated C program.
 
 Waits are split into a *poll* (``reply_satisfied``) and a *commit*
-(``finish_wait``) so the coroutine scheduler in the executor can yield
-between polls — cross-CPE blocking (a receiver waiting for a broadcast the
-sender has not issued yet) then works exactly like the hardware's spin
-loop.
+(``finish_wait``) so the executor's wait instruction can block between
+polls and hand the mesh to another CPE — cross-CPE blocking (a receiver
+waiting for a broadcast the sender has not issued yet) then works exactly
+like the hardware's spin loop.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ import numpy as np
 from repro.errors import HardwareError
 from repro.sunway.cpe import CPE
 from repro.sunway.mesh import Cluster
+
+
+def is_rma_counter(name: str) -> bool:
+    """Whether completing a wait on reply counter ``name`` disarms the
+    CPE: RMA and broadcast counters do (§5)."""
+    return name.startswith("rma") or "bcast" in name
 
 
 class AthreadRuntime:
@@ -53,7 +59,7 @@ class AthreadRuntime:
         src = self.cluster.memory[array_name]
         return self.cluster.dma.iget(
             cpe,
-            dst if self.move_data else dst,
+            dst,
             dst_key,
             src if self.move_data else None,
             src.size,
@@ -145,7 +151,7 @@ class AthreadRuntime:
                 cpe.spm.clear_inflight(record.buffer[0], record.buffer[1])
         # A completed RMA wait disarms the launch window (§5): the next
         # launch group needs a fresh synch().
-        if name.startswith("rma") or name.startswith("bcast") or "bcast" in name:
+        if is_rma_counter(name):
             cpe.rma_armed = False
 
     # -- barrier ----------------------------------------------------------------------

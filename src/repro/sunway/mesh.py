@@ -23,8 +23,8 @@ from repro.sunway.rma_engine import RMAEngine
 class Barrier:
     """A generation-counting mesh barrier.
 
-    The executor's coroutine scheduler calls :meth:`arrive` once per CPE
-    and spins (yields) until :meth:`passed`.  When the last participant
+    The executor's ``synch()`` instructions call :meth:`arrive` once per
+    CPE and spin (block) until :meth:`passed`.  When the last participant
     arrives, every clock is advanced to the common release time
     (``max(clocks) + sync cost``) and RMA launches are armed.
     """

@@ -1,11 +1,12 @@
 """The RMA engine: SPM-to-SPM communication inside the CPE mesh (§5).
 
 SW26010Pro offers three manners (Fig. 8): point-to-point, row/column-wise
-broadcast, and all-broadcast (internally a row+column combination).  The
-compiler uses the row broadcast for ``A_τ`` and the column broadcast for
-``B_τ`` so each input tile is fetched from main memory exactly once per
-mesh row/column — the 8× DMA-traffic reduction responsible for the 4.38×
-step in the paper's performance breakdown (§8.1).
+broadcast, and all-broadcast.  The compiler issues only the row
+broadcast, for ``A_τ``, and the column broadcast, for ``B_τ``, so this
+engine models those two: each input tile is fetched from main memory
+exactly once per mesh row/column — the 8× DMA-traffic reduction
+responsible for the 4.38× step in the paper's performance breakdown
+(§8.1).
 
 Interface semantics follow the athread model::
 
@@ -138,6 +139,7 @@ class RMAEngine:
         replyr: str,
         completion: float,
         move_data: bool,
+        elem_bytes: int,
     ) -> None:
         sender.spm.check_readable(src_key[0], src_key[1])
         if move_data and self.policy.checksums:
@@ -152,7 +154,7 @@ class RMAEngine:
         expected: Optional[int] = None
         if move_data and self.policy.checksums:
             expected = tile_checksum(src_tile.reshape(-1)[:size])
-        nbytes = size * _DTYPE_BYTES
+        nbytes = size * elem_bytes
         for receiver in receivers:
             dst_tile = receiver.spm.slot(dst_key[0], dst_key[1])
             if size > dst_tile.size:
@@ -198,7 +200,7 @@ class RMAEngine:
         sender.stats["rma_messages"] += 1
         sender.stats["rma_bytes"] += nbytes
 
-    # -- the three manners (Fig. 8) ------------------------------------------
+    # -- the two broadcasts (Fig. 8b) ----------------------------------------
 
     def row_ibcast(
         self,
@@ -222,7 +224,7 @@ class RMAEngine:
         )
         self._deliver(
             sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data,
+            completion, move_data, elem_bytes,
         )
         return completion
 
@@ -248,81 +250,6 @@ class RMAEngine:
         )
         self._deliver(
             sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data,
+            completion, move_data, elem_bytes,
         )
-        return completion
-
-    def p2p(
-        self,
-        sender: CPE,
-        target: CPE,
-        src_key: Tuple[str, int],
-        dst_key: Tuple[str, int],
-        size: int,
-        replys: str,
-        replyr: str,
-        move_data: bool = True,
-    ) -> float:
-        """Point-to-point RMA (Fig. 8a).
-
-        A same-row transfer uses the row channel directly; otherwise the
-        message transits through the CPE at (sender row, target column),
-        costing a second hop on the column channel — matching the
-        transit-point behaviour the paper describes.
-        """
-        self._check_armed(sender)
-        nbytes = size * _DTYPE_BYTES
-        if target.rid == sender.rid:
-            completion = self._occupy(
-                self.row_channel_free, sender.rid, sender.clock, nbytes,
-                f"row{sender.rid}",
-            )
-        else:
-            hop1 = self._occupy(
-                self.row_channel_free, sender.rid, sender.clock, nbytes,
-                f"row{sender.rid}",
-            )
-            completion = self._occupy(
-                self.col_channel_free, target.cid, hop1, nbytes,
-                f"col{target.cid}",
-            )
-        self._deliver(
-            sender, [target], src_key, dst_key, size, replys, replyr,
-            completion, move_data,
-        )
-        return completion
-
-    def all_bcast(
-        self,
-        sender: CPE,
-        src_key: Tuple[str, int],
-        dst_key: Tuple[str, int],
-        size: int,
-        replys: str,
-        replyr: str,
-        move_data: bool = True,
-    ) -> float:
-        """Broadcast to every CPE (Fig. 8c): a row broadcast followed by a
-        column broadcast from each CPE of the sender's row."""
-        self._check_armed(sender)
-        row_done = self.row_ibcast(
-            sender, src_key, dst_key, size, replys, replyr, move_data
-        )
-        completion = row_done
-        for cpe in self.mesh[sender.rid]:
-            # The transit hop re-sends the freshly received tile: it is
-            # available at row_done, so un-poison it and inherit arming.
-            cpe.spm.clear_inflight(dst_key[0], dst_key[1])
-            cpe.rma_armed = True
-        for cpe in list(self.mesh[sender.rid]):
-            done = self._occupy(
-                self.col_channel_free, cpe.cid, row_done, size * _DTYPE_BYTES,
-                f"col{cpe.cid}",
-            )
-            completion = max(completion, done)
-            receivers = [row[cpe.cid] for row in self.mesh if row[cpe.cid] is not cpe]
-            self._deliver(
-                cpe, receivers, dst_key, dst_key, size, replys, replyr,
-                done, move_data,
-            )
         return completion

@@ -4,21 +4,19 @@ Replays the generated CPE AST for the *whole* mesh — every CPE
 round-robin scheduled — tracking only what the safety checks need:
 which SPM buffer slots an asynchronous DMA/RMA has marked in flight,
 the reply-counter ledger, and the ``synch()`` barrier with its RMA
-arming bit.  It mirrors the runtime semantics of
-:mod:`repro.runtime.executor` / :mod:`repro.sunway.spm` exactly, minus
-data movement and the cost model, which makes the double-buffer hazard
+arming bit.  Its ledgers follow the runtime semantics of
+:mod:`repro.sunway.athread` / :mod:`repro.sunway.spm`, minus data
+movement and the cost model, which makes the double-buffer hazard
 check (§6) and the RMA discipline check (§5) decidable before a kernel
 is ever admitted.
 
-The program body is lowered once, before the run, to a flat list of
-instructions shared by every CPE: loop enter/next and branch/jump for
-the control flow, one instruction per leaf statement, and every
-expression compiled to a closure over the CPE's bindings.  A CPE is a
-program counter, its loop iterators and a barrier token.  One *resume*
-of a CPE runs instructions up to its next leaf statement (one step), or
-re-polls the wait or barrier it is blocked in; ``reply_reset``, the
-arrival half of ``synch()``, comments and control flow take no step of
-their own.
+The body is lowered once per run by :func:`repro.poly.flat.lower`, the
+lowering the executor runs too, with leaf instructions that check
+instead of moving data.  One *resume* of a CPE runs instructions up to
+its next leaf statement (one step), or re-polls the wait or barrier it
+is blocked in; ``reply_reset``, the arrival half of ``synch()``,
+comments and control flow take no step of their own.  ``run()``
+resumes the live CPEs round robin.
 
 The machine runs one *chunk* problem with ``K = 2·k_step`` so both
 double-buffer parities (even and odd slots of the peeled/pipelined
@@ -30,28 +28,31 @@ this finite run covers the pipelining discipline for every shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.poly.affine import AffExpr
 from repro.poly.astnodes import (
-    BINARY_OPS,
-    AffRef,
     ArrayRef,
     BinExpr,
-    Block,
     BlockOpStmt,
-    CommentStmt,
     CommStmt,
     CpeProgram,
-    Expr,
-    ForLoop,
-    IfStmt,
-    IntLit,
     KernelCall,
     NaiveComputeStmt,
     Stmt,
-    VarRef,
 )
+from repro.poly.flat import (
+    BLOCKED,
+    DONE,
+    NEXT,
+    STEP,
+    Cursor,
+    Instr,
+    compile_expr,
+    constant,
+    lower,
+    reply_key,
+)
+from repro.sunway.athread import is_rma_counter
 
 #: Resume-count ceiling: far above any real schedule (a chunk run is a
 #: few thousand statements per CPE) but bounds pathological input.
@@ -59,17 +60,6 @@ MAX_STEPS = 2_000_000
 
 #: Witnesses retained per category before the machine stops recording.
 MAX_WITNESSES = 10
-
-# What an instruction tells ``run()``: keep running this CPE, or end
-# the resume with one step taken, blocked (the same instruction re-polls
-# on the next resume), or at the end of the program.
-_NEXT, _STEP, _BLOCKED, _DONE = 0, 1, 2, 3
-
-
-def _is_rma_counter(name: str) -> bool:
-    """Mirror of the executor's disarm rule: RMA/broadcast counters."""
-    base = name.split("#", 1)[0]
-    return base.startswith(("rma", "bcast")) or "bcast" in base
 
 
 @dataclass
@@ -86,7 +76,7 @@ class MachineResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-class _CpeState:
+class _CpeState(Cursor):
     """Per-CPE verification state: in-flight map, reply ledger, and
     where the CPE is in the instruction stream."""
 
@@ -98,15 +88,12 @@ class _CpeState:
         "records",
         "waited",
         "armed",
-        "env",
-        "ienv",
-        "pc",
-        "loops",
         "token",
         "blocked",
     )
 
     def __init__(self, rid: int, cid: int, env: Dict[str, object]) -> None:
+        super().__init__(env)
         self.rid = rid
         self.cid = cid
         #: (buffer, slot) -> cause string, exactly like ScratchPadMemory.
@@ -119,23 +106,10 @@ class _CpeState:
         #: reply key -> highest value ever waited since last reset.
         self.waited: Dict[str, int] = {}
         self.armed = False
-        self.env = env
-        #: The int bindings of ``env`` — all an ``AffRef`` may read.
-        self.ienv = {k: v for k, v in env.items() if isinstance(v, int)}
-        self.pc = 0
-        #: loop slot -> the running loop's ``range`` iterator.
-        self.loops: List[object] = []
         #: barrier generation this CPE arrived in.
         self.token = 0
         #: why the last resume blocked (deadlock reports).
         self.blocked = ""
-
-
-#: One lowered instruction: runs on a CPE, moves its program counter
-#: and returns one of ``_NEXT``/``_STEP``/``_BLOCKED``/``_DONE``.
-Instr = Callable[[_CpeState], int]
-#: A compiled expression: its value on a CPE.
-Value = Callable[[_CpeState], object]
 
 
 class ScheduleMachine:
@@ -156,7 +130,6 @@ class ScheduleMachine:
         self.mesh = mesh
         self.params = dict(params)
         self.result = MachineResult()
-        self._loop_slots = 0
         self._arrived = 0
         self._generation = 0
         #: (generation, kind) -> list of (channel, (rid, cid)) senders.
@@ -183,13 +156,10 @@ class ScheduleMachine:
     # -- driving loop -------------------------------------------------------
 
     def run(self) -> MachineResult:
-        code: List[Instr] = []
-        self._lower(self.program.body, code)
-        code.append(_end)
-        flat = [s for row in self.states for s in row]
-        for state in flat:
-            state.loops = [None] * self._loop_slots
-        live = list(flat)
+        code, slots = lower(self.program.body, self._leaf)
+        live = [s for row in self.states for s in row]
+        for state in live:
+            state.loops = [None] * slots
         steps = 0
         while live:
             progressed = False
@@ -197,12 +167,12 @@ class ScheduleMachine:
                 signal = code[state.pc](state)
                 while not signal:
                     signal = code[state.pc](state)
-                if signal == _DONE:
+                if signal == DONE:
                     live.remove(state)
                     progressed = True
                     continue
                 steps += 1
-                if signal == _STEP:
+                if signal == STEP:
                     progressed = True
                 if steps > MAX_STEPS:
                     self.result.completed = False
@@ -225,58 +195,31 @@ class ScheduleMachine:
         self._finish()
         return self.result
 
-    # -- lowering -------------------------------------------------------------
+    # -- leaf instructions ----------------------------------------------------
 
-    def _lower(self, stmt: Stmt, code: List[Optional[Instr]]) -> None:
-        """Append ``stmt``'s instructions to ``code``.  Jump targets not
-        yet known are ``None`` until the code they skip is lowered."""
-        if isinstance(stmt, Block):
-            for inner in stmt.body:
-                self._lower(inner, code)
-        elif isinstance(stmt, ForLoop):
-            slot = self._loop_slots
-            self._loop_slots += 1
-            code.append(_loop_enter(stmt, slot))
-            head = len(code)
-            code.append(None)
-            self._lower(stmt.body, code)
-            code.append(_jump(head))
-            code[head] = _loop_next(stmt.var, slot, head + 1, len(code))
-        elif isinstance(stmt, IfStmt):
-            test = len(code)
-            code.append(None)
-            self._lower(stmt.then, code)
-            if stmt.els is None:
-                code[test] = _branch(stmt.cond, test + 1, len(code))
-            else:
-                skip = len(code)
-                code.append(None)
-                code[test] = _branch(stmt.cond, test + 1, len(code))
-                self._lower(stmt.els, code)
-                code[skip] = _jump(len(code))
-        elif isinstance(stmt, CommStmt):
-            code.extend(self._lower_comm(stmt))
-        elif isinstance(stmt, KernelCall):
-            code.append(self._reads((
+    def _leaf(self, stmt: Stmt) -> List[Instr]:
+        if isinstance(stmt, CommStmt):
+            return self._comm(stmt)
+        if isinstance(stmt, KernelCall):
+            return [self._reads((
                 (stmt.c_ref, "kernel C operand"),
                 (stmt.a_ref, "kernel A operand"),
                 (stmt.b_ref, "kernel B operand"),
-            )))
-        elif isinstance(stmt, BlockOpStmt):
-            code.append(self._reads(((stmt.dst, f"block op {stmt.op!r}"),)))
-        elif isinstance(stmt, NaiveComputeStmt):
-            code.append(self._reads(
+            ))]
+        if isinstance(stmt, BlockOpStmt):
+            return [self._reads(((stmt.dst, f"block op {stmt.op!r}"),))]
+        if isinstance(stmt, NaiveComputeStmt):
+            return [self._reads(
                 ((stmt.target, "naive compute target"),)
                 + tuple(
                     (ref, "naive compute operand")
                     for ref in _spm_refs(stmt.value)
                 )
-            ))
-        elif not isinstance(stmt, CommentStmt):
-            # Anything else (AssignStmt over scalars, …) is hazard-neutral.
-            code.append(_step)
+            )]
+        # Anything else (AssignStmt over scalars, …) is hazard-neutral.
+        return [_step]
 
-    def _lower_comm(self, stmt: CommStmt) -> List[Instr]:
+    def _comm(self, stmt: CommStmt) -> List[Instr]:
         kind = stmt.kind
         if kind == "reply_reset":
             return [self._reply_reset(stmt.args)]
@@ -287,7 +230,7 @@ class ScheduleMachine:
         if kind in ("rma_row_ibcast", "rma_col_ibcast"):
             return [self._rma(kind, stmt.args)]
         if kind == "synch":
-            return [self._arrive(), self._barrier()]
+            return self._synch()
         return [_step]
 
     def _reads(self, refs) -> Instr:
@@ -295,7 +238,7 @@ class ScheduleMachine:
         checks = tuple(
             (
                 ref.array,
-                _compile(ref.indices[0]) if ref.indices else _constant(0),
+                compile_expr(ref.indices[0]) if ref.indices else constant(0),
                 what,
             )
             for ref, what in refs
@@ -310,12 +253,12 @@ class ScheduleMachine:
                 if (buffer, slot) in inflight:
                     check_slot(state, buffer, slot, what)
             state.pc += 1
-            return _STEP
+            return STEP
 
         return reads
 
     def _reply_reset(self, args) -> Instr:
-        key_of = _reply_key(args)
+        key_of = reply_key(args)
         flag_unconsumed = self._flag_unconsumed
 
         def reply_reset(state: _CpeState) -> int:
@@ -325,14 +268,14 @@ class ScheduleMachine:
             state.records[key] = []
             state.waited[key] = 0
             state.pc += 1
-            return _NEXT
+            return NEXT
 
         return reply_reset
 
     def _dma(self, kind: str, args) -> Instr:
-        slot_of = _compile(args["slot"])
+        slot_of = compile_expr(args["slot"])
         buffer = str(args["buffer"])
-        key_of = _reply_key(args)
+        key_of = reply_key(args)
         cause = f"{kind}/"
         # A put *reads* the SPM source; mirror DMAEngine.iput's
         # check_readable-then-mark order.
@@ -351,12 +294,12 @@ class ScheduleMachine:
             state.records.setdefault(key, []).append((buffer, slot))
             stats["dma_issues"] += 1
             state.pc += 1
-            return _STEP
+            return STEP
 
         return dma
 
     def _wait(self, kind: str, args) -> Instr:
-        key_of = _reply_key(args)
+        key_of = reply_key(args)
         value = int(args.get("value", 1))
         finish_wait = self._finish_wait
         stats = self._stats
@@ -365,18 +308,18 @@ class ScheduleMachine:
             key = key_of(state)
             if state.counters.get(key, 0) < value:
                 state.blocked = f"{kind} {key} >= {value}"
-                return _BLOCKED
+                return BLOCKED
             finish_wait(state, key, value)
             stats["waits"] += 1
             state.pc += 1
-            return _STEP
+            return STEP
 
         return wait
 
     def _rma(self, kind: str, args) -> Instr:
-        src_slot_of = _compile(args["src_slot"])
-        dst_slot_of = _compile(args["dst_slot"])
-        reply_slot_of = _compile(args["reply_slot"])
+        src_slot_of = compile_expr(args["src_slot"])
+        dst_slot_of = compile_expr(args["dst_slot"])
+        reply_slot_of = compile_expr(args["reply_slot"])
         src = str(args["src_buffer"])
         dst = str(args["dst_buffer"])
         replys = args["replys"]
@@ -394,15 +337,16 @@ class ScheduleMachine:
             )
             stats["rma_issues"] += 1
             state.pc += 1
-            return _STEP
+            return STEP
 
         return rma
 
-    def _arrive(self) -> Instr:
-        """The arrival half of ``synch()``: the last CPE of the mesh to
-        arrive opens the barrier and arms every CPE."""
+    def _synch(self) -> List[Instr]:
+        """``synch()``: the last CPE of the mesh to arrive opens the
+        barrier and arms every CPE; the others spin until it opens."""
         mesh_size = self.mesh * self.mesh
         everyone = [s for row in self.states for s in row]
+        stats = self._stats
 
         def arrive(state: _CpeState) -> int:
             state.token = self._generation
@@ -413,24 +357,19 @@ class ScheduleMachine:
                 for other in everyone:
                     other.armed = True
             state.pc += 1
-            return _NEXT
-
-        return arrive
-
-    def _barrier(self) -> Instr:
-        stats = self._stats
+            return NEXT
 
         def barrier(state: _CpeState) -> int:
             if self._generation <= state.token:
                 state.blocked = "synch"
-                return _BLOCKED
+                return BLOCKED
             stats["barriers"] += 1
             state.pc += 1
-            return _STEP
+            return STEP
 
-        return barrier
+        return [arrive, barrier]
 
-    # -- mirrored runtime semantics ----------------------------------------
+    # -- the runtime's ledger semantics ----------------------------------------
 
     def _issue_rma(
         self,
@@ -476,15 +415,15 @@ class ScheduleMachine:
         state.records.setdefault(replys, []).append(None)
 
     def _finish_wait(self, state: _CpeState, key: str, value: int) -> None:
-        """Mirror of ``AthreadRuntime.finish_wait``: consume the first
-        ``value`` records, clearing their in-flight marks; a wait on an
-        RMA counter disarms the CPE (a fresh synch() is required before
+        """The ledger half of ``AthreadRuntime.finish_wait``: consume the
+        first ``value`` records, clearing their in-flight marks; a wait on
+        an RMA counter disarms the CPE (a fresh synch() is required before
         the next broadcast)."""
         for record in state.records.get(key, [])[:value]:
             if record is not None:
                 state.inflight.pop(record, None)
         state.waited[key] = max(state.waited.get(key, 0), value)
-        if _is_rma_counter(key):
+        if is_rma_counter(key):
             state.armed = False
 
     def _check_slot(self, state: _CpeState, buffer: str, slot: int, what: str) -> None:
@@ -510,7 +449,7 @@ class ScheduleMachine:
             return
         sink = (
             self.result.discipline
-            if _is_rma_counter(key)
+            if is_rma_counter(key)
             else self.result.hazards
         )
         self._record(
@@ -587,167 +526,9 @@ class ScheduleMachine:
                 )
 
 
-# -- control-flow instructions ---------------------------------------------
-
-
-def _end(state: _CpeState) -> int:
-    return _DONE
-
-
 def _step(state: _CpeState) -> int:
     state.pc += 1
-    return _STEP
-
-
-def _jump(target: int) -> Instr:
-    def jump(state: _CpeState) -> int:
-        state.pc = target
-        return _NEXT
-
-    return jump
-
-
-def _branch(cond, then: int, other: int) -> Instr:
-    cond_of = _compile(cond)
-
-    def branch(state: _CpeState) -> int:
-        state.pc = then if cond_of(state) else other
-        return _NEXT
-
-    return branch
-
-
-def _loop_enter(loop: ForLoop, slot: int) -> Instr:
-    """Python ``range`` semantics: both bounds are evaluated once, on
-    entry."""
-    lo_of = _compile(loop.lo)
-    hi_of = _compile(loop.hi)
-    step = loop.step
-
-    def loop_enter(state: _CpeState) -> int:
-        lo = lo_of(state)
-        state.loops[slot] = iter(range(lo, hi_of(state), step))
-        state.pc += 1
-        return _NEXT
-
-    return loop_enter
-
-
-def _loop_next(var: str, slot: int, body: int, exit: int) -> Instr:
-    """Bind the next loop value, or unbind the variable and leave."""
-
-    def loop_next(state: _CpeState) -> int:
-        value = next(state.loops[slot], None)
-        if value is None:
-            state.env.pop(var, None)
-            state.ienv.pop(var, None)
-            state.pc = exit
-        else:
-            state.env[var] = value
-            state.ienv[var] = value
-            state.pc = body
-        return _NEXT
-
-    return loop_next
-
-
-# -- expressions -------------------------------------------------------------
-
-
-def _constant(value) -> Value:
-    return lambda state: value
-
-
-def _compile(expr, operand: bool = False) -> Value:
-    """``expr`` as a closure, with the semantics of its ``evaluate``: an
-    ``AffRef`` sees only the int bindings, ``BinExpr`` evaluates both
-    operands first.  At the top level (``operand`` false) a bare int is
-    its own value and anything else that is not an expression fails with
-    a ``TypeError`` — when evaluated, never when compiled."""
-    if isinstance(expr, IntLit):
-        return _constant(expr.value)
-    if isinstance(expr, AffRef):
-        return _compile_aff_ref(expr)
-    if isinstance(expr, VarRef):
-        name = expr.name
-
-        def lookup(state: _CpeState):
-            try:
-                return state.env[name]
-            except KeyError:
-                return expr.evaluate(state.env)  # raises: unbound
-
-        return lookup
-    if isinstance(expr, BinExpr) and expr.op in BINARY_OPS:
-        op = BINARY_OPS[expr.op]
-        lhs = _compile(expr.lhs, operand=True)
-        rhs = _compile(expr.rhs, operand=True)
-        return lambda state: op(lhs(state), rhs(state))
-    if operand or isinstance(expr, Expr):
-        return lambda state: expr.evaluate(state.env)
-    if isinstance(expr, int):
-        return _constant(expr)
-
-    def fail(state: _CpeState):
-        raise TypeError(f"cannot evaluate {expr!r} statically")
-
-    return fail
-
-
-def _compile_aff_ref(ref: AffRef) -> Value:
-    aff = ref.aff
-    if aff.is_constant():
-        return _constant(aff.const)
-    value = _compile_aff(aff)
-
-    def evaluate(state: _CpeState) -> int:
-        try:
-            return value(state.ienv)
-        except KeyError:
-            return aff.evaluate(state.ienv)  # raises: unbound variable
-
-    return evaluate
-
-
-def _compile_aff(aff: AffExpr) -> Callable[[Dict[str, int]], int]:
-    """``const + Σ c·env[v] + Σ c·(g(env) // d)`` as a closure."""
-    const = aff.const
-    terms = tuple(aff.coeffs.items())
-    divs = tuple(
-        (_compile_aff(term.arg), term.divisor, c) for term, c in aff.divs.items()
-    )
-    # The shapes slots and bounds take — ``c·v + k``, ``c·floor(g/d) + k``
-    # and ``v mod d`` as ``v - d·floor(v/d)`` — skip the generic loops:
-    # ~15% of a replay.
-    if not divs and len(terms) == 1:
-        ((var, c),) = terms
-        if c == 1:
-            return lambda env: const + env[var]
-        return lambda env: const + c * env[var]
-    if not terms and len(divs) == 1:
-        ((inner, d, c),) = divs
-        return lambda env: const + c * (inner(env) // d)
-    if len(terms) == 1 and len(divs) == 1:
-        ((var, c),) = terms
-        ((inner, d, k),) = divs
-        return lambda env: const + c * env[var] + k * (inner(env) // d)
-
-    def value(env: Dict[str, int]) -> int:
-        total = const
-        for var, c in terms:
-            total += c * env[var]
-        for inner, d, c in divs:
-            total += c * (inner(env) // d)
-        return total
-
-    return value
-
-
-def _reply_key(args) -> Value:
-    """The reply counter a statement names: ``reply#slot``."""
-    reply = args["reply"]
-    slot_of = _compile(args["reply_slot"])
-    return lambda state: f"{reply}#{slot_of(state)}"
+    return STEP
 
 
 def _spm_refs(expr) -> List[ArrayRef]:

@@ -56,6 +56,20 @@ def test_sgemm_is_faster_than_dgemm(rng):
     assert s_rep.elapsed_seconds < d_rep.elapsed_seconds
 
 
+def test_sgemm_moves_half_the_bytes(rng):
+    """DMA and RMA traffic are both counted at the element width: on the
+    same shape SGEMM moves exactly half of DGEMM's bytes."""
+    d_prog = GemmCompiler(TOY_ARCH, CompilerOptions.full()).compile(GemmSpec())
+    s_prog = sgemm_program()
+    A = rng.standard_normal((32, 32))
+    B = rng.standard_normal((32, 32))
+    _, d_rep = run_gemm(d_prog, A, B, np.zeros((32, 32)), beta=0.0)
+    _, s_rep = run_gemm(s_prog, A, B, np.zeros((32, 32)), beta=0.0)
+    assert s_rep.stats["rma_bytes"] > 0
+    assert 2 * s_rep.stats["rma_bytes"] == d_rep.stats["rma_bytes"]
+    assert 2 * s_rep.stats["dma_bytes"] == d_rep.stats["dma_bytes"]
+
+
 def test_invalid_dtype_rejected():
     with pytest.raises(ConfigurationError):
         GemmSpec(dtype="float16")

@@ -190,6 +190,35 @@ def test_direct_executor_requires_padded_shape(toy_full_program):
         executor.run({"M": 10, "N": 16, "K": 8})
 
 
+def test_interpreters_are_freed_without_the_cycle_collector(toy_full_program):
+    """The lowered instruction stream holds its interpreter; neither the
+    executor (and its cluster) nor the replay machine may end up in a
+    reference cycle, or each run's mesh lingers until a GC pass."""
+    import gc
+    import weakref
+
+    from repro.runtime.executor import Executor
+    from repro.sunway.mesh import Cluster
+    from repro.verify import replay_schedule
+
+    program = toy_full_program
+    gc.disable()
+    try:
+        cluster = Cluster(TOY_ARCH)
+        for name, shape in (("A", (16, 8)), ("B", (8, 16)), ("C", (16, 16))):
+            cluster.memory.alloc(name, shape)
+        executor = Executor(program, cluster, move_data=False)
+        del cluster
+        executor.run({"M": 16, "N": 16, "K": 8})
+        alive = [weakref.ref(executor), weakref.ref(executor.cluster)]
+        del executor
+        result = replay_schedule(program.cpe_program, program.plan, program.spec)
+        assert result.completed
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     M=st.integers(1, 40),
