@@ -238,24 +238,27 @@ def _validate_cache_dir(args, write: bool = True) -> None:
 
 
 def _spec_and_options(args):
-    from repro.core.options import CompilerOptions
     from repro.frontend import extract_spec
 
     source = _load_source(args.source) if getattr(args, "source", None) else DEFAULT_GEMM_C
     spec, inferred = extract_spec(source, return_options=True)
-    if args.no_use_asm or args.no_rma:
-        options = CompilerOptions(
-            batch=args.batch,
-            use_asm=not args.no_use_asm,
-            enable_rma=not args.no_rma,
-        )
-    else:
-        options = inferred
+    return spec, _apply_flags(args, inferred)
+
+
+def _apply_flags(args, options):
+    """Fold the option flags — ``--no-use-asm``, ``--no-rma``,
+    ``--no-verify``, ``--micro-kernel`` and ``--schedule`` — into
+    ``options``: what the frontend inferred from the source (batch,
+    fusion), or ``CompilerOptions.full()`` for ``tune`` without one."""
+    overrides = {}
+    if args.no_use_asm:
+        overrides["use_asm"] = False
+    if args.no_rma:
+        overrides["enable_rma"] = False
     if getattr(args, "no_verify", False):
-        options = options.with_(verify=False)
-    options = _apply_micro_kernel(args, options)
-    options = _apply_schedule(args, options)
-    return spec, options
+        overrides["verify"] = False
+    options = options.with_(**overrides)
+    return _apply_schedule(args, _apply_micro_kernel(args, options))
 
 
 def _apply_schedule(args, options):
@@ -522,21 +525,9 @@ def cmd_tune(args) -> int:
     else:
         # No source: let the tuner pick the (possibly batched) default
         # spec for --batch-count, honoring any explicit knob flags.
-        spec, options = None, None
-        if args.no_use_asm or args.no_rma:
-            from repro.core.options import CompilerOptions
+        from repro.core.options import CompilerOptions
 
-            options = CompilerOptions.full().with_(
-                use_asm=not args.no_use_asm, enable_rma=not args.no_rma
-            )
-        if getattr(args, "micro_kernel", None):
-            from repro.core.options import CompilerOptions
-
-            options = _apply_micro_kernel(args, options or CompilerOptions.full())
-        if getattr(args, "schedule", None):
-            from repro.core.options import CompilerOptions
-
-            options = _apply_schedule(args, options or CompilerOptions.full())
+        spec, options = None, _apply_flags(args, CompilerOptions.full())
     result = api.tune(
         spec,
         shape=(args.M, args.N, args.K, args.batch_count),

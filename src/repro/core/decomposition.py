@@ -31,7 +31,7 @@ argument derivation consumes (it is the polyhedral content of Eq. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import CompilationError
 from repro.core.options import CompilerOptions
@@ -40,12 +40,7 @@ from repro.core.tile_model import TilePlan
 from repro.sunway.arch import ArchSpec
 from repro.poly.affine import AffExpr, aff_const, aff_var
 from repro.poly.dependences import DependenceSummary, analyze_statement
-from repro.poly.schedule_tree import (
-    BandMember,
-    BandNode,
-    DomainNode,
-    ScheduleNode,
-)
+from repro.poly.schedule_tree import BandMember, BandNode, DomainNode
 
 
 @dataclass
@@ -69,12 +64,6 @@ class Decomposition:
     @property
     def stmt(self) -> str:
         return self.spec.stmt_name
-
-    def loop_var_names(self) -> List[str]:
-        names: List[str] = []
-        for band in self.bands.values():
-            names.extend(band.member_vars())
-        return names
 
 
 def _check_parallelism(spec: GemmSpec, summary: DependenceSummary) -> None:
@@ -300,7 +289,6 @@ def verify_reconstruction(
     For a sample of original iteration points, evaluating every band
     schedule and then the reconstruction must round-trip to the original
     point.  Used by the test-suite (and cheap enough to run in CI)."""
-    import itertools
     import random
 
     rng = random.Random(0x5EED)

@@ -217,9 +217,6 @@ class CompileContext:
     def decide(self, message: str) -> None:
         self.diag("decision", message)
 
-    def warn(self, message: str) -> None:
-        self.diag("warning", message)
-
     def require(self, value, what: str):
         """Fetch a prerequisite produced by an earlier pass, loudly."""
         if value is None:
@@ -662,7 +659,6 @@ class ScheduleRewritePass(Pass):
 
     def run(self, ctx: CompileContext) -> None:
         from repro.schedule import apply_rewrite, extract_timeline
-        from repro.schedule.passes import bubble_occupancy
 
         dec = ctx.require(ctx.decomposition, "a decomposition")
         dma_specs = ctx.require(ctx.dma_specs, "DMA specs")
@@ -673,11 +669,6 @@ class ScheduleRewritePass(Pass):
             ctx.decide(
                 f"{self.rewrite}: applied — candidate replayed on the "
                 "schedule machine and SPM slack re-checked"
-            )
-            bubble = bubble_occupancy(dec, outcome.cpe_program, ctx.arch)
-            ctx.info(
-                f"bubble occupancy after {self.rewrite}: {bubble:.2%} "
-                "(one chunk, K=2·k_step)"
             )
         else:
             ctx.info(f"{self.rewrite}: not applied — {outcome.reason}")
@@ -855,10 +846,8 @@ class PassManager:
         passes: Sequence[Pass],
         print_after: Optional[Sequence[str]] = None,
         sink: Optional[SnapshotSink] = None,
-        capture_snapshots: bool = True,
     ) -> None:
         self.passes = list(passes)
-        self.capture_snapshots = capture_snapshots
         self.sink = sink
         names = [p.name for p in self.passes]
         if print_after is None:
@@ -905,15 +894,13 @@ class PassManager:
                     diagnostics=tuple(ctx.diagnostics[before:]),
                 )
             )
-            if self.capture_snapshots or pass_.name in self.print_after:
-                snapshot = ctx.snapshot()
-                if self.capture_snapshots:
-                    ctx.snapshots[pass_.name] = snapshot
-                if pass_.name in self.print_after and self.sink is not None:
-                    header = (
-                        f";; ---- IR after {index}/{total}: {pass_.name} "
-                        f"({pass_.section}) ----"
-                    )
-                    self.sink(pass_, header, snapshot)
+            snapshot = ctx.snapshot()
+            ctx.snapshots[pass_.name] = snapshot
+            if pass_.name in self.print_after and self.sink is not None:
+                header = (
+                    f";; ---- IR after {index}/{total}: {pass_.name} "
+                    f"({pass_.section}) ----"
+                )
+                self.sink(pass_, header, snapshot)
         ctx.current_pass = "<pipeline>"
         return ctx

@@ -110,12 +110,3 @@ class GemmCompiler:
             verification=ctx.verification,
         )
         return program, ctx
-
-
-def compile_gemm(
-    spec: Optional[GemmSpec] = None,
-    arch: ArchSpec = SW26010PRO,
-    options: Optional[CompilerOptions] = None,
-) -> CompiledProgram:
-    """One-call convenience wrapper (used by examples and the CLI)."""
-    return GemmCompiler(arch, options).compile(spec or GemmSpec())

@@ -20,7 +20,6 @@ isl's exact-arithmetic contract.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from repro.errors import NonAffineError
@@ -158,9 +157,6 @@ class AffExpr:
 
     def coefficient(self, name: str) -> int:
         return self.coeffs.get(name, 0)
-
-    def has_divs(self) -> bool:
-        return bool(self.divs)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -364,8 +360,3 @@ def aff_sum(terms: Iterable[IntLike]) -> AffExpr:
     for term in terms:
         total = total + AffExpr.coerce(term)
     return total
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    return a * b // math.gcd(a, b)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.poly.affine import AffExpr
@@ -159,10 +159,6 @@ class CallExpr(Expr):
 
 def aff(expr: AffExpr) -> AffRef:
     return AffRef(expr)
-
-
-def lit(value: int) -> IntLit:
-    return IntLit(value)
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,6 @@ class AffineMap:
             self.range_space,
         )
 
-    def pullback_env(self, point: Mapping[str, int]) -> Dict[str, int]:
-        """Domain point as an environment (convenience)."""
-        return dict(point)
-
     # -- footprint computation ------------------------------------------------
 
     def box_image(

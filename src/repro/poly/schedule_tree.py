@@ -29,16 +29,13 @@ Than Scanning Polyhedra").  The node types reproduce §2.2:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleTreeError
 from repro.poly.affine import AffExpr
 from repro.poly.imap import AffineMap
 from repro.poly.iset import Constraint, IntegerSet
-
-_counter = itertools.count()
 
 
 class ScheduleNode:
@@ -378,11 +375,6 @@ def clone_tree(node: ScheduleNode) -> ScheduleNode:
     if isinstance(node, ContextNode):
         return ContextNode(node.constraints, children)
     raise ScheduleTreeError(f"cannot clone node of kind {node.kind!r}")
-
-
-def fresh_name(prefix: str) -> str:
-    """Globally unique helper-statement name."""
-    return f"{prefix}_{next(_counter)}"
 
 
 def parent_map(root: ScheduleNode) -> Dict[int, ScheduleNode]:

@@ -66,10 +66,6 @@ class Space:
         """Same dimensions under a different tuple name."""
         return Space(name, self.dims)
 
-    def with_dims(self, dims: Tuple[str, ...]) -> "Space":
-        """Same name over different dimensions."""
-        return Space(self.name, tuple(dims))
-
     def drop(self, dim: str) -> "Space":
         """Remove one dimension."""
         self.index(dim)

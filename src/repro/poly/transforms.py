@@ -273,17 +273,3 @@ def filtered(
         constraints,
         label,
     )
-
-
-def schedule_depth(band: BandNode) -> int:
-    """Rank contributed by a band to schedule tuples beneath it."""
-    return band.rank
-
-
-def collect_loop_vars(root: ScheduleNode) -> List[str]:
-    """All band-member loop variables in pre-order (debug/test helper)."""
-    names: List[str] = []
-    for node in root.walk():
-        if isinstance(node, BandNode):
-            names.extend(node.member_vars())
-    return names

@@ -4,8 +4,11 @@ Each CPE executes the *same* generated program (SPMD) with its own
 ``Rid``/``Cid`` bindings, exactly as the athread slave function would.
 The body is lowered once per run by :func:`repro.poly.flat.lower` — the
 lowering the verifier's schedule machine runs too — with leaf
-instructions that call the athread runtime, and each CPE runs it as a
-cursor.  A CPE blocks when it spins on a reply counter whose transfer
+instructions that drive the cluster's hardware model directly: the DMA
+and RMA engines, the mesh barrier, and each CPE's reply counters
+(:meth:`~repro.sunway.cpe.CPE.reset_reply`,
+:meth:`~repro.sunway.cpe.CPE.finish_wait`).  Each CPE runs the stream as
+a cursor.  A CPE blocks when it spins on a reply counter whose transfer
 has not completed or when it arrives at the mesh barrier: the wait
 re-polls the next time the CPE is resumed, so cross-CPE interactions —
 a receiver waiting for a broadcast its sender has not issued yet —
@@ -21,6 +24,9 @@ Two modes share all of this logic:
 * ``move_data=False`` — timing-only execution used by the benchmark
   simulator: the same control flow and clock bookkeeping without the
   copies.
+
+Each run sets the mode, and the guard of guarded execution, on both
+engines before the first instruction.
 
 The virtual clocks advance through compute charges and transfer
 completions, so wall time *emerges from the schedule*: if the latency-
@@ -60,7 +66,6 @@ from repro.poly.flat import (
     reply_key,
 )
 from repro.runtime.program import CompiledProgram
-from repro.sunway.athread import AthreadRuntime
 from repro.sunway.cpe import CPE
 from repro.sunway.mesh import Cluster
 
@@ -118,13 +123,8 @@ class Executor:
         #: guarded mode: a CertificateGuard cross-checking every observed
         #: DMA/RMA/SPM event against the admission certificate
         self.guard = guard
-        self.cluster.dma.guard = guard
-        self.cluster.rma.guard = guard
         #: reply-counter watchdog budget in virtual seconds (0 = off)
         self._watchdog_s = self.cluster.fault_policy.watchdog_timeout_s
-        self.runtime = AthreadRuntime(
-            self.cluster, move_data, elem_bytes=program.spec.itemsize
-        )
         # Single precision doubles the SIMD lanes: half the kernel time.
         self._kernel_time_factor = program.spec.itemsize / 8.0
         self.move_data = move_data
@@ -145,7 +145,6 @@ class Executor:
         params: Mapping[str, int],
         alpha: float = 1.0,
         beta: float = 1.0,
-        reset: bool = True,
     ) -> ExecutionReport:
         program = self.program
         spec = program.spec
@@ -160,8 +159,9 @@ class Executor:
             )
         batch = params.get(spec.batch_param, 1) if spec.is_batched else 1
 
-        if reset:
-            self.cluster.reset_mesh()
+        self.cluster.reset_mesh()
+        for engine in (self.cluster.dma, self.cluster.rma):
+            engine.guard, engine.move_data = self.guard, self.move_data
         self._allocate_spm()
         if self.guard is not None:
             for cpe in self.cluster.all_cpes():
@@ -319,10 +319,9 @@ class Executor:
 
     def _reply_reset(self, args) -> Instr:
         key_of = reply_key(args)
-        reset = self.runtime.reply_reset
 
         def reply_reset(cursor: _Cursor) -> int:
-            reset(cursor.cpe, key_of(cursor))
+            cursor.cpe.reset_reply(key_of(cursor))
             return self._advance(cursor, NEXT)
 
         return reply_reset
@@ -337,10 +336,10 @@ class Executor:
         length, size = int(args["len"]), int(args["size"])
         buffer = str(args["buffer"])
         key_of = reply_key(args)
-        rt = self.runtime
+        memory, engine = self.cluster.memory, self.cluster.dma
 
         def dma(cursor: _Cursor) -> int:
-            array = rt.main_array(name)
+            array = memory[name]
             ld = int(array.shape[-1])
             row = row_of(cursor)
             col = col_of(cursor)
@@ -350,10 +349,10 @@ class Executor:
             tile = (buffer, slot_of(cursor))
             reply = key_of(cursor)
             if kind == "dma_iget":
-                rt.dma_iget(cursor.cpe, tile, name, offset, size, length,
+                engine.iget(cursor.cpe, tile, array, offset, size, length,
                             ld - length, reply)
             else:
-                rt.dma_iput(cursor.cpe, name, offset, tile, size, length,
+                engine.iput(cursor.cpe, array, offset, tile, size, length,
                             ld - length, reply)
             # channel occupancy depends on virtual-time order
             return self._advance(cursor)
@@ -363,14 +362,13 @@ class Executor:
     def _wait(self, kind: str, args) -> Instr:
         key_of = reply_key(args)
         value = int(args.get("value", 1))
-        rt = self.runtime
         elapsed = self.cluster.elapsed
         blocked = self._blocked
 
         def wait(cursor: _Cursor) -> int:
             cpe = cursor.cpe
             key = key_of(cursor)
-            if not rt.reply_satisfied(cpe, key, value):
+            if not cpe.reply(key).satisfied(value):
                 blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
                 # Watchdog: a reply that the fault plane dropped will never
                 # arrive — diagnose immediately.  Otherwise give the wait a
@@ -389,7 +387,7 @@ class Executor:
                 return BLOCKED
             cursor.waited_since = None
             blocked.pop((cpe.rid, cpe.cid), None)
-            rt.finish_wait(cpe, key, value)
+            cpe.finish_wait(key, value)
             return self._advance(cursor)
 
         return wait
@@ -401,8 +399,8 @@ class Executor:
         src, dst = str(args["src_buffer"]), str(args["dst_buffer"])
         size = int(args["size"])
         replys, replyr = args["replys"], args["replyr"]
-        rt = self.runtime
-        issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
+        engine = self.cluster.rma
+        issue = engine.row_ibcast if kind == "rma_row_ibcast" else engine.col_ibcast
 
         def rma(cursor: _Cursor) -> int:
             slot_s = src_slot_of(cursor)
@@ -418,17 +416,17 @@ class Executor:
 
     def _synch(self) -> List[Instr]:
         """``synch()``: arrive at the barrier, then spin until it opens."""
-        rt = self.runtime
+        mesh_barrier = self.cluster.barrier
         blocked = self._blocked
 
         def arrive(cursor: _Cursor) -> int:
-            cursor.token = rt.barrier_arrive(cursor.cpe)
+            cursor.token = mesh_barrier.arrive(cursor.cpe)
             cursor.pc += 1
             return NEXT
 
         def barrier(cursor: _Cursor) -> int:
             cpe = cursor.cpe
-            if not rt.barrier_passed(cursor.token):
+            if not mesh_barrier.passed(cursor.token):
                 blocked[(cpe.rid, cpe.cid)] = "synch"
                 return BLOCKED
             blocked.pop((cpe.rid, cpe.cid), None)
@@ -453,11 +451,11 @@ class Executor:
 
     def _kernel_done(self, seconds: float) -> Instr:
         """The bookkeeping that ends a kernel call or naive compute."""
-        charge = self.runtime.charge_compute
+        cluster = self.cluster
 
         def kernel_done(cursor: _Cursor) -> int:
             cpe = cursor.cpe
-            charge(cpe, seconds)
+            charge_compute(cluster, cpe, seconds)
             cpe.stats["kernel_calls"] += 1
             return self._advance(cursor)
 
@@ -499,7 +497,7 @@ class Executor:
         tile = self._tile(stmt.dst)
         move_data = self.move_data
         seconds = stmt.shape[0] * stmt.shape[1] / rate
-        charge = self.runtime.charge_compute
+        cluster = self.cluster
 
         def block_op(cursor: _Cursor) -> int:
             view = tile(cursor)
@@ -509,7 +507,7 @@ class Executor:
                     view *= factor
             elif move_data:
                 view[...] = func.numpy_fn(view)
-            charge(cursor.cpe, seconds, kind="blockop")
+            charge_compute(cluster, cursor.cpe, seconds, kind="blockop")
             return self._advance(cursor)
 
         return block_op
@@ -554,6 +552,19 @@ class Executor:
             c_view += alpha * (a_eff @ b_eff)
 
         return matmul
+
+
+def charge_compute(
+    cluster: Cluster, cpe: CPE, seconds: float, kind: str = "kernel"
+) -> None:
+    """Advance ``cpe``'s clock by ``seconds`` of compute, count them in
+    its ``compute_seconds`` and, when the cluster traces, record a
+    ``kind`` span (``kernel`` or ``blockop``)."""
+    start = cpe.clock
+    cpe.advance(seconds)
+    cpe.stats["compute_seconds"] += seconds
+    if cluster.trace is not None:
+        cluster.trace.record(kind, start, cpe.clock, f"CPE({cpe.rid},{cpe.cid})")
 
 
 def _fail(message: str) -> Callable[[_Cursor], int]:

@@ -9,7 +9,8 @@ latency cannot be hidden).  The simulator therefore:
 
 1. runs the real executor (timing-only, no data movement) on **one
    chunk** — 512×512×K with the full pipeline, barriers, channel
-   contention and edge effects (:func:`run_chunk`);
+   contention and edge effects, its operands laid out as the spec stores
+   them (:meth:`PerformanceSimulator.chunk_stats`);
 2. multiplies by the number of chunks and adds the one-off spawn cost.
 
 Chunk times are cached per ``(arch, options, K, fusion, batch)`` so shape
@@ -63,39 +64,6 @@ class PerfResult:
                f"({100 * self.peak_fraction:.2f}% peak)"
 
 
-def run_chunk(
-    program: CompiledProgram,
-    K: int,
-    cluster: Cluster,
-    guard: Optional[object] = None,
-) -> Tuple[float, float]:
-    """``(chunk seconds, bubble fraction)`` of one timed ``chunk_m ×
-    chunk_n × K`` mesh pass of ``program`` on ``cluster``, spawn excluded.
-
-    The bubble fraction, ``1 − compute / (n_cpes · chunk)``, is the share
-    of total CPE-time the mesh spends *outside* the micro kernel —
-    waiting on DMA/RMA, in barriers, or in scale/fixup code."""
-    spec, plan = program.spec, program.plan
-    if K % plan.k_step:
-        raise ConfigurationError(
-            f"K={K} is not a multiple of the k step {plan.k_step}"
-        )
-    cm, cn = plan.chunk_m, plan.chunk_n
-    lead = (1,) if spec.is_batched else ()
-    cluster.memory.alloc(spec.a_name, lead + (cm, K))
-    cluster.memory.alloc(spec.b_name, lead + (K, cn))
-    cluster.memory.alloc(spec.c_name, lead + (cm, cn))
-    params = {spec.m_param: cm, spec.n_param: cn, spec.k_param: K}
-    if lead:
-        params[spec.batch_param] = 1
-    report = Executor(program, cluster, move_data=False, guard=guard).run(params)
-    chunk = report.elapsed_seconds - cluster.arch.spawn_us * 1e-6
-    n_cpes = plan.mesh * plan.mesh
-    compute = report.stats.get("compute_seconds", 0.0)
-    bubble = max(0.0, 1.0 - compute / (n_cpes * chunk)) if chunk > 0 else 0.0
-    return chunk, bubble
-
-
 class PerformanceSimulator:
     """Chunk-extrapolating timed simulation."""
 
@@ -147,9 +115,15 @@ class PerformanceSimulator:
     def chunk_stats(
         self, K: int, options: CompilerOptions, spec: Optional[GemmSpec] = None
     ) -> Tuple[float, float]:
-        """:func:`run_chunk` for one mesh pass, cached per ``(options,
-        spec, K)``.  The bubble fraction is what the schedule rewrites
-        attack, so it rides along with every timing."""
+        """``(chunk seconds, bubble fraction)`` of one timed ``chunk_m ×
+        chunk_n × K`` mesh pass, spawn excluded, cached per ``(options,
+        spec, K)``.
+
+        The bubble fraction, ``1 − compute / (n_cpes · chunk)``, is the
+        share of total CPE-time the mesh spends *outside* the micro
+        kernel — waiting on DMA/RMA, in barriers, or in scale/fixup
+        code.  It is what the schedule rewrites attack, so it rides
+        along with every timing."""
         spec = spec or self._default_spec(options)
         key = (options, spec, K)
         if key in self._chunk_cache:
@@ -165,8 +139,31 @@ class PerformanceSimulator:
             from repro.verify import CertificateGuard
 
             guard = CertificateGuard.from_program(program)
-        self._chunk_cache[key] = run_chunk(program, K, cluster, guard)
-        return self._chunk_cache[key]
+        plan = program.plan
+        if K % plan.k_step:
+            raise ConfigurationError(
+                f"K={K} is not a multiple of the k step {plan.k_step}"
+            )
+        params = {spec.m_param: plan.chunk_m, spec.n_param: plan.chunk_n,
+                  spec.k_param: K}
+        # Operands in their storage layouts: A is K×M under trans_a, B is
+        # N×K under trans_b — the layout run_gemm pads to.
+        lead = (1,) if spec.is_batched else ()
+        for name, dims in (
+            (spec.a_name, spec.a_dims()),
+            (spec.b_name, spec.b_dims()),
+            (spec.c_name, spec.c_dims()),
+        ):
+            cluster.memory.alloc(name, lead + tuple(params[d] for d in dims))
+        if lead:
+            params[spec.batch_param] = 1
+        report = Executor(program, cluster, move_data=False, guard=guard).run(params)
+        chunk = report.elapsed_seconds - cluster.arch.spawn_us * 1e-6
+        compute = report.stats.get("compute_seconds", 0.0)
+        n_cpes = plan.mesh * plan.mesh
+        bubble = max(0.0, 1.0 - compute / (n_cpes * chunk)) if chunk > 0 else 0.0
+        self._chunk_cache[key] = (chunk, bubble)
+        return chunk, bubble
 
     # -- the headline API ----------------------------------------------------------
 

@@ -152,13 +152,6 @@ class Timeline:
     def level(self, name: str) -> Optional[LevelTimeline]:
         return self.levels.get(name)
 
-    def step_count(self) -> int:
-        return sum(
-            len(seg.steps)
-            for lvl in self.levels.values()
-            for seg in lvl.all_segments()
-        )
-
     def dump(self) -> str:
         lines: List[str] = ["timeline:"]
         for lvl in self.levels.values():

@@ -285,14 +285,9 @@ class RewriteOutcome:
     """What happened to one rewrite attempt."""
 
     name: str
+    #: True only when the candidate was replayed legal and installed.
     applied: bool
     reason: str = ""
-    #: replayed machine legality of the admitted candidate (True only
-    #: when ``applied``).
-    proven: bool = False
-    #: the admitted candidate's lowered program (None unless applied) —
-    #: lets the pipeline pass probe bubble occupancy without re-lowering.
-    cpe_program: Optional[object] = None
 
 
 def lower_root(dec, root, dma_specs, rma_specs, arch):
@@ -371,29 +366,4 @@ def apply_rewrite(dec, name, dma_specs, rma_specs, arch) -> RewriteOutcome:
     dec.bands = {
         key: correspondence[id(band)] for key, band in dec.bands.items()
     }
-    return RewriteOutcome(
-        name, applied=True, proven=True, cpe_program=candidate
-    )
-
-
-def bubble_occupancy(dec, cpe_program, arch) -> float:
-    """Timed bubble fraction of one chunk of this lowered candidate.
-
-    Runs the executor (timing-only, fault-free) on one chunk at the
-    replay machine's ``K = 2·k_step`` — with one batch where the machine
-    replays two — and reports the share of total CPE-time spent outside
-    the micro kernel: the quantity the rewrites exist to shrink,
-    attributed per pass in ``pass_stats``."""
-    from repro.runtime.program import CompiledProgram
-    from repro.runtime.simulator import run_chunk
-    from repro.sunway.mesh import Cluster
-
-    program = CompiledProgram(
-        spec=dec.spec,
-        options=dec.options,
-        arch=arch,
-        plan=dec.plan,
-        decomposition=dec,
-        cpe_program=cpe_program,
-    )
-    return run_chunk(program, 2 * dec.plan.k_step, Cluster(arch))[1]
+    return RewriteOutcome(name, applied=True)

@@ -9,20 +9,20 @@ mesh rows/columns (§2.1, Fig. 1).
 
 Real SW26010Pro hardware is inaccessible, so this subpackage provides a
 *functional and timed simulator* with the same programming contract as the
-``athread`` runtime the paper generates code for:
+``athread`` runtime the paper generates code for; the executor
+(:mod:`repro.runtime.executor`) drives it directly:
 
 * :mod:`repro.sunway.arch` — architecture parameters (SW26010Pro default,
   SW26010 and a down-scaled test preset);
 * :mod:`repro.sunway.memory` — the core group's main memory;
 * :mod:`repro.sunway.spm` — per-CPE SPM with capacity enforcement;
-* :mod:`repro.sunway.cpe` / :mod:`repro.sunway.mesh` — CPE state and the
-  8×8 mesh (cluster);
+* :mod:`repro.sunway.cpe` / :mod:`repro.sunway.mesh` — CPE state (reply
+  counters with the ``*_wait_value`` commit) and the 8×8 mesh (cluster)
+  with its ``synch()`` barrier;
 * :mod:`repro.sunway.dma_engine` — ``dma_iget``/``dma_iput`` with the
   paper's ``size``/``len``/``strip`` semantics and reply counters (§4);
 * :mod:`repro.sunway.rma_engine` — the row/column broadcasts with
-  ``replys``/``replyr`` semantics (§5);
-* :mod:`repro.sunway.athread` — the athread-style runtime facade the
-  generated programs execute against.
+  ``replys``/``replyr`` semantics (§5).
 
 The simulator deliberately *fails loudly* on discipline violations (SPM
 overflow, consuming un-waited DMA data, RMA without ``synch()``), so the
@@ -44,7 +44,6 @@ from repro.sunway.arch import (
     register_arch,
 )
 from repro.sunway.mesh import Cluster
-from repro.sunway.athread import AthreadRuntime
 
 __all__ = [
     "ArchSpec",
@@ -55,7 +54,6 @@ __all__ = [
     "SW26010PRO_HBM",
     "SW26010PRO_LITE",
     "Cluster",
-    "AthreadRuntime",
     "all_archs",
     "arch_names",
     "get_arch",

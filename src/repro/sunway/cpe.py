@@ -11,11 +11,17 @@ into measured time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HardwareError, SynchronizationError
 from repro.sunway.spm import ScratchPadMemory
+
+
+def is_rma_counter(name: str) -> bool:
+    """Whether completing a wait on reply counter ``name`` disarms the
+    CPE: RMA and broadcast counters do (§5)."""
+    return name.startswith("rma") or "bcast" in name
 
 
 @dataclass
@@ -102,6 +108,26 @@ class CPE:
             counter = ReplyCounter(name)
             self.replies[name] = counter
         return counter
+
+    def reset_reply(self, name: str) -> None:
+        """``reply = 0``: zero a counter before its transfers are issued."""
+        self.reply(name).reset()
+        # A reset opens a new transfer window: any reply loss recorded for
+        # the previous window no longer explains a stall on this counter.
+        self.lost_replies.pop(name, None)
+
+    def finish_wait(self, name: str, value: int) -> None:
+        """Commit a completed ``*_wait_value``: advance the clock to the
+        completion time and un-poison the buffers the wait covered."""
+        counter = self.reply(name)
+        self.sync_to(counter.completion_time(value))
+        for record in counter.consume(value):
+            if record.buffer is not None:
+                self.spm.clear_inflight(record.buffer[0], record.buffer[1])
+        # A completed RMA wait disarms the launch window (§5): the next
+        # launch group needs a fresh synch().
+        if is_rma_counter(name):
+            self.rma_armed = False
 
     # -- clock ---------------------------------------------------------------
 

@@ -17,7 +17,11 @@ indexing and validates every argument (a malformed ``strip`` raises
 mesh shares one memory channel: a message occupies the channel for
 ``startup + bytes/bandwidth`` seconds starting no earlier than both its
 issue time and the channel becoming free — so 64 concurrent tile fetches
-contend exactly as they would on the shared DDR4 controller.
+contend exactly as they would on the shared DDR4 controller.  A
+message's bytes are its element count times the width of the SPM tile's
+dtype (8 B for DGEMM, 4 B for SGEMM).  With ``move_data`` off the engine
+runs timing-only: same validation, channel and reply bookkeeping, no
+copies.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from repro.errors import InvalidDMAError, TransientFaultError
 from repro.faults import FaultInjector, FaultPolicy, RetryPolicy, tile_checksum
 from repro.sunway.arch import ArchSpec
 from repro.sunway.cpe import CPE, ReplyRecord
-
-_DTYPE_BYTES = 8  # DGEMM: double precision throughout
 
 
 class DMAEngine:
@@ -54,6 +56,9 @@ class DMAEngine:
         #: optional CertificateGuard cross-checking each transfer against
         #: the admission verifier's certificate (guarded mode)
         self.guard = None
+        #: functional mode copies the data; timing-only mode (False) keeps
+        #: the validation, channel occupancy and reply bookkeeping only
+        self.move_data = True
 
     def reset(self) -> None:
         self.channel_free = 0.0
@@ -164,35 +169,50 @@ class DMAEngine:
         starts = offset + np.arange(rows) * (length + strip)
         return (starts[:, None] + np.arange(length)[None, :]).ravel()
 
+    def _book(
+        self,
+        cpe: CPE,
+        tile_key: Tuple[str, int],
+        what: str,
+        reply_name: str,
+        completion: float,
+        nbytes: int,
+    ) -> None:
+        """The tail of every message: the SPM tile stays poisoned until
+        its wait, the reply counter signals completion (unless the fault
+        plane drops the reply), and the CPE's stats count the message."""
+        cpe.spm.mark_inflight(tile_key[0], tile_key[1], f"{what}/{reply_name}")
+        if self.injector is not None and self.injector.drops_reply("dma"):
+            cpe.stats["lost_replies"] += 1
+            cpe.lost_replies[reply_name] = (tile_key, completion)
+        else:
+            cpe.reply(reply_name).add(ReplyRecord(completion, tile_key))
+        cpe.stats["dma_messages"] += 1
+        cpe.stats["dma_bytes"] += nbytes
+
     # -- the two interfaces ----------------------------------------------------
 
     def iget(
         self,
         cpe: CPE,
-        dst: Optional[np.ndarray],
         dst_key: Tuple[str, int],
-        src: Optional[np.ndarray],
-        src_elems: int,
+        src: np.ndarray,
         offset: int,
         size: int,
         length: int,
         strip: int,
         reply_name: str,
-        move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
-        """Main memory → SPM.  Returns the modelled completion time."""
-        spm_elems = dst.size if dst is not None else size
-        rows = self._validate(src_elems, offset, size, length, strip, spm_elems)
+        """Main-memory array ``src`` → the SPM tile ``dst_key`` (buffer,
+        slot).  Returns the modelled completion time."""
+        dst = cpe.spm.slot(dst_key[0], dst_key[1])
+        rows = self._validate(src.size, offset, size, length, strip, dst.size)
         if self.guard is not None:
             self.guard.on_dma("get", dst_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
-        if move_data:
-            if src is None or dst is None:
-                raise InvalidDMAError("move_data requires both arrays")
-            flat = src.reshape(-1)
+        if self.move_data:
             idx = self._gather_indices(offset, rows, length, strip)
-            payload = flat[idx]
+            payload = src.reshape(-1)[idx]
             dst_flat = dst.reshape(-1)
 
             def copy_fn() -> int:
@@ -205,50 +225,38 @@ class DMAEngine:
             def readback_fn() -> int:
                 return tile_checksum(dst_flat[:size])
 
-        nbytes = size * elem_bytes
+        nbytes = size * dst.itemsize
         completion, checksum = self._transfer(
             cpe, f"dma_iget into {dst_key[0]}[{dst_key[1]}]", nbytes,
-            length * elem_bytes, copy_fn, corrupt_fn, readback_fn,
+            length * dst.itemsize, copy_fn, corrupt_fn, readback_fn,
         )
-        cpe.spm.mark_inflight(dst_key[0], dst_key[1], f"dma_iget/{reply_name}")
         if checksum is not None and self.policy.checksums:
             cpe.spm.record_checksum(dst_key[0], dst_key[1], checksum, size)
-        if self.injector is not None and self.injector.drops_reply("dma"):
-            cpe.stats["lost_replies"] += 1
-            cpe.lost_replies[reply_name] = (dst_key, completion)
-        else:
-            cpe.reply(reply_name).add(ReplyRecord(completion, dst_key))
-        cpe.stats["dma_messages"] += 1
-        cpe.stats["dma_bytes"] += nbytes
+        self._book(cpe, dst_key, "dma_iget", reply_name, completion, nbytes)
         return completion
 
     def iput(
         self,
         cpe: CPE,
-        dst: Optional[np.ndarray],
-        dst_elems: int,
+        dst: np.ndarray,
         offset: int,
-        src: Optional[np.ndarray],
         src_key: Tuple[str, int],
         size: int,
         length: int,
         strip: int,
         reply_name: str,
-        move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
-        """SPM → main memory.  Returns the modelled completion time."""
+        """The SPM tile ``src_key`` (buffer, slot) → main-memory array
+        ``dst``.  Returns the modelled completion time."""
+        src = cpe.spm.slot(src_key[0], src_key[1])
         # The tile being written out must itself be ready (e.g. the getC
         # that filled local_C must have been waited on).
         cpe.spm.check_readable(src_key[0], src_key[1])
-        spm_elems = src.size if src is not None else size
-        rows = self._validate(dst_elems, offset, size, length, strip, spm_elems)
+        rows = self._validate(dst.size, offset, size, length, strip, src.size)
         if self.guard is not None:
             self.guard.on_dma("put", src_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
-        if move_data:
-            if src is None or dst is None:
-                raise InvalidDMAError("move_data requires both arrays")
+        if self.move_data:
             flat = dst.reshape(-1)
             idx = self._gather_indices(offset, rows, length, strip)
             payload = src.reshape(-1)[:size]
@@ -263,18 +271,11 @@ class DMAEngine:
             def readback_fn() -> int:
                 return tile_checksum(flat[idx])
 
-        nbytes = size * elem_bytes
+        nbytes = size * src.itemsize
         completion, _ = self._transfer(
             cpe, f"dma_iput from {src_key[0]}[{src_key[1]}]", nbytes,
-            length * elem_bytes, copy_fn, corrupt_fn, readback_fn,
+            length * src.itemsize, copy_fn, corrupt_fn, readback_fn,
         )
         # The SPM source must not be overwritten until the put completed.
-        cpe.spm.mark_inflight(src_key[0], src_key[1], f"dma_iput/{reply_name}")
-        if self.injector is not None and self.injector.drops_reply("dma"):
-            cpe.stats["lost_replies"] += 1
-            cpe.lost_replies[reply_name] = (src_key, completion)
-        else:
-            cpe.reply(reply_name).add(ReplyRecord(completion, src_key))
-        cpe.stats["dma_messages"] += 1
-        cpe.stats["dma_bytes"] += nbytes
+        self._book(cpe, src_key, "dma_iput", reply_name, completion, nbytes)
         return completion

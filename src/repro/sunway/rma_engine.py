@@ -23,14 +23,14 @@ issuing from a CPE whose ``rma_armed`` flag is unset raises
 Timing: each mesh row and each mesh column owns an independent broadcast
 channel (so the simultaneous A-row and B-column broadcasts of §6.1 do not
 contend), and a broadcast is a pipelined multicast occupying its channel
-for ``startup + bytes/bandwidth`` seconds.
+for ``startup + bytes/bandwidth`` seconds.  Its bytes are the element
+count times the width of the source SPM buffer's dtype (8 B for DGEMM,
+4 B for SGEMM).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import (
     DataIntegrityError,
@@ -41,8 +41,6 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPolicy, RetryPolicy, tile_checksum
 from repro.sunway.arch import ArchSpec
 from repro.sunway.cpe import CPE, ReplyRecord
-
-_DTYPE_BYTES = 8
 
 
 class RMAEngine:
@@ -68,6 +66,9 @@ class RMAEngine:
         #: optional CertificateGuard cross-checking each broadcast against
         #: the admission verifier's certificate (guarded mode)
         self.guard = None
+        #: functional mode copies the tiles; timing-only mode (False) keeps
+        #: the channel and reply bookkeeping only
+        self.move_data = True
 
     def reset(self) -> None:
         self.row_channel_free = [0.0] * self.arch.mesh_rows
@@ -138,9 +139,9 @@ class RMAEngine:
         replys: str,
         replyr: str,
         completion: float,
-        move_data: bool,
-        elem_bytes: int,
+        nbytes: int,
     ) -> None:
+        move_data = self.move_data
         sender.spm.check_readable(src_key[0], src_key[1])
         if move_data and self.policy.checksums:
             # End-to-end integrity: the tile the DMA landed must still be
@@ -154,7 +155,6 @@ class RMAEngine:
         expected: Optional[int] = None
         if move_data and self.policy.checksums:
             expected = tile_checksum(src_tile.reshape(-1)[:size])
-        nbytes = size * elem_bytes
         for receiver in receivers:
             dst_tile = receiver.spm.slot(dst_key[0], dst_key[1])
             if size > dst_tile.size:
@@ -200,6 +200,36 @@ class RMAEngine:
         sender.stats["rma_messages"] += 1
         sender.stats["rma_bytes"] += nbytes
 
+    def _broadcast(
+        self,
+        axis: str,
+        index: int,
+        free_list: List[float],
+        receivers: List[CPE],
+        sender: CPE,
+        src_key: Tuple[str, int],
+        dst_key: Tuple[str, int],
+        size: int,
+        replys: str,
+        replyr: str,
+    ) -> float:
+        """One broadcast on mesh row/column ``index``'s channel."""
+        self._check_armed(sender)
+        if self.guard is not None:
+            self.guard.on_rma(axis, src_key[0], dst_key[0], size)
+        # The width comes from the source buffer itself; a bad slot index
+        # still fails in _deliver, after the channel attempt.
+        nbytes = size * sender.spm.buffer(src_key[0]).itemsize
+        completion = self._occupy_with_retries(
+            sender, free_list, index, nbytes, f"{axis}{index}",
+            f"rma_{axis}_ibcast",
+        )
+        self._deliver(
+            sender, receivers, src_key, dst_key, size, replys, replyr,
+            completion, nbytes,
+        )
+        return completion
+
     # -- the two broadcasts (Fig. 8b) ----------------------------------------
 
     def row_ibcast(
@@ -210,23 +240,12 @@ class RMAEngine:
         size: int,
         replys: str,
         replyr: str,
-        move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """Broadcast the sender's SPM tile to every CPE on its mesh row."""
-        self._check_armed(sender)
-        if self.guard is not None:
-            self.guard.on_rma("row", src_key[0], dst_key[0], size)
-        receivers = list(self.mesh[sender.rid])
-        completion = self._occupy_with_retries(
-            sender, self.row_channel_free, sender.rid, size * elem_bytes,
-            f"row{sender.rid}", "rma_row_ibcast",
+        return self._broadcast(
+            "row", sender.rid, self.row_channel_free, self.mesh[sender.rid],
+            sender, src_key, dst_key, size, replys, replyr,
         )
-        self._deliver(
-            sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data, elem_bytes,
-        )
-        return completion
 
     def col_ibcast(
         self,
@@ -236,20 +255,10 @@ class RMAEngine:
         size: int,
         replys: str,
         replyr: str,
-        move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """Broadcast the sender's SPM tile to every CPE on its mesh column."""
-        self._check_armed(sender)
-        if self.guard is not None:
-            self.guard.on_rma("col", src_key[0], dst_key[0], size)
-        receivers = [row[sender.cid] for row in self.mesh]
-        completion = self._occupy_with_retries(
-            sender, self.col_channel_free, sender.cid, size * elem_bytes,
-            f"col{sender.cid}", "rma_col_ibcast",
+        return self._broadcast(
+            "col", sender.cid, self.col_channel_free,
+            [row[sender.cid] for row in self.mesh],
+            sender, src_key, dst_key, size, replys, replyr,
         )
-        self._deliver(
-            sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data, elem_bytes,
-        )
-        return completion

@@ -5,7 +5,7 @@ round-robin scheduled — tracking only what the safety checks need:
 which SPM buffer slots an asynchronous DMA/RMA has marked in flight,
 the reply-counter ledger, and the ``synch()`` barrier with its RMA
 arming bit.  Its ledgers follow the runtime semantics of
-:mod:`repro.sunway.athread` / :mod:`repro.sunway.spm`, minus data
+:mod:`repro.sunway.cpe` / :mod:`repro.sunway.spm`, minus data
 movement and the cost model, which makes the double-buffer hazard
 check (§6) and the RMA discipline check (§5) decidable before a kernel
 is ever admitted.
@@ -52,7 +52,7 @@ from repro.poly.flat import (
     lower,
     reply_key,
 )
-from repro.sunway.athread import is_rma_counter
+from repro.sunway.cpe import is_rma_counter
 
 #: Resume-count ceiling: far above any real schedule (a chunk run is a
 #: few thousand statements per CPE) but bounds pathological input.
@@ -415,10 +415,10 @@ class ScheduleMachine:
         state.records.setdefault(replys, []).append(None)
 
     def _finish_wait(self, state: _CpeState, key: str, value: int) -> None:
-        """The ledger half of ``AthreadRuntime.finish_wait``: consume the
-        first ``value`` records, clearing their in-flight marks; a wait on
-        an RMA counter disarms the CPE (a fresh synch() is required before
-        the next broadcast)."""
+        """The ledger half of :meth:`repro.sunway.cpe.CPE.finish_wait`:
+        consume the first ``value`` records, clearing their in-flight
+        marks; a wait on an RMA counter disarms the CPE (a fresh synch()
+        is required before the next broadcast)."""
         for record in state.records.get(key, [])[:value]:
             if record is not None:
                 state.inflight.pop(record, None)

@@ -59,6 +59,19 @@ def test_passes_list_variants(tmp_path, capsys):
     assert "communication-schedule" in out
 
 
+@pytest.mark.parametrize("flag", ["--no-rma", "--no-use-asm"])
+def test_knob_flags_keep_the_inferred_batch_option(tmp_path, capsys, flag):
+    """A knob flag edits what the frontend inferred from the source
+    instead of rebuilding the options and dropping the batch flag."""
+    src = tmp_path / "bgemm.c"
+    src.write_text(BATCHED_GEMM_C)
+    assert main(["passes", "list", str(src), flag]) == 0
+    out = capsys.readouterr().out
+    assert "batch-isolation" in out
+    if flag == "--no-rma":
+        assert "rma-derivation" not in out
+
+
 def test_print_after_all_emits_one_snapshot_per_pass(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compile", "-o", str(out), "--print-after", "all"]) == 0

@@ -96,3 +96,26 @@ def test_determinism_across_invocations(capsys, cache_dir, tmp_path):
     assert main(["--cache-dir", str(tmp_path / "b"), *TOY_TUNE, "--json"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+def test_tune_without_source_applies_every_option_flag(monkeypatch, cache_dir):
+    """With no source, the option flags edit ``CompilerOptions.full()``
+    through the same helper as every other subcommand."""
+    import repro.api
+
+    class Stop(Exception):
+        pass
+
+    seen = {}
+
+    def fake_tune(spec, **kwargs):
+        seen.update(kwargs)
+        raise Stop
+
+    monkeypatch.setattr(repro.api, "tune", fake_tune)
+    with pytest.raises(Stop):
+        main(["--cache-dir", cache_dir, *TOY_TUNE, "--no-rma", "--no-verify",
+              "--schedule", "off"])
+    options = seen["options"]
+    assert (options.enable_rma, options.verify) == (False, False)
+    assert options.use_asm and options.schedule.mode == "off"

@@ -148,6 +148,22 @@ def test_timing_only_mode_runs_without_data(toy_full_program):
     assert report.elapsed_seconds > 0
 
 
+def test_charge_compute_accumulates():
+    from repro.runtime.executor import charge_compute
+    from repro.sunway.mesh import Cluster
+
+    cluster = Cluster(TOY_ARCH)
+    trace = cluster.enable_tracing()
+    cpe = cluster.cpe(0, 0)
+    charge_compute(cluster, cpe, 1e-6)
+    charge_compute(cluster, cpe, 2e-6, kind="blockop")
+    assert cpe.stats["compute_seconds"] == pytest.approx(3e-6)
+    assert cpe.clock == pytest.approx(3e-6)
+    assert [(e.kind, e.who) for e in trace.events] == [
+        ("kernel", "CPE(0,0)"), ("blockop", "CPE(0,0)"),
+    ]
+
+
 def test_variant_timings_are_ordered(toy_programs, rng):
     """The fully optimised variant must be the fastest.
 

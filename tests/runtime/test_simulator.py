@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.options import CompilerOptions
+from repro.core.spec import GemmSpec
 from repro.errors import ConfigurationError
 from repro.runtime.simulator import PerformanceSimulator
-from repro.sunway.arch import SW26010PRO
+from repro.sunway.arch import SW26010PRO, TOY_ARCH
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,16 @@ def test_fusion_variants_simulate(sim):
     assert pro.gflops < plain.gflops  # recomputation costs something
     assert abs(epi.gflops - plain.gflops) / plain.gflops < 0.05
     assert "prologue" in pro.variant
+
+
+@pytest.mark.parametrize(
+    "spec,K",
+    [(GemmSpec(trans_a=True), 24), (GemmSpec(trans_b=True), 8)],
+    ids=["trans-a", "trans-b"],
+)
+def test_transposed_chunks_are_timed_in_storage_layout(spec, K):
+    """The chunk's operands are allocated as the spec stores them (A is
+    K×M under trans_a, B is N×K under trans_b), so a K that differs from
+    the 16×16 toy chunk no longer reads out of bounds."""
+    result = PerformanceSimulator(TOY_ARCH).simulate(16, 16, K, spec=spec)
+    assert result.chunk_seconds > 0

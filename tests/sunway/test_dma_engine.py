@@ -9,6 +9,7 @@ from repro.errors import InvalidDMAError, SynchronizationError
 from repro.sunway.arch import TOY_ARCH
 from repro.sunway.cpe import CPE
 from repro.sunway.dma_engine import DMAEngine
+from repro.sunway.mesh import Cluster
 
 
 def make_cpe(spm_bytes=64 * 1024):
@@ -29,7 +30,7 @@ def test_iget_strided_tile():
     dst = cpe.spm.slot("tile", 0)
     offset = 2 * 32 + 4  # start at row 2, column 4
     engine.iget(
-        cpe, dst, ("tile", 0), matrix, matrix.size, offset,
+        cpe, ("tile", 0), matrix, offset,
         size=32, length=8, strip=24, reply_name="r",
     )
     expected = matrix[2:6, 4:12]
@@ -44,7 +45,7 @@ def test_iput_roundtrip():
     tile[...] = np.arange(32.0).reshape(4, 8)
     cpe.spm.clear_inflight("tile", 0)
     engine.iput(
-        cpe, matrix, matrix.size, 5 * 32 + 8, tile, ("tile", 0),
+        cpe, matrix, 5 * 32 + 8, ("tile", 0),
         size=32, length=8, strip=24, reply_name="w",
     )
     assert (matrix[5:9, 8:16] == tile).all()
@@ -55,10 +56,8 @@ def test_reply_counter_increments():
     engine = make_engine()
     cpe = make_cpe()
     matrix = np.zeros((16, 32))
-    dst = cpe.spm.slot("tile", 0)
     for expected in (1, 2):
-        engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0,
-                    32, 8, 24, "r")
+        engine.iget(cpe, ("tile", 0), matrix, 0, 32, 8, 24, "r")
         assert cpe.reply("r").value == expected
 
 
@@ -66,8 +65,7 @@ def test_inflight_until_wait():
     engine = make_engine()
     cpe = make_cpe()
     matrix = np.zeros((16, 32))
-    dst = cpe.spm.slot("tile", 0)
-    engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0, 32, 8, 24, "r")
+    engine.iget(cpe, ("tile", 0), matrix, 0, 32, 8, 24, "r")
     with pytest.raises(SynchronizationError):
         cpe.spm.check_readable("tile", 0)
 
@@ -76,11 +74,9 @@ def test_iput_requires_ready_source():
     engine = make_engine()
     cpe = make_cpe()
     matrix = np.zeros((16, 32))
-    tile = cpe.spm.slot("tile", 0)
     cpe.spm.mark_inflight("tile", 0, "pending get")
     with pytest.raises(SynchronizationError):
-        engine.iput(cpe, matrix, matrix.size, 0, tile, ("tile", 0),
-                    32, 8, 24, "w")
+        engine.iput(cpe, matrix, 0, ("tile", 0), 32, 8, 24, "w")
 
 
 @pytest.mark.parametrize(
@@ -97,19 +93,16 @@ def test_argument_validation(size, length, strip):
     engine = make_engine()
     cpe = make_cpe()
     matrix = np.zeros((16, 32))
-    dst = cpe.spm.slot("tile", 0)
     with pytest.raises(InvalidDMAError):
-        engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0,
-                    size, length, strip, "r")
+        engine.iget(cpe, ("tile", 0), matrix, 0, size, length, strip, "r")
 
 
 def test_out_of_bounds_rejected():
     engine = make_engine()
     cpe = make_cpe()
     matrix = np.zeros((4, 8))
-    dst = cpe.spm.slot("tile", 0)
     with pytest.raises(InvalidDMAError):
-        engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size,
+        engine.iget(cpe, ("tile", 0), matrix,
                     offset=8, size=32, length=8, strip=24, reply_name="r")
 
 
@@ -120,10 +113,8 @@ def test_channel_serialises_messages():
     cpe_a, cpe_b = make_cpe(), CPE(0, 1, 64 * 1024)
     cpe_b.spm.alloc("tile", (4, 8))
     matrix = np.zeros((16, 32))
-    t1 = engine.iget(cpe_a, cpe_a.spm.slot("tile", 0), ("tile", 0),
-                     matrix, matrix.size, 0, 32, 8, 24, "r")
-    t2 = engine.iget(cpe_b, cpe_b.spm.slot("tile", 0), ("tile", 0),
-                     matrix, matrix.size, 0, 32, 8, 24, "r")
+    t1 = engine.iget(cpe_a, ("tile", 0), matrix, 0, 32, 8, 24, "r")
+    t2 = engine.iget(cpe_b, ("tile", 0), matrix, 0, 32, 8, 24, "r")
     assert t2 > t1
     # len = 8 doubles = 64 B: shorter than the DDR burst, so the message
     # pays the stride penalty.
@@ -133,13 +124,51 @@ def test_channel_serialises_messages():
 
 def test_timing_only_mode_skips_data():
     engine = make_engine()
+    engine.move_data = False
     cpe = make_cpe()
     matrix = np.arange(16.0 * 32).reshape(16, 32)
     dst = cpe.spm.slot("tile", 0)
-    engine.iget(cpe, None, ("tile", 0), None, matrix.size, 0, 32, 8, 24,
-                "r", move_data=False)
+    engine.iget(cpe, ("tile", 0), matrix, 0, 32, 8, 24, "r")
     assert (dst == 0).all()
     assert cpe.reply("r").value == 1
+
+
+def test_roundtrip_through_the_wait():
+    """Get a tile, commit the wait, update it in SPM and put it back."""
+    cluster = Cluster(TOY_ARCH)
+    A = cluster.memory.alloc("A", (16, 16))
+    A[...] = np.arange(256.0).reshape(16, 16)
+    cpe = cluster.cpe(0, 0)
+    cpe.spm.alloc("tile", (2, 4, 4))
+    cluster.dma.iget(cpe, ("tile", 0), A, offset=0, size=16, length=4,
+                     strip=12, reply_name="r")
+    assert cpe.reply("r").satisfied(1)
+    cpe.finish_wait("r", 1)
+    tile = cpe.spm.slot("tile", 0)
+    assert (tile == A[:4, :4]).all()
+    tile += 1
+    cluster.dma.iput(cpe, A, 0, ("tile", 0), size=16, length=4,
+                     strip=12, reply_name="w")
+    cpe.finish_wait("w", 1)
+    assert (A[:4, :4] == tile).all()
+
+
+def test_half_width_elements_halve_channel_occupancy():
+    """A float32 SPM tile moves 4-byte elements: half the channel time of
+    a float64 one (for runs longer than the DDR burst, where no stride
+    penalty interferes)."""
+    engine = make_engine()
+    wide, narrow = CPE(0, 0, 64 * 1024), CPE(0, 1, 64 * 1024)
+    wide.spm.alloc("tile", (2, 8, 8))
+    narrow.spm.alloc("tile", (2, 8, 8), dtype=np.float32)
+    matrix = np.zeros((16, 16))
+    t8 = engine.iget(wide, ("tile", 0), matrix, 0, size=64, length=32,
+                     strip=0, reply_name="a")
+    t4_start = engine.channel_free
+    t4 = engine.iget(narrow, ("tile", 0), matrix, 0, size=64, length=32,
+                     strip=0, reply_name="b")
+    assert (t4 - t4_start) < t8
+    assert wide.stats["dma_bytes"] == 2 * narrow.stats["dma_bytes"] == 512
 
 
 @given(
@@ -159,7 +188,7 @@ def test_prop_strided_gather_matches_slicing(rows, cols, row0, col0):
         return
     dst = cpe.spm.slot("t", 0)
     engine.iget(
-        cpe, dst, ("t", 0), matrix, matrix.size,
+        cpe, ("t", 0), matrix,
         offset=row0 * 16 + col0,
         size=rows * cols, length=cols, strip=16 - cols, reply_name="r",
     )

@@ -127,7 +127,7 @@ def test_accepted_transfers_move_exactly_the_footprint(
     dst = cpe.spm.slot("tile", 0)
     src = np.arange(float(SRC_ELEMS))
     engine.iget(
-        cpe, dst, ("tile", 0), src, src.size, offset,
+        cpe, ("tile", 0), src, offset,
         size=size, length=length, strip=strip, reply_name="r",
     )
     starts = offset + np.arange(rows) * (length + strip)

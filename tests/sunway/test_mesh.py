@@ -31,6 +31,21 @@ def test_barrier_releases_after_all_arrive():
         assert cpe.rma_armed
 
 
+def test_barrier_reopens_for_each_synch():
+    """Consecutive ``synch()`` calls each get a generation of their own:
+    a CPE arriving at the next one waits again until every CPE is there."""
+    cluster = Cluster(TOY_ARCH)
+    barrier = cluster.barrier
+    cpes = cluster.all_cpes()
+    first = [barrier.arrive(cpe) for cpe in cpes]
+    assert all(barrier.passed(t) for t in first)
+    early = barrier.arrive(cpes[0])
+    assert not barrier.passed(early)
+    second = [early] + [barrier.arrive(cpe) for cpe in cpes[1:]]
+    assert all(barrier.passed(t) for t in second)
+    assert barrier.generation == 2
+
+
 def test_barrier_not_passed_early():
     cluster = Cluster(TOY_ARCH)
     token = cluster.barrier.arrive(cluster.cpe(0, 0))

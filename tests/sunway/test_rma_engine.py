@@ -43,6 +43,37 @@ def test_col_broadcast_reaches_whole_column():
         assert (receiver.spm.slot("dst", 0) == 3.0).all()
 
 
+def test_broadcasts_land_once_the_wait_commits():
+    """Row and column broadcasts fill the receivers' slot; each
+    receiver's wait commits the transfer and makes the slot readable."""
+    cluster = armed_cluster()
+    sender = cluster.cpe(1, 1)
+    sender.spm.slot("src", 0)[...] = 5.0
+    for issue, receiver in (
+        (cluster.rma.row_ibcast, cluster.cpe(1, 0)),
+        (cluster.rma.col_ibcast, cluster.cpe(0, 1)),
+    ):
+        issue(sender, ("src", 0), ("dst", 0), 16, "rma_replys", "rma_replyr")
+        receiver.finish_wait("rma_replyr", 1)
+        receiver.spm.check_readable("dst", 0)  # no raise
+        assert (receiver.spm.slot("dst", 0) == 5.0).all()
+
+
+def test_broadcast_width_follows_the_source_buffer():
+    """A float32 source tile moves 4-byte elements."""
+    cluster = Cluster(TOY_ARCH)
+    for cpe in cluster.all_cpes():
+        cpe.spm.alloc("src", (4, 4), dtype=np.float32)
+        cpe.spm.alloc("dst", (4, 4), dtype=np.float32)
+        cpe.rma_armed = True
+    sender = cluster.cpe(0, 0)
+    completion = cluster.rma.row_ibcast(
+        sender, ("src", 0), ("dst", 0), 16, "rs", "rr"
+    )
+    assert sender.stats["rma_bytes"] == 16 * 4
+    assert completion == pytest.approx(TOY_ARCH.rma_time_s(16 * 4))
+
+
 def test_receivers_poisoned_until_wait():
     cluster = armed_cluster()
     sender = cluster.cpe(0, 0)

@@ -116,3 +116,15 @@ def test_hill_climb_and_exhaustive_strategies():
     assert (
         big_budget.record.best_gflops >= small_budget.record.best_gflops
     )
+
+
+def test_transposed_spec_tunes():
+    """Every measurement times a chunk in the operands' storage layout;
+    a K×M transposed A used to be allocated M×K and read out of bounds."""
+    from repro import api
+
+    record = api.tune(
+        GemmSpec(trans_a=True), shape=(48, 80, 32), arch=TOY_ARCH, seed=0,
+        budget=4, service=CompileService(ServiceConfig()),
+    )
+    assert record.best_gflops >= record.default_gflops
