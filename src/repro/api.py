@@ -21,8 +21,7 @@ options pass as keyword overrides, e.g.::
     record = api.tune(spec, shape=(576, 1024, 512))
 
 ``schedule`` selects the §6 latency-hiding pipeline — ``"recipe"`` (the
-default), ``"optimize"`` or ``"off"`` — and takes a mode string, a
-``{"mode", "allow", "deny"}`` mapping or a
+default), ``"optimize"`` or ``"off"`` — and takes a mode string or a
 :class:`~repro.core.options.SchedulePolicy`.  Hiding needs the asm
 kernel: ``use_asm=False`` compiles without it, and ``use_asm=False``
 with ``schedule="optimize"`` is a :class:`~repro.errors.ConfigurationError`.

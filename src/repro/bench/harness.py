@@ -36,9 +36,6 @@ class FigureResult:
     figure: str
     rows: List[Dict[str, object]] = field(default_factory=list)
     aggregate: Dict[str, float] = field(default_factory=dict)
-    # Non-numeric results (e.g. a searched pass order) that don't fit
-    # the float-only aggregate table.
-    meta: Dict[str, object] = field(default_factory=dict)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -571,7 +568,6 @@ SCHEDULE_SWEEP_CASES: Tuple[
 def schedule_sweep(
     arch: ArchSpec = SW26010PRO,
     cases=SCHEDULE_SWEEP_CASES,
-    seed: int = 0,
     service=None,
 ) -> FigureResult:
     """Recipe vs rewrite-stack Gflops for every sweep point.
@@ -579,12 +575,9 @@ def schedule_sweep(
     Every optimized program is additionally replayed on the verifier's
     ``ScheduleMachine`` here — not just at admission time — so the
     committed snapshot carries an explicit zero-violation proof for the
-    exact programs the numbers came from.  A seeded greedy
-    pass-ordering search runs on the first ragged case to document the
-    order the search selects.
+    exact programs the numbers came from.
     """
     from repro.core.options import SchedulePolicy, TileConfig
-    from repro.schedule import greedy_pass_order, simulated_evaluator
     from repro.verify import replay_schedule
 
     sim = PerformanceSimulator(arch, service=service)
@@ -632,20 +625,6 @@ def schedule_sweep(
         )
     ragged_rows = [r for r in result.rows if r["ragged"]]
     aligned_rows = [r for r in result.rows if not r["ragged"]]
-    first_ragged = next(
-        c for c in cases if c[4]
-    )
-    _, batch, shape, tile, _ = first_ragged
-    search_base = CompilerOptions.full()
-    if tile is not None:
-        mt, nt, kt = tile
-        search_base = search_base.with_(
-            tile_config=TileConfig(mt, nt, kt, k_strip=arch.mesh_rows)
-        )
-    searched = greedy_pass_order(
-        simulated_evaluator(shape, search_base, arch=arch, service=service),
-        seed=seed,
-    )
     result.aggregate = {
         "cases": float(len(result.rows)),
         "ragged_improved": float(
@@ -659,11 +638,7 @@ def schedule_sweep(
         "total_machine_violations": float(
             sum(r["machine_violations"] for r in result.rows)
         ),
-        "search_seed": float(seed),
     }
-    result.meta["searched_order"] = (
-        list(searched.pass_names()) if searched is not None else []
-    )
     return result
 
 
@@ -676,5 +651,4 @@ def schedule_bench_payload(
         "arch": arch.name.lower(),
         "rows": result.rows,
         "aggregate": result.aggregate,
-        "searched_order": result.meta.get("searched_order", []),
     }

@@ -4,7 +4,6 @@ Mirrors the surface described in §8::
 
     swgemm compile gemm.c -o outdir            # athread C files
     swgemm compile gemm.c --no-use-asm         # bypass the asm kernel
-    swgemm compile gemm.c --batch              # batched GEMM
     swgemm run gemm.c -M 1024 -N 1024 -K 1024  # simulate functionally
     swgemm perf -M 4096 -N 4096 -K 4096        # timed simulation vs xMath
     swgemm tree gemm.c                         # dump the schedule tree
@@ -250,53 +249,30 @@ def _apply_flags(args, options):
     ``--no-verify``, ``--micro-kernel`` and ``--schedule`` — into
     ``options``: what the frontend inferred from the source (batch,
     fusion), or ``CompilerOptions.full()`` for ``tune`` without one."""
-    overrides = {}
+    overrides = _micro_kernel_overrides(args)
     if args.no_use_asm:
         overrides["use_asm"] = False
     if args.no_rma:
         overrides["enable_rma"] = False
     if getattr(args, "no_verify", False):
         overrides["verify"] = False
-    options = options.with_(**overrides)
-    return _apply_schedule(args, _apply_micro_kernel(args, options))
+    if args.schedule is not None:
+        overrides["schedule"] = args.schedule
+    return options.with_(**overrides)
 
 
-def _apply_schedule(args, options):
-    """Fold ``--schedule`` / ``--schedule-passes`` into an option set.
-
-    ``recipe`` pins the fixed §6 pipeline, ``optimize`` layers the
-    replay-proven rewrite stack on top of it, ``off`` disables latency
-    hiding.  Reconciliation canonicalises the policy, so the cache key
-    only ever sees the normal form.
-    """
-    from repro.core.options import SchedulePolicy
-    from repro.errors import ConfigurationError
-
-    mode = getattr(args, "schedule", None)
-    passes = getattr(args, "schedule_passes", None)
-    if passes is not None and mode != "optimize":
-        raise ConfigurationError(
-            "--schedule-passes only applies to --schedule=optimize"
-        )
-    if mode is None:
-        return options
-    allow = ()
-    if passes:
-        allow = tuple(p.strip() for p in passes.split(",") if p.strip())
-    return options.with_(schedule=SchedulePolicy(mode=mode, allow=allow))
-
-
-def _apply_micro_kernel(args, options):
-    """Fold a ``--micro-kernel`` request into an option set."""
+def _micro_kernel_overrides(args) -> dict:
+    """The option overrides a ``--micro-kernel`` request asks for."""
     value = getattr(args, "micro_kernel", None)
     if not value:
-        return options
+        return {}
     cfg, backend = _parse_micro_kernel(value)
+    overrides = {}
     if cfg is not None:
-        options = options.with_(tile_config=cfg)
+        overrides["tile_config"] = cfg
     if backend is not None:
-        options = options.with_(kernel_backend=backend)
-    return options
+        overrides["kernel_backend"] = backend
+    return overrides
 
 
 def _introspection_requested(args) -> bool:
@@ -484,11 +460,11 @@ def cmd_perf(args) -> int:
     sim = PerformanceSimulator(
         _arch_from_args(args), service=_service_from_args(args)
     )
+    overrides = _micro_kernel_overrides(args)
     fault_policy, retry_policy = _fault_policies_from_args(args)
-    breakdown = sim.breakdown(
-        args.M, args.N, args.K,
-        fault_policy=fault_policy, retry_policy=retry_policy,
-    )
+    if fault_policy is not None:
+        overrides.update(fault_policy=fault_policy, retry_policy=retry_policy)
+    breakdown = sim.breakdown(args.M, args.N, args.K, overrides)
     for variant, perf in breakdown.items():
         print(f"{variant:>9s}: {perf.gflops:8.1f} Gflops "
               f"({100 * perf.peak_fraction:5.1f}% of peak)")
@@ -837,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_source:
             p.add_argument("source", nargs="?", help="C input file (- for stdin; "
                            "omit for the canonical naive GEMM)")
-        p.add_argument("--batch", action="store_true", help="batched GEMM input")
         p.add_argument("--no-use-asm", action="store_true",
                        help="bypass the inline assembly kernel")
         p.add_argument("--no-rma", action="store_true",
@@ -848,12 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="schedule policy: 'recipe' keeps the fixed §6 pipeline "
             "(default), 'optimize' runs the replay-proven schedule rewrite "
             "stack on top of it, 'off' disables latency hiding entirely",
-        )
-        p.add_argument(
-            "--schedule-passes", metavar="LIST", default=None,
-            help="comma-separated allow-list of schedule rewrites for "
-            "--schedule=optimize (e.g. 'reorder-issues,split-waits'; "
-            "default: all, in canonical order)",
         )
         p.add_argument("--no-verify", action="store_true",
                        help="skip the admission verifier (escape hatch; "

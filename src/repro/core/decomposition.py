@@ -115,7 +115,7 @@ def decompose(
     if spec.is_batched:
         if not options.batch:
             raise CompilationError(
-                "input has a batch dimension; compile with the --batch option"
+                "input has a batch dimension; compile with the batch option"
             )
         Bp = aff_var(spec.batch_param)
         batch_band = BandNode(

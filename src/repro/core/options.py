@@ -1,7 +1,7 @@
 """Compiler options.
 
 Mirrors the command-line surface described in §8: the compiler generates
-athread code for one SW26010Pro cluster by default, ``--batch`` enables the
+athread code for one SW26010Pro cluster by default, ``batch`` enables the
 batched-GEMM path (Fig. 3), ``--no-use-asm`` bypasses the inline assembly
 kernel and emits plain loop code.  The additional switches
 (``enable_rma`` / ``schedule``) expose the intermediate code variants of
@@ -12,7 +12,7 @@ and the fusion modes of §7.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultPolicy, RetryPolicy
@@ -91,37 +91,21 @@ ELEMENTWISE_FUNCS = ("quant", "relu", "sigmoid", "tanh", "identity")
 #: entirely.
 SCHEDULE_MODES = ("recipe", "optimize", "off")
 
-#: The schedule rewrites, in canonical application order.  Defined here —
-#: not in :mod:`repro.schedule` — so option validation needs nothing above
-#: this module in the import graph; the rewrite registry in
-#: ``repro.schedule.passes`` asserts it stays in sync.
-SCHEDULE_PASS_NAMES = (
-    "split-waits",
-    "reorder-issues",
-    "merge-transfers",
-    "retire-waits",
-)
-
 
 @dataclass(frozen=True)
 class SchedulePolicy:
     """How the §6 latency-hiding pipeline is scheduled — the only knob
     that selects it.
 
-    ``mode`` selects between the fixed recipe, the rewrite stack and no
-    pipelining at all; ``allow``/``deny`` filter (and, for ``allow``,
-    order) the rewrites that run in ``optimize`` mode.  Reconciliation
-    (:func:`repro.core.passes.reconcile_options`) canonicalises policies
-    so equivalent requests share cache keys: a compile without latency
-    hiding carries ``off``, ``recipe`` drops its filters, and a
-    surviving ``optimize`` pins its resolved pass tuple explicitly.
+    ``mode`` selects between the fixed recipe, the recipe followed by
+    every registered schedule rewrite (``optimize``, see
+    :data:`repro.schedule.REWRITES`) and no pipelining at all.
+    Reconciliation (:func:`repro.core.passes.reconcile_options`) pins
+    ``off`` on every compile without latency hiding, so equivalent
+    requests share cache keys.
     """
 
     mode: str = "recipe"
-    #: Ordered allow-list of rewrites; empty means "all, canonical order".
-    allow: Tuple[str, ...] = ()
-    #: Rewrites removed from the allow set.
-    deny: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in SCHEDULE_MODES:
@@ -129,30 +113,13 @@ class SchedulePolicy:
                 f"unknown schedule mode {self.mode!r}; expected one of "
                 f"{SCHEDULE_MODES}"
             )
-        # Serde round-trips hand back lists; coerce so policies stay
-        # hashable (the simulator's chunk cache keys on options).
-        for attr in ("allow", "deny"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-            for name in getattr(self, attr):
-                if name not in SCHEDULE_PASS_NAMES:
-                    raise ConfigurationError(
-                        f"unknown schedule pass {name!r} in {attr}; "
-                        f"known: {', '.join(SCHEDULE_PASS_NAMES)}"
-                    )
-
-    def pass_names(self) -> Tuple[str, ...]:
-        """The rewrites that actually run, in order."""
-        base = self.allow if self.allow else SCHEDULE_PASS_NAMES
-        return tuple(name for name in base if name not in self.deny)
 
     @staticmethod
     def parse(value) -> "SchedulePolicy":
         """Coerce a wire/CLI value into a policy.
 
-        Accepts ``None`` (the default policy), a mode string, a mapping
-        with ``mode``/``allow``/``deny`` keys, or a ready policy.
+        Accepts ``None`` (the default policy), a mode string or a ready
+        policy.
         """
         if value is None:
             return SchedulePolicy()
@@ -160,22 +127,9 @@ class SchedulePolicy:
             return value
         if isinstance(value, str):
             return SchedulePolicy(mode=value)
-        if isinstance(value, dict):
-            unknown = set(value) - {"mode", "allow", "deny"}
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown schedule policy keys {sorted(unknown)}; "
-                    "expected mode/allow/deny"
-                )
-            return SchedulePolicy(
-                mode=value.get("mode", "recipe"),
-                allow=tuple(value.get("allow", ()) or ()),
-                deny=tuple(value.get("deny", ()) or ()),
-            )
         raise ConfigurationError(
             f"cannot interpret {value!r} as a schedule policy; expected a "
-            f"mode string {SCHEDULE_MODES}, a mode/allow/deny mapping, or a "
-            "SchedulePolicy"
+            f"mode string {SCHEDULE_MODES} or a SchedulePolicy"
         )
 
 
@@ -183,7 +137,8 @@ class SchedulePolicy:
 class CompilerOptions:
     """Immutable option set for one compilation."""
 
-    #: Treat the input as batched GEMM (``--batch``).
+    #: Treat the input as batched GEMM; the frontend sets it from the
+    #: source's batch dimension.
     batch: bool = False
     #: Use the vendor inline assembly micro kernel (§7.2); ``False``
     #: corresponds to ``--no-use-asm``.
@@ -296,11 +251,7 @@ class CompilerOptions:
         else:
             base = "+hiding"
         if self.schedule.mode == "optimize":
-            passes = self.schedule.pass_names()
-            if passes == SCHEDULE_PASS_NAMES:
-                base = f"{base}+sched"
-            else:
-                base = f"{base}+sched[{','.join(passes)}]"
+            base = f"{base}+sched"
         if self.tile_config is not None:
             base = f"{base}@{self.tile_config.name()}"
         if self.kernel_backend is not None:

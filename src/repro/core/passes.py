@@ -48,6 +48,7 @@ from repro.poly.astnodes import BufferDecl, CpeProgram, ReplyDecl, walk_stmts
 from repro.poly.dependences import DependenceSummary, analyze_statement
 from repro.poly.schedule_tree import parent_map
 from repro.poly.transforms import insert_mark
+from repro.schedule import REWRITES, Rewrite, apply_rewrite, extract_timeline
 from repro.sunway.arch import ArchSpec
 
 #: Bump to invalidate every pipeline identity (and with it every service
@@ -68,7 +69,7 @@ def reconcile_options(
     """The canonical option set for ``(spec, options)``.
 
     The spec is authoritative for everything it states: a batched spec
-    requires the ``--batch`` flag, fusion follows the spec's
+    requires the ``batch`` option, fusion follows the spec's
     prologue/epilogue functions, and knobs that cannot affect the
     generated code (an unused fusion function, a batch flag without a
     batch dimension) are normalised away.  The result is what the
@@ -87,14 +88,12 @@ def reconcile_options(
     on every registered arch.
 
     The schedule policy is canonicalised last: a compile without latency
-    hiding carries ``off``, an ``optimize`` policy pins its resolved pass
-    tuple (or, when nothing is left to run, becomes the plain recipe),
-    and ``recipe`` drops its inert filters — so every spelling of one
-    pipeline shares one cache key.
+    hiding carries ``off``, so every spelling of the no-hiding pipeline
+    shares one cache key.
     """
     if spec.is_batched and not options.batch:
         raise CompilationError(
-            "batched input requires the --batch compiler option"
+            "batched input requires the batch compiler option"
         )
     if not spec.is_batched and options.batch:
         # The batch flag is inert without a batch dimension.
@@ -155,15 +154,8 @@ def reconcile_options(
         if cfg is not options.tile_config:
             options = options.with_(tile_config=cfg)
 
-    policy = options.schedule
-    if not options.latency_hiding:
-        canonical = SchedulePolicy(mode="off")
-    elif policy.mode == "optimize" and policy.pass_names():
-        canonical = SchedulePolicy(mode="optimize", allow=policy.pass_names())
-    else:
-        canonical = SchedulePolicy()
-    if canonical != policy:
-        options = options.with_(schedule=canonical)
+    if not options.latency_hiding and options.schedule.mode != "off":
+        options = options.with_(schedule=SchedulePolicy(mode="off"))
     return options
 
 
@@ -630,7 +622,7 @@ class CommunicationSchedulePass(_CommunicationPass):
 class ScheduleRewritePass(Pass):
     """One schedule rewrite from :mod:`repro.schedule`, run as a
     first-class pipeline pass (``--schedule=optimize`` schedules one of
-    these per allowed rewrite, in policy order).
+    these per registered rewrite, in registry order).
 
     The rewrite mutates a clone of the schedule tree, which is lowered,
     replayed on the verifier's ``ScheduleMachine`` and re-checked
@@ -643,23 +635,12 @@ class ScheduleRewritePass(Pass):
 
     section = "§6+"
 
-    def __init__(self, rewrite: str) -> None:
-        # Imported lazily to keep this module importable while
-        # repro.schedule is mid-import (it lazily imports our helpers).
-        from repro.schedule import REWRITES
-
-        if rewrite not in REWRITES:
-            raise ConfigurationError(
-                f"unknown schedule rewrite {rewrite!r}; known: "
-                f"{', '.join(REWRITES)}"
-            )
-        self.rewrite = rewrite
-        self.name = f"schedule:{rewrite}"
-        self.summary = REWRITES[rewrite].summary
+    def __init__(self, rewrite: Rewrite) -> None:
+        self.rewrite = rewrite.name
+        self.name = f"schedule:{rewrite.name}"
+        self.summary = rewrite.summary
 
     def run(self, ctx: CompileContext) -> None:
-        from repro.schedule import apply_rewrite, extract_timeline
-
         dec = ctx.require(ctx.decomposition, "a decomposition")
         dma_specs = ctx.require(ctx.dma_specs, "DMA specs")
         outcome = apply_rewrite(
@@ -792,7 +773,7 @@ def build_pipeline(
     if options.latency_hiding:
         passes.append(LatencyHidingPass())
         if options.schedule.mode == "optimize":
-            for rewrite in options.schedule.pass_names():
+            for rewrite in REWRITES.values():
                 passes.append(ScheduleRewritePass(rewrite))
     else:
         passes.append(CommunicationSchedulePass())

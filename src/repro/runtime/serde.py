@@ -292,11 +292,39 @@ def _register_all() -> None:
         fields.pop("buffer_depth", None)
         return fields
 
+    # Policies written before schema 7 also carry ``allow``/``deny``
+    # filters over a four-rewrite stack that still held ``retire-waits``,
+    # which never applied.  Decode a legacy ``optimize`` only when its
+    # filters resolve to the stack ``optimize`` runs now; any other
+    # filter named a different pipeline and is refused.
+    legacy_stack = (
+        "split-waits", "reorder-issues", "merge-transfers", "retire-waits",
+    )
+
+    def upgrade_policy(fields: dict) -> dict:
+        if "allow" not in fields:
+            return fields
+        allow = fields.pop("allow") or legacy_stack
+        deny = fields.pop("deny", ())
+        if fields["mode"] == "optimize":
+            from repro.schedule import REWRITES
+
+            resolved = tuple(
+                name for name in allow
+                if name not in deny and name != "retire-waits"
+            )
+            if resolved != tuple(REWRITES):
+                raise SerializationError(
+                    f"legacy schedule policy runs {list(resolved)}; "
+                    f"'optimize' now always runs {list(REWRITES)}"
+                )
+        return fields
+
     register_dataclass(CompilerOptions, upgrade=upgrade_options)
     register_dataclass(TileConfig, upgrade=upgrade_tile)
+    register_dataclass(SchedulePolicy, upgrade=upgrade_policy)
     for cls in (
         GemmSpec,
-        SchedulePolicy,
         FaultPolicy,
         RetryPolicy,
         BufferSpec,

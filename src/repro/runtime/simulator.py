@@ -25,7 +25,7 @@ iterates the batch inside the CPE code (§8.3), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.options import CompilerOptions
@@ -224,26 +224,20 @@ class PerformanceSimulator:
         M: int,
         N: int,
         K: int,
-        fault_policy: Optional[object] = None,
-        retry_policy: Optional[object] = None,
+        overrides: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, PerfResult]:
         """The four §8.1 variants for one shape (Fig. 13's bar groups).
 
-        ``fault_policy`` / ``retry_policy`` thread the fault-injection
-        plane through every variant (the CLI's ``--inject-faults``)."""
+        ``overrides`` are option fields applied to every variant — the
+        CLI's ``--micro-kernel`` tile and backend, or the fault-injection
+        plane of ``--inject-faults``."""
         variants = (
             ("dma-only", CompilerOptions.baseline()),
             ("+asm", CompilerOptions.with_asm()),
             ("+rma", CompilerOptions.with_rma()),
             ("+hiding", CompilerOptions.full()),
         )
-        if fault_policy is not None or retry_policy is not None:
-            variants = tuple(
-                (name, opts.with_(fault_policy=fault_policy,
-                                  retry_policy=retry_policy))
-                for name, opts in variants
-            )
         return {
-            name: self.simulate(M, N, K, options)
+            name: self.simulate(M, N, K, options.with_(**(overrides or {})))
             for name, options in variants
         }

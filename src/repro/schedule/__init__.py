@@ -1,19 +1,19 @@
 """First-class schedule IR for the per-CPE DMA/RMA/compute timeline.
 
 The §6 latency-hiding recipe is one fixed point in a space of legal
-pipelines; this package makes the space searchable:
+pipelines; this package rewrites it into another:
 
 * :mod:`repro.schedule.ir` — the timeline IR (steps, segments, levels);
 * :mod:`repro.schedule.extract` — lift the recipe's schedule tree into
   a timeline and write rewritten timelines back;
-* :mod:`repro.schedule.passes` — the composable rewrites plus the
+* :mod:`repro.schedule.passes` — the three rewrites plus the
   clone → rewrite → replay → admit protocol (every candidate is proven
   on the verifier's ``ScheduleMachine`` and re-checked against the SPM
-  budget before it replaces the installed tree);
-* :mod:`repro.schedule.search` — greedy seeded pass-ordering search.
+  budget before it replaces the installed tree).
 
-Selected via ``CompilerOptions.schedule`` / ``--schedule=optimize``;
-each admitted rewrite runs as a ``schedule:<name>`` pipeline pass, so
+Selected via ``CompilerOptions.schedule`` / ``--schedule=optimize``,
+which runs every registered rewrite in registry order; each rewrite
+runs as a ``schedule:<name>`` pipeline pass, so
 ``swgemm passes list``, ``--print-after`` and the cache identity cover
 schedule optimization exactly like every other stage.
 """
@@ -35,7 +35,6 @@ from repro.schedule.passes import (
     check_legal,
     lower_root,
 )
-from repro.schedule.search import greedy_pass_order, simulated_evaluator
 
 __all__ = [
     "ROLE_TO_KIND",
@@ -52,6 +51,4 @@ __all__ = [
     "apply_rewrite",
     "check_legal",
     "lower_root",
-    "greedy_pass_order",
-    "simulated_evaluator",
 ]

@@ -1,9 +1,10 @@
 """The schedule rewrites and their verified admission protocol.
 
-Four composable rewrites over :class:`~repro.schedule.ir.Timeline`
+Three composable rewrites over :class:`~repro.schedule.ir.Timeline`
 (modelled on zero-bubble pipeline schedulers, where the per-stage
 timeline is a node list rewritten by small passes such as
-``merge_consecutive_bw``):
+``merge_consecutive_bw``); ``--schedule=optimize`` runs all of them, in
+registry order:
 
 ``split-waits``
     Break a multi-statement wait group so work scheduled between the
@@ -18,9 +19,6 @@ timeline is a node list rewritten by small passes such as
 ``merge-transfers``
     Merge the outer peel's unguarded DMA issues into the chunk's first
     transfer group, so the C/A/B gets share one issue burst.
-``retire-waits``
-    Drop wait statements that re-wait a counter no intervening issue
-    could have re-armed.
 
 Every rewrite mutates the timeline only; admission is the job of
 :func:`apply_rewrite`, which rewrites a *clone* of the schedule tree,
@@ -34,9 +32,8 @@ untouched and reports why.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.options import SCHEDULE_PASS_NAMES
 from repro.errors import CompilationError
 from repro.poly.schedule_tree import clone_tree
 from repro.schedule.extract import extract_timeline, materialize
@@ -171,67 +168,6 @@ def merge_transfers(tl: Timeline) -> bool:
     return True
 
 
-def _wait_key(step: ScheduleStep):
-    payload = step.stmt.payload
-    if step.kind == "dma_wait":
-        return ("dma", payload.get("reply"), str(payload.get("reply_slot_expr")))
-    spec = payload.get("spec")
-    return (
-        "rma",
-        getattr(spec, "replys", None),
-        getattr(spec, "replyr", None),
-        str(payload.get("target_expr")),
-    )
-
-
-def _rearms(step: ScheduleStep, key) -> bool:
-    """Does this non-wait step re-arm the counter behind ``key``?"""
-    if step.kind == "buffer_swap":
-        # Resets rewrite counters wholesale; be conservative.
-        return key[0] == "rma"
-    payload = step.stmt.payload
-    if step.kind == "dma_issue":
-        spec = payload.get("spec")
-        return key[:2] == ("dma", getattr(spec, "reply", None))
-    if step.kind == "rma_put":
-        spec = payload.get("spec")
-        return key[0] == "rma" and key[1] == getattr(spec, "replys", None)
-    return False
-
-
-def retire_waits(tl: Timeline) -> bool:
-    """Drop waits that re-wait an already-settled counter.
-
-    Within one stream (peel / body / post of a level), a wait whose
-    (counter, slot) key was already waited — with no intervening issue
-    or reset that could re-arm it — is a no-op and retires.  The §6
-    recipe never emits such waits, so on the pristine timeline this is
-    the identity (a property test pins that); it exists to clean up
-    after compositions of the other rewrites."""
-    changed = False
-    for lvl in tl.levels.values():
-        for stream in (lvl.peel, lvl.body, lvl.post):
-            settled = set()
-            for seg in stream:
-                kept: List[ScheduleStep] = []
-                for step in seg.steps:
-                    if _is_wait(step):
-                        key = _wait_key(step)
-                        if key in settled:
-                            changed = True
-                            continue
-                        settled.add(key)
-                    else:
-                        settled = {k for k in settled if not _rearms(step, k)}
-                    kept.append(step)
-                if len(kept) != len(seg.steps):
-                    seg.steps = kept
-            emptied = [s for s in stream if s.steps]
-            if len(emptied) != len(stream):
-                stream[:] = emptied
-    return changed
-
-
 @dataclass(frozen=True)
 class Rewrite:
     name: str
@@ -260,19 +196,8 @@ REWRITES: Dict[str, Rewrite] = {
             "transfer burst",
             merge_transfers,
         ),
-        Rewrite(
-            "retire-waits",
-            "drop waits on counters no intervening issue re-armed",
-            retire_waits,
-        ),
     )
 }
-
-if tuple(REWRITES) != SCHEDULE_PASS_NAMES:  # pragma: no cover - import guard
-    raise AssertionError(
-        "schedule rewrite registry out of sync with "
-        "repro.core.options.SCHEDULE_PASS_NAMES"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,10 @@ _OPTION_KEYS = (
     "epilogue_func",
     "kernel_backend",
     "verify",
-    # the latency-hiding schedule policy: a mode string ("recipe"/
-    # "optimize"/"off") or a {"mode", "allow", "deny"} object; parsed by
-    # SchedulePolicy.parse when the options are built, so bad values
-    # surface as structured ProtocolErrors like every other knob.
+    # the latency-hiding schedule policy, a mode string ("recipe"/
+    # "optimize"/"off"); parsed by SchedulePolicy.parse when the options
+    # are built, so bad values (objects included) surface as structured
+    # ProtocolErrors like every other knob.
     "schedule",
 )
 

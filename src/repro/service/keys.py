@@ -54,8 +54,10 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 #: separately from the fixed recipe).  6: ``schedule`` became the only
 #: latency-hiding knob — ``enable_latency_hiding`` and
 #: ``TileConfig.buffer_depth`` left the options blob, and the policy is
-#: never ``None``.
-CACHE_SCHEMA_VERSION = 6
+#: never ``None``.  7: the policy became a mode alone — its
+#: ``allow``/``deny`` rewrite filters left the options blob, and
+#: ``optimize`` always runs the whole rewrite stack.
+CACHE_SCHEMA_VERSION = 7
 
 
 def canonical_blob(obj: object) -> str:

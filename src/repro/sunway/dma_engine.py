@@ -117,7 +117,7 @@ class DMAEngine:
         what: str,
         nbytes: int,
         run_bytes: int,
-        copy_fn: Optional[Callable[[], int]],
+        copy_fn: Optional[Callable[[], Optional[int]]],
         corrupt_fn: Optional[Callable[[], None]],
         readback_fn: Optional[Callable[[], int]],
     ) -> Tuple[float, Optional[int]]:
@@ -128,7 +128,8 @@ class DMAEngine:
         mismatch costs the attempt plus an exponential backoff, then the
         message is reissued; exhausting the retry budget raises
         :class:`TransientFaultError` naming the CPE and transfer.
-        Returns ``(completion time, payload checksum or None)``.
+        Returns ``(completion time, payload checksum or None)``; the
+        checksum is computed only under ``policy.checksums``.
         """
         injector = self.injector
         attempts = 0
@@ -215,9 +216,9 @@ class DMAEngine:
             payload = src.reshape(-1)[idx]
             dst_flat = dst.reshape(-1)
 
-            def copy_fn() -> int:
+            def copy_fn() -> Optional[int]:
                 dst_flat[:size] = payload
-                return tile_checksum(payload)
+                return tile_checksum(payload) if self.policy.checksums else None
 
             def corrupt_fn() -> None:
                 self.injector.corrupt_tile(dst_flat[:size])
@@ -230,7 +231,7 @@ class DMAEngine:
             cpe, f"dma_iget into {dst_key[0]}[{dst_key[1]}]", nbytes,
             length * dst.itemsize, copy_fn, corrupt_fn, readback_fn,
         )
-        if checksum is not None and self.policy.checksums:
+        if checksum is not None:
             cpe.spm.record_checksum(dst_key[0], dst_key[1], checksum, size)
         self._book(cpe, dst_key, "dma_iget", reply_name, completion, nbytes)
         return completion
@@ -261,9 +262,9 @@ class DMAEngine:
             idx = self._gather_indices(offset, rows, length, strip)
             payload = src.reshape(-1)[:size]
 
-            def copy_fn() -> int:
+            def copy_fn() -> Optional[int]:
                 flat[idx] = payload
-                return tile_checksum(payload)
+                return tile_checksum(payload) if self.policy.checksums else None
 
             def corrupt_fn() -> None:
                 self.injector.corrupt_tile(flat, positions=idx)

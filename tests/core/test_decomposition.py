@@ -50,7 +50,7 @@ def test_batched_band_isolated_first():
 def test_batch_requires_option():
     spec = GemmSpec(batch_param="BS")
     plan = plan_for_kernel(SW26010PRO, CompilerOptions.full())
-    with pytest.raises(CompilationError, match="--batch"):
+    with pytest.raises(CompilationError, match="the batch option"):
         decompose(spec, plan, CompilerOptions.full())
 
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import DEFAULT_GEMM_C, main
+from repro.core.options import CompilerOptions, TileConfig
+from repro.runtime.simulator import PerformanceSimulator
+from repro.service import CompileService, ServiceConfig
 
 
 def test_compile_writes_sources(tmp_path, capsys):
@@ -48,3 +51,24 @@ def test_perf_prints_variants(capsys):
     out = capsys.readouterr().out
     for token in ("dma-only", "+asm", "+rma", "+hiding", "xMath"):
         assert token in out
+
+
+def test_perf_honours_micro_kernel(capsys):
+    """``--micro-kernel`` reaches every variant ``perf`` simulates."""
+    argv = ["--no-cache", "perf", "-M", "512", "-N", "512", "-K", "256"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--micro-kernel", "32x32x16@parametric"]) == 0
+    tiled = capsys.readouterr().out
+    sim = PerformanceSimulator(
+        service=CompileService(ServiceConfig(cache_dir=None))
+    )
+    expected = sim.simulate(512, 512, 256, CompilerOptions.full().with_(
+        tile_config=TileConfig(32, 32, 16), kernel_backend="parametric",
+    ))
+    assert f"+hiding: {expected.gflops:8.1f} Gflops" in tiled
+    for variant in ("dma-only", "+asm", "+rma", "+hiding"):
+        line = next(
+            row for row in default.splitlines() if f"{variant}:" in row
+        )
+        assert line not in tiled, variant

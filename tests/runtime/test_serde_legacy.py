@@ -1,12 +1,17 @@
-"""Payloads written before cache schema 6 still decode.
+"""Payloads written before the current cache schema still decode.
 
 Schema 6 made ``CompilerOptions.schedule`` the only latency-hiding knob:
 ``enable_latency_hiding`` and ``TileConfig.buffer_depth`` are gone, and
-the policy is never ``None``.  The fixtures under
-``tests/golden/legacy/`` were written by the schema-5 code: encoded
-option sets, and one tuning record as ``swgemm tune`` persisted it
-(toy arch, 48×80×32, seed 0, budget 6).  They must decode onto the one
-field and — for the record — still steer compiles.
+the policy is never ``None``.  Schema 7 made the policy a mode alone:
+its ``allow``/``deny`` rewrite filters are gone, and ``optimize`` runs
+the whole rewrite stack.
+
+The fixtures under ``tests/golden/legacy/`` were written by the code of
+their schema: encoded option sets, and one schema-5 tuning record as
+``swgemm tune`` persisted it (toy arch, 48×80×32, seed 0, budget 6).
+They must decode onto the one field and — for the record — still steer
+compiles.  A legacy ``optimize`` policy whose filters named any other
+pipeline than the current stack must refuse to decode.
 """
 
 import json
@@ -17,7 +22,7 @@ import pytest
 
 from repro import api
 from repro.core import CompilerOptions, GemmSpec
-from repro.core.options import SCHEDULE_PASS_NAMES, SchedulePolicy, TileConfig
+from repro.core.options import SchedulePolicy, TileConfig
 from repro.core.passes import reconcile_options
 from repro.runtime import serde
 from repro.service import CompileService, ServiceConfig
@@ -33,9 +38,7 @@ EXPECTED = {
     "baseline": CompilerOptions.baseline(),
     "with_asm": CompilerOptions.with_asm(),
     "with_rma": CompilerOptions.with_rma(),
-    "optimize": full.with_(
-        schedule=SchedulePolicy("optimize", allow=SCHEDULE_PASS_NAMES)
-    ),
+    "optimize": full.with_(schedule=SchedulePolicy("optimize")),
     "off_policy": full.with_(schedule="off"),
     "pinned_depth": full.with_(
         tile_config=TileConfig(32, 32, 16, k_strip=8),
@@ -53,6 +56,41 @@ def test_schema5_options_decode_onto_the_schedule_field(name):
     assert reconcile_options(spec, decoded, SW26010PRO) == reconcile_options(
         spec, EXPECTED[name], SW26010PRO
     )
+
+
+#: Schema-6 option sets: which decode (and onto what), which raise.
+SCHEMA6_DECODES = {
+    # the tuple reconcile pinned for every whole-stack request
+    "optimize": full.with_(schedule=SchedulePolicy("optimize")),
+    # denying the rewrite that never applied still names the stack
+    "optimize_deny_retire_waits": full.with_(
+        schedule=SchedulePolicy("optimize")
+    ),
+    # a recipe's filters never selected anything
+    "recipe_filtered": full,
+}
+SCHEMA6_REFUSED = ("optimize_allow", "optimize_deny")
+
+
+def _schema6(name):
+    return json.loads((LEGACY / "options_schema6.json").read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA6_DECODES))
+def test_schema6_policies_decode_onto_the_mode(name):
+    decoded = serde.decode(_schema6(name))
+    assert decoded == SCHEMA6_DECODES[name]
+    assert serde.encode(decoded.schedule)["v"] == {
+        "mode": decoded.schedule.mode
+    }
+
+
+@pytest.mark.parametrize("name", SCHEMA6_REFUSED)
+def test_schema6_filtered_optimize_refuses_to_decode(name):
+    """A filtered stack named a different pipeline than ``optimize``
+    runs now; decoding it as ``optimize`` would serve the wrong one."""
+    with pytest.raises(serde.SerializationError, match="legacy schedule"):
+        serde.decode(_schema6(name))
 
 
 def test_schema5_tuning_record_decodes_and_steers(tmp_path):

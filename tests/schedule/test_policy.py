@@ -4,10 +4,11 @@ pipeline it selects."""
 import pytest
 
 from repro.core import CompilerOptions, GemmSpec
-from repro.core.options import SCHEDULE_PASS_NAMES, SchedulePolicy
+from repro.core.options import SchedulePolicy
 from repro.core.passes import build_pipeline, reconcile_options
 from repro.errors import ConfigurationError
 from repro.runtime import serde
+from repro.schedule import REWRITES
 from repro.service.keys import cache_key
 from repro.sunway.arch import SW26010PRO
 
@@ -15,55 +16,38 @@ from repro.sunway.arch import SW26010PRO
 # -- parsing ---------------------------------------------------------------
 
 
-def test_parse_accepts_mode_strings_and_dicts():
-    assert SchedulePolicy.parse("optimize").mode == "optimize"
+def test_parse_accepts_mode_strings():
+    assert SchedulePolicy.parse("optimize") == SchedulePolicy(mode="optimize")
     assert SchedulePolicy.parse(None) == SchedulePolicy()
-    policy = SchedulePolicy.parse(
-        {"mode": "optimize", "allow": ["reorder-issues"]}
-    )
-    assert policy.allow == ("reorder-issues",)
     same = SchedulePolicy(mode="off")
     assert SchedulePolicy.parse(same) is same
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["turbo", 42, {"mode": "optimize", "allo": []}, ["optimize"]],
+    ["turbo", 42, {"mode": "optimize", "allo": []}, ["optimize"],
+     {"mode": "optimize"}, {"mode": "optimize", "allow": ["split-waits"]}],
 )
 def test_parse_rejects_malformed_values(bad):
     with pytest.raises(ConfigurationError):
         SchedulePolicy.parse(bad)
 
 
-def test_policy_validates_pass_names():
-    with pytest.raises(ConfigurationError, match="unknown schedule pass"):
-        SchedulePolicy(mode="optimize", allow=("defrag",))
+def test_policy_is_a_mode_and_nothing_else():
     with pytest.raises(ConfigurationError, match="unknown schedule mode"):
         SchedulePolicy(mode="sideways")
-
-
-def test_pass_names_honours_allow_and_deny():
-    assert SchedulePolicy().pass_names() == SCHEDULE_PASS_NAMES
-    assert SchedulePolicy(
-        mode="optimize", allow=("retire-waits", "split-waits")
-    ).pass_names() == ("retire-waits", "split-waits")
-    assert SchedulePolicy(
-        mode="optimize", deny=("reorder-issues",)
-    ).pass_names() == tuple(
-        n for n in SCHEDULE_PASS_NAMES if n != "reorder-issues"
-    )
+    with pytest.raises(TypeError):
+        SchedulePolicy(mode="optimize", allow=("split-waits",))
 
 
 # -- reconciliation --------------------------------------------------------
 
 
 def test_reconcile_canonicalises_recipe_to_none():
-    """A recipe policy's filters are inert: it reconciles to the default
-    policy (what a ``None`` policy meant before schema 6)."""
+    """An explicit recipe policy reconciles to the default policy (what
+    a ``None`` policy meant before schema 6)."""
     spec = GemmSpec()
-    options = CompilerOptions.full().with_(
-        schedule=SchedulePolicy(mode="recipe", deny=("retire-waits",))
-    )
+    options = CompilerOptions.full().with_(schedule="recipe")
     assert reconcile_options(spec, options, SW26010PRO).schedule == (
         SchedulePolicy()
     )
@@ -77,15 +61,13 @@ def test_reconcile_off_disables_hiding():
     assert not reconciled.latency_hiding
 
 
-def test_reconcile_normalises_optimize_to_resolved_allow_list():
+def test_reconcile_pins_off_only_without_hiding():
     spec = GemmSpec()
-    options = CompilerOptions.full().with_(
-        schedule=SchedulePolicy(mode="optimize", deny=("retire-waits",))
-    )
-    reconciled = reconcile_options(spec, options, SW26010PRO)
-    assert reconciled.schedule == SchedulePolicy(
-        mode="optimize",
-        allow=tuple(n for n in SCHEDULE_PASS_NAMES if n != "retire-waits"),
+    optimize = CompilerOptions.full().with_(schedule="optimize")
+    assert reconcile_options(spec, optimize, SW26010PRO) == optimize
+    no_asm = CompilerOptions.full().with_(use_asm=False)
+    assert reconcile_options(spec, no_asm, SW26010PRO).schedule == (
+        SchedulePolicy(mode="off")
     )
 
 
@@ -99,22 +81,17 @@ def test_equivalent_policies_share_a_cache_key():
         ),
     )
     assert recipe == base
-    allow_all = cache_key(
+    optimize = cache_key(
         spec,
         options=CompilerOptions.full().with_(
             schedule=SchedulePolicy(mode="optimize")
         ),
     )
-    spelled_out = cache_key(
-        spec,
-        options=CompilerOptions.full().with_(
-            schedule=SchedulePolicy(
-                mode="optimize", allow=SCHEDULE_PASS_NAMES
-            )
-        ),
+    spelled_as_string = cache_key(
+        spec, options=CompilerOptions.full().with_(schedule="optimize")
     )
-    assert allow_all == spelled_out
-    assert allow_all != base  # rewritten timelines address separately
+    assert optimize == spelled_as_string
+    assert optimize != base  # rewritten timelines address separately
 
 
 # -- serde -----------------------------------------------------------------
@@ -122,38 +99,33 @@ def test_equivalent_policies_share_a_cache_key():
 
 def test_policy_round_trips_through_serde():
     options = CompilerOptions.full().with_(
-        schedule=SchedulePolicy(
-            mode="optimize", allow=("split-waits",), deny=()
-        )
+        schedule=SchedulePolicy(mode="optimize")
     )
     decoded = serde.decode(serde.encode(options))
     assert decoded == options
-    assert isinstance(decoded.schedule.allow, tuple)
+    assert serde.encode(options.schedule)["v"] == {"mode": "optimize"}
 
 
 # -- pipeline selection ----------------------------------------------------
 
 
 def test_optimize_pipeline_contains_schedule_passes_in_policy_order():
+    """``optimize`` runs every registered rewrite, in registry order,
+    right after the recipe is built."""
     spec = GemmSpec()
     options = reconcile_options(
-        spec,
-        CompilerOptions.full().with_(
-            schedule=SchedulePolicy(
-                mode="optimize",
-                allow=("merge-transfers", "split-waits"),
-            )
-        ),
-        SW26010PRO,
+        spec, CompilerOptions.full().with_(schedule="optimize"), SW26010PRO
     )
     names = [p.name for p in build_pipeline(spec, SW26010PRO, options)]
-    assert names.index("schedule:merge-transfers") < names.index(
-        "schedule:split-waits"
-    )
-    assert names.index("latency-hiding") < names.index(
-        "schedule:merge-transfers"
-    )
-    assert "schedule:reorder-issues" not in names
+    scheduled = [n for n in names if n.startswith("schedule:")]
+    assert scheduled == [
+        "schedule:split-waits",
+        "schedule:reorder-issues",
+        "schedule:merge-transfers",
+    ]
+    assert scheduled == [f"schedule:{name}" for name in REWRITES]
+    start = names.index("latency-hiding") + 1
+    assert names[start:start + len(scheduled)] == scheduled
 
 
 def test_recipe_pipeline_has_no_schedule_passes():
@@ -167,8 +139,4 @@ def test_variant_name_reflects_the_policy():
     full = CompilerOptions.full()
     assert "+sched" not in full.variant_name()
     opt = full.with_(schedule=SchedulePolicy(mode="optimize"))
-    assert "+sched" in opt.variant_name()
-    subset = full.with_(
-        schedule=SchedulePolicy(mode="optimize", allow=("split-waits",))
-    )
-    assert "+sched[split-waits]" in subset.variant_name()
+    assert opt.variant_name() == "+hiding+sched"

@@ -1,9 +1,8 @@
-"""The four schedule rewrites and the clone→replay→admit protocol."""
+"""The three schedule rewrites and the clone→replay→admit protocol."""
 
 import pytest
 
 from repro.core import CompilerOptions, GemmCompiler, GemmSpec
-from repro.core.options import SCHEDULE_PASS_NAMES
 from repro.errors import CompilationError
 from repro.runtime.executor import Executor
 from repro.schedule import (
@@ -19,7 +18,9 @@ from tests.schedule.conftest import fresh_context
 
 
 def test_registry_matches_the_canonical_pass_names():
-    assert tuple(REWRITES) == SCHEDULE_PASS_NAMES
+    assert tuple(REWRITES) == (
+        "split-waits", "reorder-issues", "merge-transfers",
+    )
     for name, rewrite in REWRITES.items():
         assert rewrite.name == name
         assert rewrite.summary
@@ -60,18 +61,6 @@ def test_optimize_compile_never_runs_the_executor(monkeypatch):
         for stat in program.pass_stats
         for diagnostic in stat.diagnostics
     )
-
-
-def test_retire_waits_is_identity_on_the_recipe(toy_context):
-    """The recipe never waits twice on an un-rearmed counter, so the
-    dead-wait eliminator must report no opportunity rather than
-    inventing one."""
-    dec, dma, rma, arch = toy_context
-    before = dec.root.dump()
-    outcome = apply_rewrite(dec, "retire-waits", dma, rma, arch)
-    assert not outcome.applied
-    assert outcome.reason == "no opportunity"
-    assert dec.root.dump() == before
 
 
 def test_rejected_candidate_leaves_the_tree_untouched(toy_context):

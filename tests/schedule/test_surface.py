@@ -44,16 +44,16 @@ def test_api_compile_accepts_schedule_strings(toy_service):
     )
 
 
-def test_api_compile_accepts_schedule_dicts(toy_service):
-    program = api.compile(
-        GemmSpec(),
-        arch=TOY_ARCH,
-        schedule={"mode": "optimize", "allow": ["reorder-issues"]},
-        service=toy_service,
-    )
-    names = [s.name for s in program.pass_stats]
-    assert "schedule:reorder-issues" in names
-    assert "schedule:split-waits" not in names
+@pytest.mark.parametrize(
+    "mapping",
+    [{"mode": "optimize"}, {"mode": "optimize", "allow": ["reorder-issues"]}],
+)
+def test_api_compile_refuses_schedule_mappings(toy_service, mapping):
+    """The policy is a mode: a mapping (the retired rewrite filter's
+    spelling) is refused, not silently narrowed to its mode."""
+    with pytest.raises(ConfigurationError, match="schedule policy"):
+        api.compile(GemmSpec(), arch=TOY_ARCH, schedule=mapping,
+                    service=toy_service)
 
 
 def test_api_compile_rejects_bad_schedule(toy_service):
@@ -115,11 +115,12 @@ def test_wire_rejects_optimize_without_asm(toy_service):
 
 
 def test_wire_schedule_structured_object():
-    _, options, _ = spec_and_options(
-        {"arch": "toy",
-         "schedule": {"mode": "optimize", "deny": ["retire-waits"]}}
-    )
-    assert options.schedule.deny == ("retire-waits",)
+    """A ``{"mode", ...}`` object is refused like any other malformed
+    knob: the wire takes a mode string only."""
+    for schedule in ({"mode": "optimize"},
+                     {"mode": "optimize", "allow": ["split-waits"]}):
+        with pytest.raises(ProtocolError, match="schedule policy"):
+            spec_and_options({"arch": "toy", "schedule": schedule})
 
 
 @pytest.mark.parametrize(
@@ -143,9 +144,9 @@ def test_cli_passes_list_covers_schedule_namespace(capsys):
     assert main(["passes", "list", "--schedule=optimize"]) == 0
     out = capsys.readouterr().out
     assert "+sched" in out
-    for name in ("schedule:split-waits", "schedule:reorder-issues",
-                 "schedule:merge-transfers", "schedule:retire-waits"):
-        assert name in out
+    listed = [word for word in out.split() if word.startswith("schedule:")]
+    assert listed == ["schedule:split-waits", "schedule:reorder-issues",
+                      "schedule:merge-transfers"]
 
 
 def test_cli_schedule_off_drops_hiding(capsys):
@@ -153,16 +154,6 @@ def test_cli_schedule_off_drops_hiding(capsys):
     out = capsys.readouterr().out
     assert "latency-hiding" not in out
     assert "communication-schedule" in out
-
-
-def test_cli_schedule_passes_filters_the_stack(capsys):
-    assert main([
-        "passes", "list", "--schedule=optimize",
-        "--schedule-passes", "reorder-issues",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "schedule:reorder-issues" in out
-    assert "schedule:split-waits" not in out
 
 
 def test_cli_rejects_optimize_without_asm(capsys):
@@ -178,10 +169,30 @@ def test_cli_rejects_optimize_without_asm(capsys):
         assert ("+sched" in variant) == ("schedule:" in out), flags
 
 
+def _assert_unknown_schedule_passes_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --schedule-passes" in (
+        capsys.readouterr().err
+    )
+
+
 def test_cli_rejects_schedule_passes_without_optimize(capsys):
-    assert main(["passes", "list", "--schedule-passes", "split-waits"]) == 1
-    err = capsys.readouterr().err
-    assert "--schedule=optimize" in err
+    """``--schedule-passes`` is gone: without ``--schedule=optimize`` it is
+    an unknown flag."""
+    _assert_unknown_schedule_passes_flag(
+        capsys, ["passes", "list", "--schedule-passes", "split-waits"],
+    )
+
+
+def test_cli_schedule_passes_is_an_unknown_flag(capsys):
+    """``--schedule=optimize`` runs one fixed stack: there is no filter
+    flag to narrow it, so ``--schedule-passes`` is refused there too."""
+    _assert_unknown_schedule_passes_flag(capsys, [
+        "passes", "list", "--schedule=optimize",
+        "--schedule-passes", "reorder-issues",
+    ])
 
 
 def test_cli_tree_appends_the_timeline(capsys):

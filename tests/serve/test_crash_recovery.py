@@ -109,6 +109,38 @@ def test_unparseable_journal_entry_is_tombstoned_not_fatal(tmp_path):
     reopened.close()
 
 
+def test_journaled_schedule_object_is_tombstoned_not_fatal(tmp_path):
+    """A compile journaled with a ``{"mode", "allow"}`` schedule object
+    (the retired rewrite filter) fails its replay, is tombstoned, and
+    the daemon keeps serving."""
+    journal = RequestJournal(tmp_path / "journal")
+    journal.record_accepted(_accepted(
+        "compile",
+        {"arch": "toy",
+         "schedule": {"mode": "optimize", "allow": ["reorder-issues"]}},
+        rid="filtered",
+    ))
+    journal.close()
+    handle = start_in_thread(
+        CompileService(ServiceConfig(cache_dir=tmp_path / "cache")),
+        ServeConfig(workers=1, quota=None,
+                    journal_dir=str(tmp_path / "journal")),
+    )
+    try:
+        with Client(handle.address, tenant="probe") as client:
+            stats = _wait_for_replay(client)
+            assert stats["counters"]["replayed"] == 1
+            assert stats["counters"]["replay_failed"] == 1
+            # The refused replay compiled nothing under the mode alone.
+            result = client.compile({"arch": "toy", "schedule": "optimize"})
+            assert result["source"] == "compiled"
+    finally:
+        handle.stop()
+    reopened = RequestJournal(tmp_path / "journal")
+    assert reopened.pending_count() == 0
+    reopened.close()
+
+
 def test_acknowledged_requests_are_tombstoned_live(tmp_path):
     handle = start_in_thread(
         None,

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.errors import InvalidDMAError, SynchronizationError
+from repro.service import CompileService, ServiceConfig
+from repro.sunway import dma_engine
 from repro.sunway.arch import TOY_ARCH
 from repro.sunway.cpe import CPE
 from repro.sunway.dma_engine import DMAEngine
@@ -193,3 +196,21 @@ def test_prop_strided_gather_matches_slicing(rows, cols, row0, col0):
         size=rows * cols, length=cols, strip=16 - cols, reply_name="r",
     )
     assert (dst == matrix[row0 : row0 + rows, col0 : col0 + cols]).all()
+
+
+def test_default_run_computes_no_tile_checksums(monkeypatch):
+    """Checksums are off by default, so data-moving DMA never computes
+    one: with ``tile_checksum`` made to raise, a default run still
+    matches NumPy."""
+
+    def refuse(tile):
+        raise AssertionError("tile_checksum ran with checksums off")
+
+    monkeypatch.setattr(dma_engine, "tile_checksum", refuse)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((512, 256))
+    b = rng.standard_normal((256, 512))
+    result = api.run(None, a, b, service=CompileService(
+        ServiceConfig(cache_dir=None)
+    ))
+    assert np.allclose(result.c, a @ b)
