@@ -12,10 +12,17 @@ a cursor.  A CPE blocks when it spins on a reply counter whose transfer
 has not completed or when it arrives at the mesh barrier: the wait
 re-polls the next time the CPE is resumed, so cross-CPE interactions —
 a receiver waiting for a broadcast its sender has not issued yet —
-behave exactly like the hardware's spin loops.  A scheduling round in
-which no CPE makes progress is reported as a deadlock with each CPE's
-blocking reason, which turns schedule bugs into actionable failures
-instead of hangs.
+behave exactly like the hardware's spin loops.
+
+The scheduler always resumes the runnable CPE with the smallest virtual
+clock, the first queued among equal clocks.  The runnable CPEs sit in a
+binary heap keyed on ``(clock, enqueue order)``; a barrier release can
+move a queued CPE's clock forward, so a stale key is re-keyed when it
+reaches the top, which is exact because no clock ever moves back (see
+:class:`_RunQueue`).  When no CPE is runnable and some are still
+blocked, the run is reported as a deadlock with each CPE's blocking
+reason, which turns schedule bugs into actionable failures instead of
+hangs.
 
 Two modes share all of this logic:
 
@@ -36,6 +43,7 @@ hiding pass failed to overlap a transfer, the measured time shows it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -101,6 +109,43 @@ class _Cursor(Cursor):
         #: the watchdog's budget start: when the wait this CPE is blocked
         #: in first failed to pass (None when not blocked in a wait).
         self.waited_since: Optional[float] = None
+
+
+class _RunQueue:
+    """The runnable cursors, popped smallest CPE clock first and, among
+    equal clocks, in the order they were pushed.
+
+    A binary heap of ``(clock, seq, cursor)`` entries; ``seq`` counts the
+    pushes, so it is unique and a comparison never reaches the cursor.
+    A queued cursor's clock may move forward while it waits, so its key
+    can be stale.  Clocks never move back (:meth:`CPE.advance` refuses a
+    negative charge and :meth:`CPE.sync_to` only raises), so a key is
+    never above its cursor's clock: ``pop`` re-keys a stale top with the
+    current clock and the *same* ``seq``, and a top whose key is current
+    is the true minimum.
+    """
+
+    __slots__ = ("_heap", "_seq")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, _Cursor]] = []
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, cursor: _Cursor) -> None:
+        heappush(self._heap, (cursor.cpe.clock, self._seq, cursor))
+        self._seq += 1
+
+    def pop(self) -> _Cursor:
+        heap = self._heap
+        clock, seq, cursor = heap[0]
+        while clock < cursor.cpe.clock:
+            heapreplace(heap, (cursor.cpe.clock, seq, cursor))
+            clock, seq, cursor = heap[0]
+        heappop(heap)
+        return cursor
 
 
 class Executor:
@@ -201,48 +246,50 @@ class Executor:
     # presented in (approximately) virtual-time order: always resume the
     # runnable CPE whose clock is smallest — conservative discrete-event
     # simulation.  A resume ends after every clock-advancing statement,
-    # or blocked in a spin-wait; blocked CPEs re-poll whenever anyone
-    # else makes progress.
+    # or blocked in a spin-wait; blocked CPEs are re-armed (queued again,
+    # in the order they blocked) whenever a resume makes progress.
+    #
+    # Among equal clocks the CPE enqueued first runs first: each enqueue —
+    # the initial cursors in mesh order, a cursor requeued after its
+    # resume, then the re-armed ones — takes the next sequence number, and
+    # the run queue's heap orders ``(clock, seq)``.  A queued key goes
+    # stale when a barrier release ``sync_to``s the arrived CPEs, re-armed
+    # ones included; the pop re-keys a stale top and looks again.
+    #
+    # No poll is needed when the queue runs dry with CPEs still blocked:
+    # each of them failed a poll after the last resume that made progress,
+    # and nothing a poll reads changes without progress (reply counters
+    # are booked when a transfer is issued, the barrier opens inside the
+    # arrive whose resume then passes it, and clocks move only in resumes
+    # that progress), so another poll would fail the same way.
 
     def _schedule(self, code: List[Instr], cursors: List[_Cursor]) -> None:
-        runnable: List[_Cursor] = list(cursors)
+        queue = _RunQueue()
+        for cursor in cursors:
+            queue.push(cursor)
         blocked: List[_Cursor] = []
-        while runnable or blocked:
-            if not runnable:
-                # Everyone is blocked: one re-poll round must progress.
-                before = self._progress
-                next_runnable: List[_Cursor] = []
-                still_blocked: List[_Cursor] = []
-                for cursor in blocked:
-                    status = self._resume(code, cursor)
-                    if status == DONE:
-                        continue
-                    target = still_blocked if status == BLOCKED else next_runnable
-                    target.append(cursor)
-                if not next_runnable and still_blocked and self._progress == before:
-                    reasons = "; ".join(
-                        f"CPE({r},{c}): {why}"
-                        for (r, c), why in sorted(self._blocked.items())
-                    )
-                    raise ExecutionError(
-                        f"deadlock: {len(still_blocked)} CPEs blocked with "
-                        f"no progress — {reasons or 'no reasons recorded'}"
-                    )
-                runnable, blocked = next_runnable, still_blocked
-                continue
-            # Resume the runnable CPE with the smallest virtual clock.
-            idx = min(range(len(runnable)), key=lambda n: runnable[n].cpe.clock)
-            cursor = runnable.pop(idx)
+        while queue:
+            cursor = queue.pop()
             before = self._progress
             status = self._resume(code, cursor)
             if status == BLOCKED:
                 blocked.append(cursor)
             elif status != DONE:
-                runnable.append(cursor)
+                queue.push(cursor)
             if self._progress != before and blocked:
                 # Progress may have satisfied someone's wait: re-arm them.
-                runnable.extend(blocked)
-                blocked = []
+                for waiter in blocked:
+                    queue.push(waiter)
+                blocked.clear()
+        if blocked:
+            reasons = "; ".join(
+                f"CPE({r},{c}): {why}"
+                for (r, c), why in sorted(self._blocked.items())
+            )
+            raise ExecutionError(
+                f"deadlock: {len(blocked)} CPEs blocked with "
+                f"no progress — {reasons or 'no reasons recorded'}"
+            )
 
     def _resume(self, code: List[Instr], cursor: _Cursor) -> int:
         signal = code[cursor.pc](cursor)

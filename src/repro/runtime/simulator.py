@@ -13,8 +13,9 @@ latency cannot be hidden).  The simulator therefore:
    them (:meth:`PerformanceSimulator.chunk_stats`);
 2. multiplies by the number of chunks and adds the one-off spawn cost.
 
-Chunk times are cached per ``(arch, options, K, fusion, batch)`` so shape
-sweeps that share a K value (most of Fig. 13/14) cost one simulation.
+Each simulator caches its chunk times per ``(options, spec, K)``, so
+shape sweeps that share a K value (most of Fig. 13/14) cost one
+simulation.
 
 Batched GEMM composes the same way: our compiler starts the mesh once and
 iterates the batch inside the CPE code (§8.3), so

@@ -160,4 +160,9 @@ def test_deadlock_reports_blocking_reasons():
     )
     with pytest.raises(ExecutionError) as excinfo:
         run(program)
-    assert "rma_wait_value" in str(excinfo.value) or "deadlock" in str(excinfo.value)
+    waiting = "rma_wait_value rbcast_replyrA#0 >= 1"
+    assert str(excinfo.value) == (
+        "deadlock: 4 CPEs blocked with no progress — "
+        f"CPE(0,0): {waiting}; CPE(0,1): {waiting}; "
+        f"CPE(1,0): {waiting}; CPE(1,1): {waiting}"
+    )
