@@ -66,7 +66,7 @@ def test_sw26010_configuration(benchmark):
     """The predecessor (64 KB SPM, no RMA): the same pipeline compiles
     with a smaller kernel and DMA-only communication — the portability
     §9 claims over the manual approaches."""
-    options = CompilerOptions(use_asm=True, enable_rma=False)
+    options = CompilerOptions(enable_rma=False)
     plan = benchmark(lambda: plan_for_kernel(SW26010, options))
     assert plan.spm_bytes() <= SW26010.spm_bytes
     assert not plan.use_rma

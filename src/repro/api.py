@@ -22,9 +22,10 @@ options pass as keyword overrides, e.g.::
 
 ``schedule`` selects the §6 latency-hiding pipeline — ``"recipe"`` (the
 default), ``"optimize"`` or ``"off"`` — and takes a mode string or a
-:class:`~repro.core.options.SchedulePolicy`.  Hiding needs the asm
-kernel: ``use_asm=False`` compiles without it, and ``use_asm=False``
-with ``schedule="optimize"`` is a :class:`~repro.errors.ConfigurationError`.
+:class:`~repro.core.options.SchedulePolicy`.  Hiding needs an asm
+kernel: ``kernel_backend="naive"`` (plain loops, ``--no-use-asm``)
+compiles without it, and with ``schedule="optimize"`` is a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -180,10 +181,12 @@ def tune(
 ):
     """Search the tile/pipeline space for one shape class.
 
-    Returns the persisted :class:`~repro.tune.records.TuningRecord`
+    Returns the winning :class:`~repro.tune.records.TuningRecord`
     (or the full :class:`~repro.tune.driver.TuneResult` with
-    ``full_result=True``).  Subsequent :func:`compile` calls carrying a
-    ``shape`` in the same class are steered to the winner automatically.
+    ``full_result=True``).  A whole-space search persists it: later
+    default :func:`compile` calls carrying a ``shape`` in the same class
+    are steered to the winner.  A search from reduced options (naive
+    kernel, ``schedule="off"``, RMA off) is not persisted.
     """
     from repro.tune import TuneOptions, Tuner
 

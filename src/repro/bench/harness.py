@@ -587,10 +587,7 @@ def schedule_sweep(
         if batch > 1:
             base = base.with_(batch=True)
         if tile is not None:
-            mt, nt, kt = tile
-            base = base.with_(
-                tile_config=TileConfig(mt, nt, kt, k_strip=arch.mesh_rows)
-            )
+            base = base.with_(tile_config=TileConfig(*tile))
         optimized = base.with_(schedule=SchedulePolicy(mode="optimize"))
         recipe_perf = sim.simulate(M, N, K, base, batch=batch)
         opt_perf = sim.simulate(M, N, K, optimized, batch=batch)

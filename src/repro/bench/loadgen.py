@@ -162,7 +162,6 @@ def unique_kernel_keys(trace: Sequence[Dict[str, Any]]) -> List[str]:
     so descriptors that normalise identically (``verify: false``) count
     as one kernel — exactly what the dedup inequality compares against.
     """
-    from repro.core.passes import reconcile_options
     from repro.service import cache_key
 
     keys = set()
@@ -170,7 +169,7 @@ def unique_kernel_keys(trace: Sequence[Dict[str, Any]]) -> List[str]:
         if entry["op"] not in ("compile", "run", "verify"):
             continue
         spec, options, arch = spec_and_options(entry["params"])
-        keys.add(cache_key(spec, arch, reconcile_options(spec, options, arch)))
+        keys.add(cache_key(spec, arch, options))
     return sorted(keys)
 
 

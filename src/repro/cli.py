@@ -57,8 +57,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 DEFAULT_GEMM_C = """\
 void gemm(int M, int N, int K, double alpha,
           double A[M][K], double B[K][N], double C[M][N]) {
@@ -248,10 +246,12 @@ def _apply_flags(args, options):
     """Fold the option flags — ``--no-use-asm``, ``--no-rma``,
     ``--no-verify``, ``--micro-kernel`` and ``--schedule`` — into
     ``options``: what the frontend inferred from the source (batch,
-    fusion), or ``CompilerOptions.full()`` for ``tune`` without one."""
+    fusion), or ``CompilerOptions.full()`` for ``tune`` without one.
+    ``--no-use-asm`` selects the naive kernel and wins over a
+    ``--micro-kernel`` backend."""
     overrides = _micro_kernel_overrides(args)
     if args.no_use_asm:
-        overrides["use_asm"] = False
+        overrides["kernel_backend"] = "naive"
     if args.no_rma:
         overrides["enable_rma"] = False
     if getattr(args, "no_verify", False):
@@ -416,19 +416,14 @@ def cmd_passes_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.runtime.executor import run_gemm
+    from repro.runtime.executor import run_checked
 
     program = _build_program(args)
-    rng = np.random.default_rng(args.seed)
-    A = rng.standard_normal((args.M, args.K))
-    B = rng.standard_normal((args.K, args.N))
-    C = np.zeros((args.M, args.N))
     guarded = getattr(args, "guarded", False)
-    C, report = run_gemm(
-        program, A, B, C, alpha=args.alpha, beta=0.0, guarded=guarded
+    report, error = run_checked(
+        program, args.M, args.N, args.K, seed=args.seed, alpha=args.alpha,
+        guarded=guarded,
     )
-    reference = args.alpha * (A @ B)
-    error = float(np.abs(C - reference).max())
     print(f"max |C - reference| = {error:.3e}")
     if guarded:
         print(
@@ -531,7 +526,9 @@ def cmd_tune(args) -> int:
         f"{row['improvement_pct']:+.2f}%)"
     )
     print(f"record      : {row['key'][:16]} (search space v{row['space_version']})")
-    if service.tuning_store.root is None:
+    if not result.persisted:
+        print("note: reduced search space — record not persisted")
+    elif service.tuning_store.root is None:
         print("note: cache disabled — record not persisted (--no-cache)")
     return 0
 
@@ -814,7 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("source", nargs="?", help="C input file (- for stdin; "
                            "omit for the canonical naive GEMM)")
         p.add_argument("--no-use-asm", action="store_true",
-                       help="bypass the inline assembly kernel")
+                       help="bypass the inline assembly kernel: compile "
+                       "the naive loop kernel (wins over a --micro-kernel "
+                       "backend)")
         p.add_argument("--no-rma", action="store_true",
                        help="disable RMA broadcasts")
         p.add_argument(

@@ -42,7 +42,7 @@ from repro.codegen.microkernel import (
 )
 from repro.sunway.arch import ArchSpec, MicroKernelShape
 
-#: The backend used when ``CompilerOptions.kernel_backend`` is unset.
+#: The backend :func:`get_backend` returns for ``None``.
 DEFAULT_BACKEND = "vendor"
 
 #: Pipeline fill/drain cycles a generated kernel pays per register
@@ -298,14 +298,13 @@ def resolve_kernel(arch, options, shape=None):
 
     ``shape`` defaults to the tile config when one is set, else the
     arch's contract — the same precedence the tile planner applies.
-    The scalar (``use_asm=False``) path bypasses the backends entirely:
-    it models swgcc compiling the naive loop nest, which no generator
-    is involved in.
+    The ``naive`` kernel bypasses the backends entirely: it models swgcc
+    compiling the plain loop nest, which no generator is involved in.
     """
     if shape is None:
         cfg = options.tile_config
         shape = cfg.shape() if cfg is not None else arch.micro_kernel
     if not options.use_asm:
         return NaiveKernel(arch, shape)
-    backend = get_backend(getattr(options, "kernel_backend", None))
+    backend = get_backend(options.kernel_backend)
     return backend.generate(shape, arch.simd_doubles, arch)

@@ -2,11 +2,11 @@
 
 Mirrors the command-line surface described in §8: the compiler generates
 athread code for one SW26010Pro cluster by default, ``batch`` enables the
-batched-GEMM path (Fig. 3), ``--no-use-asm`` bypasses the inline assembly
-kernel and emits plain loop code.  The additional switches
-(``enable_rma`` / ``schedule``) expose the intermediate code variants of
-the performance breakdown (§8.1) — the paper's orange and green bars —
-and the fusion modes of §7.3.
+batched-GEMM path (Fig. 3), and ``kernel_backend`` picks the micro
+kernel — ``"naive"`` is the paper's ``--no-use-asm`` plain loop code.
+The additional switches (``enable_rma`` / ``schedule``) expose the
+intermediate code variants of the performance breakdown (§8.1) — the
+paper's orange and green bars — and the fusion modes of §7.3.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from repro.sunway.arch import ArchSpec, MicroKernelShape
 
 FUSION_MODES = ("none", "prologue", "epilogue")
 
+#: Micro kernels: plain loops (``--no-use-asm``, §8.1), the inline asm
+#: kernel (§7.2) and the register-tiled generator (repro.codegen.backend).
+KERNEL_BACKENDS = ("naive", "vendor", "parametric")
+
 #: SIMD alignment every tile dimension must respect: the vector kernel
 #: processes 8-double rows in 4-wide register groups, so tiles that are
 #: not multiples of 4 cannot be register-blocked.
@@ -28,24 +32,20 @@ TILE_ALIGN = 4
 
 @dataclass(frozen=True)
 class TileConfig:
-    """First-class tunable tile/pipeline configuration.
+    """First-class tunable tile configuration.
 
     The paper fixes the micro-kernel shape analytically at the arch's
     contract (§3.1 — 64×64×32 on SW26010Pro); the autotuner
-    (:mod:`repro.tune`) instead searches this
-    space.  A ``TileConfig`` carries the (X̂, Ŷ, Ẑ) tile sizes plus the
-    k-strip-mine factor ``k_strip``.  ``None`` derives it from the RMA
-    mode (mesh size with RMA, 1 without, §5.2); an explicit value must
-    match that derivation or the plan is rejected — the field exists so
-    search-space points are self-describing.  The SPM buffer depth is
-    not a field: it follows from latency hiding (2 slots when hiding,
-    else 1, see :attr:`CompilerOptions.latency_hiding`).
+    (:mod:`repro.tune`) instead searches this space.  A ``TileConfig``
+    carries the (X̂, Ŷ, Ẑ) tile sizes and nothing else: the k-strip-mine
+    factor follows from the RMA mode (mesh size with RMA, 1 without,
+    §5.2) and the SPM buffer depth from latency hiding (2 slots when
+    hiding, else 1, see :attr:`CompilerOptions.latency_hiding`).
     """
 
     mt: int
     nt: int
     kt: int
-    k_strip: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name, value in (("mt", self.mt), ("nt", self.nt), ("kt", self.kt)):
@@ -54,27 +54,18 @@ class TileConfig:
                     f"tile {name}={value} must be a positive multiple of "
                     f"{TILE_ALIGN} (SIMD register blocking)"
                 )
-        if self.k_strip is not None and self.k_strip <= 0:
-            raise ConfigurationError(
-                f"k_strip={self.k_strip!r} must be None or positive"
-            )
 
     def shape(self) -> MicroKernelShape:
         return MicroKernelShape(self.mt, self.nt, self.kt)
 
     def name(self) -> str:
-        name = f"{self.mt}x{self.nt}x{self.kt}"
-        return name if self.k_strip is None else f"{name}-s{self.k_strip}"
+        return f"{self.mt}x{self.nt}x{self.kt}"
 
     def is_default_for(self, arch: "ArchSpec") -> bool:
         """True when this config pins exactly the arch's analytical
-        default with a derived k-strip — such configs normalise to
-        ``tile_config=None`` in cache keys."""
+        default (it normalises to ``tile_config=None`` in cache keys)."""
         mk = arch.micro_kernel
-        return (
-            (self.mt, self.nt, self.kt) == (mk.mt, mk.nt, mk.kt)
-            and self.k_strip is None
-        )
+        return (self.mt, self.nt, self.kt) == (mk.mt, mk.nt, mk.kt)
 
     @staticmethod
     def default_for(arch: "ArchSpec") -> "TileConfig":
@@ -140,9 +131,6 @@ class CompilerOptions:
     #: Treat the input as batched GEMM; the frontend sets it from the
     #: source's batch dimension.
     batch: bool = False
-    #: Use the vendor inline assembly micro kernel (§7.2); ``False``
-    #: corresponds to ``--no-use-asm``.
-    use_asm: bool = True
     #: Share input tiles across the mesh with RMA broadcasts (§5).
     enable_rma: bool = True
     #: Fusion pattern: "none", "prologue" (quantisation of A) or
@@ -153,14 +141,12 @@ class CompilerOptions:
     #: Element-wise function used by the fused epilogue.
     epilogue_func: str = "relu"
     #: Tunable tile configuration (``None`` = the arch's analytical
-    #: default shape with a derived k-strip).  Set by the
-    #: autotuner (:mod:`repro.tune`) or ``--tile MTxNTxKT`` explicitly.
+    #: default shape).  Set by the autotuner (:mod:`repro.tune`) or
+    #: ``--micro-kernel MTxNTxKT`` explicitly.
     tile_config: Optional[TileConfig] = None
-    #: Micro-kernel backend generating the compute kernel (``None`` =
-    #: the vendor §7.2 contract; ``"parametric"`` = the register-tiled
-    #: generator).  Resolved through
-    #: :func:`repro.codegen.backend.get_backend`.
-    kernel_backend: Optional[str] = None
+    #: The micro kernel, one of :data:`KERNEL_BACKENDS`; the asm ones
+    #: resolve through :func:`repro.codegen.backend.get_backend`.
+    kernel_backend: str = "vendor"
     #: Fault-injection plane threaded through every entry point that
     #: consumes this option set (``--inject-faults`` / ``--fault-seed``).
     #: Runtime-only: excluded from cache keys, see
@@ -191,6 +177,11 @@ class CompilerOptions:
             raise ConfigurationError(f"unknown prologue func {self.prologue_func!r}")
         if self.epilogue_func not in ELEMENTWISE_FUNCS:
             raise ConfigurationError(f"unknown epilogue func {self.epilogue_func!r}")
+        if self.kernel_backend not in KERNEL_BACKENDS:
+            raise ConfigurationError(
+                f"unknown kernel backend {self.kernel_backend!r}; expected "
+                f"one of {KERNEL_BACKENDS}"
+            )
         if self.schedule.mode == "optimize" and not self.use_asm:
             # The rewrite stack rewrites the latency-hiding pipeline, which
             # only exists around the fast kernel: without it there is
@@ -198,18 +189,14 @@ class CompilerOptions:
             raise ConfigurationError(
                 "schedule mode 'optimize' (--schedule=optimize) rewrites "
                 "the latency-hiding pipeline, which needs the asm kernel; "
-                "it cannot be combined with use_asm=False (--no-use-asm)"
+                "it cannot be combined with kernel_backend='naive' "
+                "(--no-use-asm)"
             )
-        if self.kernel_backend is not None:
-            # Lazy import: the backend registry lives above this module
-            # in the import graph (codegen.backend → tile_model → here).
-            from repro.codegen.backend import backend_names
 
-            if self.kernel_backend not in backend_names():
-                raise ConfigurationError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"registered: {', '.join(backend_names())}"
-                )
+    @property
+    def use_asm(self) -> bool:
+        """Whether the micro kernel is an asm kernel, not plain loops."""
+        return self.kernel_backend != "naive"
 
     @property
     def latency_hiding(self) -> bool:
@@ -223,7 +210,8 @@ class CompilerOptions:
     def baseline() -> "CompilerOptions":
         """Red bars: automatic DMA only, naive CPE loops."""
         return CompilerOptions(
-            use_asm=False, enable_rma=False, schedule=SchedulePolicy("off")
+            kernel_backend="naive", enable_rma=False,
+            schedule=SchedulePolicy("off"),
         )
 
     @staticmethod
@@ -254,8 +242,8 @@ class CompilerOptions:
             base = f"{base}+sched"
         if self.tile_config is not None:
             base = f"{base}@{self.tile_config.name()}"
-        if self.kernel_backend is not None:
-            base = f"{base}#{self.kernel_backend}"
+        if self.kernel_backend == "parametric":
+            base = f"{base}#parametric"
         return base
 
     def with_(self, **overrides) -> "CompilerOptions":

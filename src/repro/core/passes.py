@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CompilationError, CompileTimeout, ConfigurationError
@@ -80,9 +80,8 @@ def reconcile_options(
 
     With ``arch`` supplied, the tile configuration is normalised too: a
     config pinning exactly the arch's analytical default collapses to
-    ``tile_config=None``, and a ``k_strip`` equal to what the arch
-    derives is cleared — so an autotuned point that happens to restate
-    the defaults addresses the same artifact as a plain request.  An
+    ``tile_config=None``, so an autotuned point that happens to restate
+    the default addresses the same artifact as a plain request.  An
     arch without an RMA fabric also clears ``enable_rma`` (on SW26010
     the flag cannot select any code path), so default requests compile
     on every registered arch.
@@ -130,29 +129,12 @@ def reconcile_options(
     if options.fusion != "epilogue" and options.epilogue_func != defaults.epilogue_func:
         options = options.with_(epilogue_func=defaults.epilogue_func)
 
-    # The kernel backend only matters on the assembly path (the scalar
-    # variant models swgcc's naive loop nest — no generator involved),
-    # and "vendor" restates the default — both collapse to None so
-    # kernel-identical requests share one artifact.
-    if options.kernel_backend is not None and (
-        not options.use_asm or options.kernel_backend == "vendor"
-    ):
-        options = options.with_(kernel_backend=None)
-
     if arch is not None and options.enable_rma and not arch.rma_supported:
         options = options.with_(enable_rma=False)
 
     cfg = options.tile_config
-    if cfg is not None and arch is not None:
-        derived_strip = (
-            arch.mesh_rows if options.enable_rma and arch.rma_supported else 1
-        )
-        if cfg.k_strip == derived_strip:
-            cfg = replace(cfg, k_strip=None)
-        if cfg.is_default_for(arch):
-            cfg = None
-        if cfg is not options.tile_config:
-            options = options.with_(tile_config=cfg)
+    if cfg is not None and arch is not None and cfg.is_default_for(arch):
+        options = options.with_(tile_config=None)
 
     if not options.latency_hiding and options.schedule.mode != "off":
         options = options.with_(schedule=SchedulePolicy(mode="off"))

@@ -173,16 +173,13 @@ def plan_for_kernel(
     SPM (minus a small reserve for stack and reply counters).
 
     ``shape`` defaults to ``options.tile_config`` when one is set (the
-    autotuner path), otherwise to the arch's analytical default.  An
-    explicit tile config's ``k_strip`` must cohere with the option set:
-    one contradicting the RMA strip-mine factor is rejected — the pruner
-    relies on this to discard inconsistent search points.
-    The selected kernel backend must also accept the shape
+    autotuner path), otherwise to the arch's analytical default.  The
+    selected kernel backend must accept the shape
     (:class:`~repro.errors.ConfigurationError` otherwise), so the
     pruner discards shapes the generator refuses for free.
     """
-    cfg = options.tile_config
     if shape is None:
+        cfg = options.tile_config
         shape = cfg.shape() if cfg is not None else arch.micro_kernel
     if options.use_asm:
         # Lazy import: codegen.backend sits above this module.
@@ -201,14 +198,6 @@ def plan_for_kernel(
             f"{arch.name} has no SPM RMA; compile with enable_rma=False"
         )
     double = options.latency_hiding
-    if cfg is not None:
-        expected_strip = arch.mesh_rows if use_rma else 1
-        if cfg.k_strip is not None and cfg.k_strip != expected_strip:
-            raise ConfigurationError(
-                f"tile config pins k_strip={cfg.k_strip} but the "
-                f"{'RMA' if use_rma else 'DMA-only'} pipeline strip-mines "
-                f"K by {expected_strip}"
-            )
     plan = TilePlan(
         mt=shape.mt,
         nt=shape.nt,

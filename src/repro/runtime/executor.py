@@ -751,3 +751,40 @@ def run_gemm(
     for name in (spec.a_name, spec.b_name, spec.c_name):
         cluster.memory.free(name)
     return C, report
+
+
+def run_checked(
+    program: CompiledProgram,
+    M: int,
+    N: int,
+    K: int,
+    seed: int = 0,
+    alpha: float = 1.0,
+    batch: int = 4,
+    guarded: bool = False,
+) -> Tuple[ExecutionReport, float]:
+    """Run ``program`` on seeded random operands and compare with NumPy:
+    returns the report and ``max |C - reference|``.
+
+    The operands are drawn in the spec's storage layout (A is K×M under
+    ``trans_a``, B is N×K under ``trans_b``; ``batch`` of each for a
+    batched spec), C starts at zero, and the reference applies the
+    kernel's own fused element-wise stages: quantised A in, activated
+    C out.
+    """
+    spec = program.spec
+    rng = np.random.default_rng(seed)
+    lead = (batch,) if spec.is_batched else ()
+    A = rng.standard_normal(lead + ((K, M) if spec.trans_a else (M, K)))
+    B = rng.standard_normal(lead + ((N, K) if spec.trans_b else (K, N)))
+    C, report = run_gemm(program, A, B, alpha=alpha, beta=0.0, guarded=guarded)
+    if spec.trans_a:
+        A = A.swapaxes(-1, -2)
+    if spec.trans_b:
+        B = B.swapaxes(-1, -2)
+    if spec.prologue_func:
+        A = get_elementwise(spec.prologue_func).numpy_fn(A)
+    expected = alpha * (A @ B)
+    if spec.epilogue_func:
+        expected = get_elementwise(spec.epilogue_func).numpy_fn(expected)
+    return report, float(np.abs(C - expected).max())

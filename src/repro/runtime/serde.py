@@ -54,8 +54,8 @@ def register(cls: type, tag: str, encode_fn, decode_fn) -> None:
 def register_dataclass(cls: type, tag: str = "", upgrade=None) -> None:
     """Field-wise registration; the constructor must accept every field.
 
-    ``upgrade`` maps the decoded fields of a payload written by an older
-    version of ``cls`` onto the current fields before construction.
+    ``upgrade`` maps a copy of the still-encoded fields of a payload
+    written by an older version of ``cls`` onto the current fields.
     """
     tag = tag or cls.__name__
     names = [f.name for f in dataclass_fields(cls)]
@@ -64,8 +64,9 @@ def register_dataclass(cls: type, tag: str = "", upgrade=None) -> None:
         return {n: encode(getattr(obj, n)) for n in names}
 
     def dec(payload: dict):
-        fields = {n: decode(v) for n, v in payload.items()}
-        return cls(**(upgrade(fields) if upgrade is not None else fields))
+        if upgrade is not None:
+            payload = upgrade(dict(payload))
+        return cls(**{n: decode(v) for n, v in payload.items()})
 
     register(cls, tag, enc, dec)
 
@@ -107,6 +108,13 @@ def decode(data: Any) -> Any:
             raise SerializationError(f"unknown serde tag {tag!r}")
         return dec(data["v"])
     raise SerializationError(f"cannot decode {data!r}")
+
+
+def upgrade_candidate(fields: dict) -> dict:
+    """Tuning candidates written before cache schema 8 keep their k-strip
+    label on the tile; move it onto the candidate."""
+    fields.setdefault("k_strip", fields["tile"]["v"].get("k_strip"))
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +290,23 @@ def _register_all() -> None:
     # older artifacts) still carry the retired latency-hiding spellings:
     # the ``enable_latency_hiding`` bit beside a ``schedule`` that could
     # be None, and ``TileConfig.buffer_depth``, which always restated
-    # that bit.  Decode them onto the one ``schedule`` field.
+    # that bit.  Decode them onto the one ``schedule`` field.  Before
+    # schema 8, ``use_asm`` beside a maybe-None ``kernel_backend`` spelt
+    # the kernel, and ``TileConfig.k_strip`` could only restate the
+    # derived strip: decode onto ``kernel_backend`` and drop the pin.
     def upgrade_options(fields: dict) -> dict:
         if fields.pop("enable_latency_hiding", True) is False:
-            fields["schedule"] = SchedulePolicy(mode="off")
+            fields["schedule"] = encode(SchedulePolicy(mode="off"))
+        if "use_asm" in fields:
+            asm = fields.pop("use_asm")
+            fields["kernel_backend"] = (
+                (fields.get("kernel_backend") or "vendor") if asm else "naive"
+            )
         return fields
 
     def upgrade_tile(fields: dict) -> dict:
         fields.pop("buffer_depth", None)
+        fields.pop("k_strip", None)
         return fields
 
     # Policies written before schema 7 also carry ``allow``/``deny``
@@ -304,8 +321,8 @@ def _register_all() -> None:
     def upgrade_policy(fields: dict) -> dict:
         if "allow" not in fields:
             return fields
-        allow = fields.pop("allow") or legacy_stack
-        deny = fields.pop("deny", ())
+        allow = decode(fields.pop("allow")) or legacy_stack
+        deny = decode(fields.pop("deny", None)) or ()
         if fields["mode"] == "optimize":
             from repro.schedule import REWRITES
 

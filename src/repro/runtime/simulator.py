@@ -231,14 +231,16 @@ class PerformanceSimulator:
 
         ``overrides`` are option fields applied to every variant — the
         CLI's ``--micro-kernel`` tile and backend, or the fault-injection
-        plane of ``--inject-faults``."""
+        plane of ``--inject-faults`` — except that ``dma-only`` keeps the
+        naive kernel whatever backend the others use."""
+        overrides = dict(overrides or {})
+        naive = {**overrides, "kernel_backend": "naive"}
         variants = (
-            ("dma-only", CompilerOptions.baseline()),
-            ("+asm", CompilerOptions.with_asm()),
-            ("+rma", CompilerOptions.with_rma()),
-            ("+hiding", CompilerOptions.full()),
+            ("dma-only", CompilerOptions.baseline().with_(**naive)),
+            ("+asm", CompilerOptions.with_asm().with_(**overrides)),
+            ("+rma", CompilerOptions.with_rma().with_(**overrides)),
+            ("+hiding", CompilerOptions.full().with_(**overrides)),
         )
         return {
-            name: self.simulate(M, N, K, options.with_(**(overrides or {})))
-            for name, options in variants
+            name: self.simulate(M, N, K, options) for name, options in variants
         }

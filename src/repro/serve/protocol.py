@@ -265,7 +265,6 @@ class Response:
 #: params keys that map straight onto CompilerOptions fields.
 _OPTION_KEYS = (
     "batch",
-    "use_asm",
     "enable_rma",
     "fusion",
     "prologue_func",
@@ -296,7 +295,7 @@ def arch_from_name(name: str):
 #: Every params key the kernel ops understand; anything else is a typo
 #: the daemon must reject, not silently ignore.
 KNOWN_PARAM_KEYS = frozenset(_OPTION_KEYS) | {
-    "arch", "tile", "micro_kernel", "fault", "fault_policy", "retry_policy",
+    "arch", "tile", "use_asm", "fault", "fault_policy", "retry_policy",
     "dtype", "trans_a", "trans_b",
     "M", "N", "K", "seed", "alpha", "batch_count",
     "timeout", "guarded", "budget", "drain",
@@ -308,7 +307,10 @@ def spec_and_options(params: Dict[str, Any]):
 
     The option path reuses :func:`repro.api._coerce_options`, so the
     wire surface inherits the facade's semantics exactly (unknown knobs
-    rejected, ``schedule="optimize"`` without ``use_asm`` refused).  Fault
+    rejected, ``schedule="optimize"`` on the naive kernel refused).  The
+    wire keeps ``use_asm`` as an input alias of the kernel choice: a
+    false ``use_asm`` selects ``kernel_backend="naive"``, whatever
+    backend the request names.  ``tile`` takes ``mt``/``nt``/``kt``.  Fault
     injection rides along per request: either the ``fault`` shorthand
     ``{"seed", "rate", "max_retries"}`` (the documented chaos profile)
     or a full ``fault_policy`` / ``retry_policy`` object as produced by
@@ -329,28 +331,16 @@ def spec_and_options(params: Dict[str, Any]):
     overrides: Dict[str, Any] = {
         key: params[key] for key in _OPTION_KEYS if key in params
     }
+    if "use_asm" in params and not params["use_asm"]:
+        overrides["kernel_backend"] = "naive"
     tile = params.get("tile")
     if tile is not None:
         if not isinstance(tile, dict):
-            raise ProtocolError("tile must be a JSON object (mt/nt/kt/...)")
+            raise ProtocolError("tile must be a JSON object (mt/nt/kt)")
         try:
             overrides["tile_config"] = TileConfig(**tile)
         except (TypeError, ConfigurationError) as exc:
             raise ProtocolError(f"invalid tile config: {exc}") from exc
-    micro_kernel = params.get("micro_kernel")
-    if micro_kernel is not None:
-        # "MTxNTxKT" shorthand for a kernel-shape request; composes with
-        # kernel_backend (which picks the generator for that shape).
-        if "tile" in params:
-            raise ProtocolError("micro_kernel and tile are mutually exclusive")
-        try:
-            mt, nt, kt = (int(d) for d in str(micro_kernel).split("x"))
-            overrides["tile_config"] = TileConfig(mt, nt, kt)
-        except (TypeError, ValueError, ConfigurationError) as exc:
-            raise ProtocolError(
-                f"invalid micro_kernel {micro_kernel!r} (expected "
-                f"'MTxNTxKT'): {exc}"
-            ) from exc
     fault = params.get("fault")
     if fault is not None:
         if not isinstance(fault, dict):

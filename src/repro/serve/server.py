@@ -761,17 +761,9 @@ class KernelServer:
     def _op_run(
         self, params: Dict[str, Any], budget_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        import numpy as np
-
-        from repro.codegen.elementwise import get_elementwise
-        from repro.runtime.executor import run_gemm
+        from repro.runtime.executor import run_checked
 
         spec, options, arch = protocol.spec_and_options(params)
-        M = int(params.get("M", 64))
-        N = int(params.get("N", 64))
-        K = int(params.get("K", 32))
-        seed = int(params.get("seed", 0))
-        alpha = float(params.get("alpha", 1.0))
         program, source = self.service.get_program_with_source(
             spec,
             arch,
@@ -779,26 +771,16 @@ class KernelServer:
             timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
             shape_hint=protocol.shape_hint(params),
         )
-        rng = np.random.default_rng(seed)
-        batch = int(params.get("batch_count", 4)) if spec.is_batched else None
-        lead = (batch,) if batch else ()
-        A = rng.standard_normal(lead + ((K, M) if spec.trans_a else (M, K)))
-        B = rng.standard_normal(lead + ((N, K) if spec.trans_b else (K, N)))
-        C = np.zeros(lead + (M, N))
-        C, report = run_gemm(
-            program, A, B, C, alpha=alpha, beta=0.0,
+        report, max_error = run_checked(
+            program,
+            int(params.get("M", 64)),
+            int(params.get("N", 64)),
+            int(params.get("K", 32)),
+            seed=int(params.get("seed", 0)),
+            alpha=float(params.get("alpha", 1.0)),
+            batch=int(params.get("batch_count", 4)),
             guarded=bool(params.get("guarded", False)),
         )
-        A_eff = A.swapaxes(-1, -2) if spec.trans_a else A
-        B_eff = B.swapaxes(-1, -2) if spec.trans_b else B
-        # The reference applies the kernel's own fused element-wise
-        # stages: quantised A in, activated C out.
-        if program.spec.prologue_func:
-            A_eff = get_elementwise(program.spec.prologue_func).numpy_fn(A_eff)
-        expected = alpha * (A_eff @ B_eff)
-        if program.spec.epilogue_func:
-            expected = get_elementwise(program.spec.epilogue_func).numpy_fn(expected)
-        max_error = float(np.abs(C - expected).max())
         result = {
             "key": self.service.reconciled_key(spec, arch, options),
             "source": source,
@@ -825,7 +807,7 @@ class KernelServer:
             arch=arch,
             seed=int(params.get("seed", 0)),
             budget=int(params.get("budget", 8)),
-            options=options if params.get("tile") or params.get("fusion") else None,
+            options=options,
             service=self.service,
         )
         row = record.describe()

@@ -15,7 +15,10 @@ Two normalisation steps keep the key honest:
   what the compiler actually compiles with, so requests that can only
   produce the same kernel (e.g. a fused spec with and without the
   explicit fusion option) share one key, while fused and unfused specs
-  can never collide;
+  can never collide.  :func:`cache_key` reconciles by itself, so callers
+  pass a request's options as given
+  (:meth:`~repro.service.CompileService.reconciled_key` is this function
+  with the service's defaults);
 * the **pipeline identity** (:func:`repro.core.passes.pipeline_identity`)
   enters the payload, so editing the pass pipeline — replacing,
   reordering or adding passes — invalidates exactly the artifacts it
@@ -56,8 +59,11 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 #: ``TileConfig.buffer_depth`` left the options blob, and the policy is
 #: never ``None``.  7: the policy became a mode alone — its
 #: ``allow``/``deny`` rewrite filters left the options blob, and
-#: ``optimize`` always runs the whole rewrite stack.
-CACHE_SCHEMA_VERSION = 7
+#: ``optimize`` always runs the whole rewrite stack.  8: ``kernel_backend``
+#: became the one kernel field (``naive``/``vendor``/``parametric``, never
+#: ``None``) — ``use_asm`` and ``TileConfig.k_strip`` left the options
+#: blob.
+CACHE_SCHEMA_VERSION = 8
 
 
 def canonical_blob(obj: object) -> str:

@@ -150,14 +150,6 @@ class CompileService:
 
     # -- public API ---------------------------------------------------------
 
-    def key_for(
-        self,
-        spec: GemmSpec,
-        arch: Optional[ArchSpec] = None,
-        options: Optional[CompilerOptions] = None,
-    ) -> str:
-        return cache_key(spec, arch or SW26010PRO, options or CompilerOptions())
-
     def get_program(
         self,
         spec: GemmSpec,
@@ -208,14 +200,12 @@ class CompileService:
     ) -> str:
         """The cache key a request will actually be served under.
 
-        Unlike :meth:`key_for` this reconciles the options first — the
-        same normalisation :meth:`get_program` applies — so distinct
+        :func:`~repro.service.keys.cache_key` reconciles the options —
+        the same normalisation :meth:`get_program` applies — so distinct
         descriptors that compile identically (inert knobs, ``--no-verify``)
         map to one key.  The load generator uses this to count unique
         kernels a trace will demand."""
-        arch = arch or SW26010PRO
-        options = reconcile_options(spec, options or CompilerOptions(), arch)
-        return cache_key(spec, arch, options)
+        return cache_key(spec, arch or SW26010PRO, options or CompilerOptions())
 
     def is_cached(
         self,
@@ -240,7 +230,6 @@ class CompileService:
         arch = arch or SW26010PRO
         options = options or CompilerOptions()
         options = self._apply_tuning(spec, arch, options, shape_hint)
-        options = reconcile_options(spec, options, arch)
         key = cache_key(spec, arch, options)
         with self._lock:
             if key in self._memory or key in self._inflight:
@@ -319,7 +308,7 @@ class CompileService:
             started = time.perf_counter()
             _, source = self._get(spec, arch, options)
             return {
-                "key": self.key_for(spec, arch, options),
+                "key": self.reconciled_key(spec, arch, options),
                 "variant": options.variant_name()
                 + (f"+{options.fusion}" if options.fusion != "none" else "")
                 + ("+batch" if spec.is_batched else ""),
@@ -412,15 +401,17 @@ class CompileService:
         winner.
 
         Only requests that leave every tunable knob at its default are
-        eligible: an explicit ``tile_config``, a deliberately reduced
-        variant (the no-asm and no-RMA ablations) or a schedule policy
-        other than the recipe (``off``, ``optimize``) states intent the
-        tuner must not override.
+        eligible: an explicit ``tile_config``, a kernel other than the
+        vendor default (the naive ablation or the parametric generator),
+        the no-RMA ablation or a schedule policy other than the recipe
+        (``off``, ``optimize``) states intent the tuner must not
+        override.
         """
         if (
             shape_hint is None
             or options.tile_config is not None
-            or not (options.use_asm and options.enable_rma)
+            or options.kernel_backend != "vendor"
+            or not options.enable_rma
             or options.schedule.mode != "recipe"
         ):
             return options

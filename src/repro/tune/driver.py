@@ -9,6 +9,10 @@ The driver is *seeded and resumable*:
   next one starts, so an interrupted search picks up where it stopped
   (journal hits cost nothing against the measurement budget).
 
+Only a search over the whole space (asm kernel, latency hiding, RMA
+where the arch has it) reads and writes the shared record and journal,
+which steer default compiles; a reduced search is not persisted.
+
 Search strategy follows the space size: spaces that fit the measurement
 budget are swept exhaustively; larger ones run a greedy hill-climb from
 the pruner's best prediction, with seeded random restarts when a climb
@@ -84,6 +88,8 @@ class TuneResult:
     measured: int = 0
     resumed: int = 0
     strategy: str = "exhaustive"
+    #: Whether the record went to the store (whole-space searches only).
+    persisted: bool = True
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -172,7 +178,13 @@ class Tuner:
         if default.name() not in {c.name() for c in pool}:
             pool.insert(0, default)
 
-        journal = self.store.journal_load(key)
+        persist = (
+            base.use_asm
+            and base.latency_hiding
+            and base.enable_rma == self.arch.rma_supported
+        )
+        store = self.store if persist else TuningRecordStore(None)
+        journal = store.journal_load(key)
         measured: Dict[str, float] = {}
         trials: List[Trial] = []
         state = {"measured": 0, "resumed": 0}
@@ -190,7 +202,7 @@ class Tuner:
                     spec, candidate.apply(base), M, N, K, batch
                 )
                 journal[name] = gflops
-                self.store.journal_save(key, journal)
+                store.journal_save(key, journal)
                 state["measured"] += 1
                 from_journal = False
             measured[name] = gflops
@@ -230,8 +242,8 @@ class Tuner:
             measurements=len(measured),
             seed=opts.seed,
         )
-        self.store.put(record)
-        self.store.journal_clear(key)
+        store.put(record)
+        store.journal_clear(key)
         return TuneResult(
             record=record,
             trials=trials,
@@ -240,6 +252,7 @@ class Tuner:
             measured=state["measured"],
             resumed=state["resumed"],
             strategy=strategy,
+            persisted=persist,
         )
 
     def _hill_climb(self, pool, run, budget_left, opts: TuneOptions) -> None:

@@ -261,6 +261,7 @@ class TuningRecordStore:
 
 # Candidate and TuningRecord round-trip through the tagged serde format
 # like every other compiler dataclass (TileConfig registers with the
-# core dataclasses in repro.runtime.serde).
-serde.register_dataclass(Candidate)
+# core dataclasses in repro.runtime.serde, which also holds the legacy
+# candidate upgrade).
+serde.register_dataclass(Candidate, upgrade=serde.upgrade_candidate)
 serde.register_dataclass(TuningRecord)

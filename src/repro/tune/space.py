@@ -6,9 +6,6 @@ The tuner instead searches the surrounding configuration space:
 
 * (X̂, Ŷ, Ẑ) tile sizes — a power-of-two-ish grid around the arch's
   analytical default (quarter to double per dimension, SIMD-aligned);
-* the k-strip factor — pinned on each candidate's
-  :class:`~repro.core.options.TileConfig` so search points are
-  self-describing (option reconciliation collapses redundant pins);
 * RMA broadcasts on/off and latency hiding on/off (the SPM buffer depth,
   2 or 1, follows from the latter and is part of the candidate name);
 * the schedule policy — the fixed §6 recipe vs. the replay-proven
@@ -19,7 +16,8 @@ The tuner instead searches the surrounding configuration space:
   jointly with the shape since a generated kernel admits shapes the
   vendor object was never built for.  Shapes a backend refuses surface
   as :class:`~repro.errors.ConfigurationError` in the analytical model,
-  which the pruner already maps to "infeasible".
+  which the pruner already maps to "infeasible".  A base on the naive
+  kernel searches the naive kernel only.
 
 Randomness is a :class:`SplitMix64` generator seeded from the tuning
 options — never the ``random`` module or any wall-clock source — so a
@@ -52,21 +50,25 @@ class Candidate:
     #: Latency hiding on this point; it also fixes the SPM buffer depth
     #: the name shows (``-d2`` with hiding, ``-d1`` without).
     enable_latency_hiding: bool = True
-    #: Which generator produces the micro kernel for ``tile``'s shape.
-    #: ``"vendor"`` (the default, and the only pre-v2 value) keeps
-    #: candidate names byte-identical with the v1 space.
+    #: Which micro kernel runs ``tile``'s shape
+    #: (:data:`~repro.core.options.KERNEL_BACKENDS`).  ``"vendor"`` (the
+    #: default, and the only pre-v2 value) keeps candidate names
+    #: byte-identical with the v1 space.
     kernel_backend: str = "vendor"
     #: ``None`` keeps the fixed §6 recipe (the pre-v3 behaviour, and the
     #: only legal value for non-hiding candidates); ``"optimize"`` runs
     #: the replay-proven schedule rewrite stack on top of the recipe.
     schedule: Optional[str] = None
+    #: The k-strip factor the compiler derives for this point's RMA mode
+    #: (mesh size with RMA, 1 without, §5.2): a name label (``-sN``) only.
+    k_strip: Optional[int] = None
 
     def name(self) -> str:
         tile = self.tile
         depth = 2 if self.enable_latency_hiding else 1
         label = f"{tile.mt}x{tile.nt}x{tile.kt}-d{depth}"
-        if tile.k_strip is not None:
-            label += f"-s{tile.k_strip}"
+        if self.k_strip is not None:
+            label += f"-s{self.k_strip}"
         flags = ("rma" if self.enable_rma else "dma") + (
             "+hide" if self.enable_latency_hiding else ""
         )
@@ -90,12 +92,7 @@ class Candidate:
         )
 
     def apply(self, options: CompilerOptions) -> CompilerOptions:
-        """The caller's options steered to this point.
-
-        ``"vendor"`` maps to ``kernel_backend=None`` — the reconciled
-        default — so vendor candidates address the same cache keys as
-        pre-v2 tuning runs.
-        """
+        """The caller's options steered to this point."""
         if not self.enable_latency_hiding:
             mode = "off"
         else:
@@ -103,9 +100,7 @@ class Candidate:
         return options.with_(
             tile_config=self.tile,
             enable_rma=self.enable_rma,
-            kernel_backend=None
-            if self.kernel_backend == "vendor"
-            else self.kernel_backend,
+            kernel_backend=self.kernel_backend,
             schedule=SchedulePolicy(mode=mode),
         )
 
@@ -133,11 +128,11 @@ def enumerate_candidates(
     hiding_choices: Sequence[bool] = (
         (True, False) if base_options.latency_hiding else (False,)
     )
-    # Backends only differentiate the asm path (no-asm compiles run the
-    # naive kernel regardless); shapes the parametric generator refuses
-    # are pruned as infeasible by the analytical model, not here.
+    # A naive base keeps the naive kernel; shapes the parametric
+    # generator refuses are pruned as infeasible by the analytical
+    # model, not here.
     backend_choices: Sequence[str] = (
-        ("vendor", "parametric") if base_options.use_asm else ("vendor",)
+        ("vendor", "parametric") if base_options.use_asm else ("naive",)
     )
     candidates: List[Candidate] = []
     for mt in _tile_sizes(mk.mt):
@@ -150,15 +145,11 @@ def enumerate_candidates(
                                 (None, "optimize") if hiding else (None,)
                             )
                             for schedule in schedules:
-                                tile = TileConfig(
-                                    mt=mt,
-                                    nt=nt,
-                                    kt=kt,
-                                    k_strip=arch.mesh_rows if rma else 1,
-                                )
                                 candidates.append(
                                     Candidate(
-                                        tile, rma, hiding, backend, schedule
+                                        TileConfig(mt, nt, kt), rma, hiding,
+                                        backend, schedule,
+                                        k_strip=arch.mesh_rows if rma else 1,
                                     )
                                 )
     return candidates
@@ -168,14 +159,12 @@ def default_candidate(arch: ArchSpec, base_options: CompilerOptions) -> Candidat
     """The paper's point: the arch's analytical tile with the base
     pipeline — the baseline every tuned config must beat."""
     use_rma = base_options.enable_rma and arch.rma_supported
-    mk = arch.micro_kernel
     return Candidate(
-        TileConfig(
-            mt=mk.mt, nt=mk.nt, kt=mk.kt,
-            k_strip=arch.mesh_rows if use_rma else 1,
-        ),
+        TileConfig.default_for(arch),
         enable_rma=use_rma,
         enable_latency_hiding=base_options.latency_hiding,
+        kernel_backend="vendor" if base_options.use_asm else "naive",
+        k_strip=arch.mesh_rows if use_rma else 1,
     )
 
 

@@ -29,7 +29,8 @@ def test_compile_default_spec_is_plain_gemm(service):
 
 def test_option_overrides_apply(service):
     program = api.compile(
-        arch=TOY_ARCH, service=service, enable_rma=False, use_asm=False
+        arch=TOY_ARCH, service=service, enable_rma=False,
+        kernel_backend="naive",
     )
     assert not program.options.enable_rma
     assert not program.options.use_asm
@@ -38,6 +39,9 @@ def test_option_overrides_apply(service):
 def test_unknown_option_is_a_configuration_error(service):
     with pytest.raises(ConfigurationError, match="unknown compiler option"):
         api.compile(arch=TOY_ARCH, service=service, enable_warp_drive=True)
+    # The kernel has one field: ``use_asm`` is a read-only property.
+    with pytest.raises(ConfigurationError, match="unknown compiler option"):
+        api.compile(arch=TOY_ARCH, service=service, use_asm=False)
 
 
 def test_run_round_trip_matches_numpy(service):
@@ -72,7 +76,8 @@ def test_run_compiles_spec_on_the_fly(service):
 def test_run_rejects_overrides_with_compiled_program(service):
     program = api.compile(arch=TOY_ARCH, service=service)
     with pytest.raises(ConfigurationError, match="already-compiled"):
-        api.run(program, np.ones((32, 16)), np.ones((16, 32)), use_asm=False)
+        api.run(program, np.ones((32, 16)), np.ones((16, 32)),
+                kernel_backend="naive")
 
 
 def test_verify_reports_per_check(service):

@@ -169,3 +169,16 @@ class TestResolveKernel:
     def test_unknown_backend_name_rejected_at_option_construction(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             CompilerOptions(kernel_backend="bogus")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            CompilerOptions(kernel_backend=None)
+
+    def test_kernel_backend_is_the_one_kernel_field(self):
+        """``naive``/``vendor``/``parametric`` spell the whole kernel
+        choice; ``use_asm`` is read off it and cannot be set."""
+        assert CompilerOptions().kernel_backend == DEFAULT_BACKEND
+        for name, asm in (
+            ("naive", False), ("vendor", True), ("parametric", True)
+        ):
+            assert CompilerOptions(kernel_backend=name).use_asm is asm
+        with pytest.raises(TypeError, match="use_asm"):
+            CompilerOptions(use_asm=False)

@@ -41,7 +41,7 @@ def test_naive_is_much_slower():
 
 def test_get_kernel_dispatch():
     asm = resolve_kernel(SW26010PRO, CompilerOptions())
-    naive = resolve_kernel(SW26010PRO, CompilerOptions(use_asm=False))
+    naive = resolve_kernel(SW26010PRO, CompilerOptions(kernel_backend="naive"))
     assert isinstance(asm, AsmMicroKernel)
     assert isinstance(naive, NaiveKernel)
 

@@ -149,7 +149,7 @@ def test_batch_loop_in_ast():
 
 def test_invalid_option_combination():
     with pytest.raises(ConfigurationError):
-        CompilerOptions(use_asm=False, schedule="optimize")
+        CompilerOptions(kernel_backend="naive", schedule="optimize")
 
 
 def test_describe():

@@ -21,14 +21,18 @@ def test_tiles_must_be_positive_multiples_of_align(bad):
         TileConfig(*bad)
 
 
-def test_k_strip_must_be_positive():
-    with pytest.raises(ConfigurationError, match="k_strip"):
-        TileConfig(64, 64, 32, k_strip=0)
+def test_k_strip_is_derived_not_pinned():
+    """The strip-mine factor follows from the RMA mode; a tile carries
+    only its three sizes."""
+    with pytest.raises(TypeError, match="k_strip"):
+        TileConfig(64, 64, 32, k_strip=8)
+    assert plan_for_kernel(
+        SW26010PRO, CompilerOptions.full().with_(tile_config=TileConfig(32, 32, 16))
+    ).strip_factor == SW26010PRO.mesh_rows
 
 
 def test_name_encodes_all_pins():
     assert TileConfig(32, 128, 32).name() == "32x128x32"
-    assert TileConfig(32, 128, 32, k_strip=8).name() == "32x128x32-s8"
 
 
 def test_default_for_round_trips():
@@ -47,15 +51,6 @@ def test_default_config_collapses_to_none():
     )
     out = reconcile_options(GemmSpec(), options, SW26010PRO)
     assert out.tile_config is None
-
-
-def test_redundant_pins_are_cleared():
-    options = CompilerOptions.full().with_(
-        tile_config=TileConfig(32, 128, 32, k_strip=SW26010PRO.mesh_rows)
-    )
-    out = reconcile_options(GemmSpec(), options, SW26010PRO)
-    assert out.latency_hiding
-    assert out.tile_config == TileConfig(32, 128, 32)
 
 
 def test_without_arch_tiles_pass_through():

@@ -61,7 +61,7 @@ def test_rma_on_sw26010_rejected():
 
 
 def test_sw26010_plan_works_without_rma():
-    options = CompilerOptions(use_asm=True, enable_rma=False)
+    options = CompilerOptions(enable_rma=False)
     plan = plan_for_kernel(SW26010, options)
     assert plan.spm_bytes() <= SW26010.spm_bytes
 

@@ -22,7 +22,7 @@ def test_truncated_artifact_is_quarantined_and_recompiled(tmp_path):
     service = fresh_service(tmp_path)
     spec = GemmSpec()
     service.get_program(spec, TOY_ARCH)
-    key = service.key_for(spec, TOY_ARCH)
+    key = service.reconciled_key(spec, TOY_ARCH)
     path = service.store.path_for(key)
     path.write_text(path.read_text()[:40])  # truncate mid-JSON
 
@@ -45,7 +45,7 @@ def test_garbage_json_is_quarantined(tmp_path):
     service = fresh_service(tmp_path)
     spec = GemmSpec()
     service.get_program(spec, TOY_ARCH)
-    path = service.store.path_for(service.key_for(spec, TOY_ARCH))
+    path = service.store.path_for(service.reconciled_key(spec, TOY_ARCH))
     path.write_text('{"key": "valid json, wrong schema"}')
     again = fresh_service(tmp_path)
     assert again.get_program(spec, TOY_ARCH) is not None
@@ -57,7 +57,7 @@ def test_quarantine_names_collide_safely(tmp_path):
     spec = GemmSpec()
     for _ in range(3):
         service.get_program(spec, TOY_ARCH)
-        path = service.store.path_for(service.key_for(spec, TOY_ARCH))
+        path = service.store.path_for(service.reconciled_key(spec, TOY_ARCH))
         path.write_text("garbage")
         # a fresh service re-reads from disk (memory tier is per-instance)
         service = fresh_service(tmp_path)
@@ -70,7 +70,7 @@ def test_quarantine_counter_is_persistent(tmp_path):
     service = fresh_service(tmp_path)
     spec = GemmSpec()
     service.get_program(spec, TOY_ARCH)
-    path = service.store.path_for(service.key_for(spec, TOY_ARCH))
+    path = service.store.path_for(service.reconciled_key(spec, TOY_ARCH))
     path.write_text("garbage")
     again = fresh_service(tmp_path)
     again.get_program(spec, TOY_ARCH)

@@ -32,6 +32,12 @@ def test_compile_no_use_asm(tmp_path):
     assert main(["compile", "--no-use-asm", "-o", str(out)]) == 0
     text = (out / "gemm_cpe.c").read_text()
     assert "asm_dgemm" not in text
+    # --no-use-asm selects the naive kernel over a --micro-kernel backend.
+    assert main([
+        "compile", "--no-use-asm", "--micro-kernel", "parametric",
+        "-o", str(out),
+    ]) == 0
+    assert (out / "gemm_cpe.c").read_text() == text
 
 
 def test_tree_dump(capsys):
@@ -44,6 +50,25 @@ def test_run_verifies_numerics(capsys):
     assert main(["run", "-M", "512", "-N", "512", "-K", "256"]) == 0
     out = capsys.readouterr().out
     assert "max |C - reference|" in out
+
+
+@pytest.mark.parametrize(
+    "variant", ["prologue", "epilogue", "batched", "transposed"]
+)
+def test_run_checks_every_source_kind(variant, tmp_path, capsys):
+    """``run`` draws operands in the source's storage layout (a batch of
+    four for a batched source) and checks against a reference with the
+    source's fused stages, as the daemon's ``run`` op does."""
+    from perfbench.grid import SOURCES
+
+    source = tmp_path / f"{variant}.c"
+    source.write_text(SOURCES[variant])
+    argv = ["--no-cache", "run", str(source), "--arch", "toy",
+            "-M", "64", "-N", "64", "-K", "32"]
+    assert main(argv) == 0
+    error = float(capsys.readouterr().out.split("max |C - reference| = ")[1]
+                  .split()[0])
+    assert error < 1e-8
 
 
 def test_perf_prints_variants(capsys):

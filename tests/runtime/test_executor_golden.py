@@ -62,7 +62,7 @@ VARIANTS = {
     "no-rma": (GemmSpec(), {"enable_rma": False}),
     "trans-a": (GemmSpec(trans_a=True), {}),
     "trans-b": (GemmSpec(trans_b=True), {}),
-    "dma-only": (GemmSpec(), {"use_asm": False, "enable_rma": False}),
+    "dma-only": (GemmSpec(), {"kernel_backend": "naive", "enable_rma": False}),
     "sgemm": (GemmSpec(dtype="float32"), {}),
     "parametric": (GemmSpec(), {"kernel_backend": "parametric"}),
 }
@@ -71,7 +71,7 @@ SCHEDULES = ("recipe", "optimize", "off")
 
 def schedules(variant):
     # ``optimize`` needs the asm kernel: the option set refuses it.
-    if VARIANTS[variant][1].get("use_asm") is False:
+    if VARIANTS[variant][1].get("kernel_backend") == "naive":
         return ("recipe", "off")
     return SCHEDULES
 

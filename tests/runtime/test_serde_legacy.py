@@ -4,13 +4,16 @@ Schema 6 made ``CompilerOptions.schedule`` the only latency-hiding knob:
 ``enable_latency_hiding`` and ``TileConfig.buffer_depth`` are gone, and
 the policy is never ``None``.  Schema 7 made the policy a mode alone:
 its ``allow``/``deny`` rewrite filters are gone, and ``optimize`` runs
-the whole rewrite stack.
+the whole rewrite stack.  Schema 8 made ``kernel_backend`` the one
+kernel field: ``use_asm`` is gone, the backend is never ``None``, and
+``TileConfig.k_strip`` is gone (a tuning candidate keeps it as a name
+label).
 
 The fixtures under ``tests/golden/legacy/`` were written by the code of
 their schema: encoded option sets, and one schema-5 tuning record as
 ``swgemm tune`` persisted it (toy arch, 48×80×32, seed 0, budget 6).
-They must decode onto the one field and — for the record — still steer
-compiles.  A legacy ``optimize`` policy whose filters named any other
+They must decode onto the one field of each decision and — for the
+record — still steer compiles.  A legacy ``optimize`` policy whose filters named any other
 pipeline than the current stack must refuse to decode.
 """
 
@@ -41,7 +44,7 @@ EXPECTED = {
     "optimize": full.with_(schedule=SchedulePolicy("optimize")),
     "off_policy": full.with_(schedule="off"),
     "pinned_depth": full.with_(
-        tile_config=TileConfig(32, 32, 16, k_strip=8),
+        tile_config=TileConfig(32, 32, 16),
         kernel_backend="parametric",
     ),
 }
@@ -102,7 +105,8 @@ def test_schema5_tuning_record_decodes_and_steers(tmp_path):
     record = TuningRecordStore(cache / "tuning").get(key)
     assert record is not None
     assert record.candidate.name() == "16x16x8-d2-s1:dma+hide"
-    assert record.candidate.tile == TileConfig(16, 16, 8, k_strip=1)
+    assert record.candidate.tile == TileConfig(16, 16, 8)
+    assert record.candidate.k_strip == 1
 
     service = CompileService(ServiceConfig(cache_dir=cache))
     program = api.compile(GemmSpec(), arch=TOY_ARCH, shape=(48, 80, 32),

@@ -54,6 +54,16 @@ def test_breakdown_ordering(sim):
     )
 
 
+def test_breakdown_dma_only_keeps_the_naive_kernel():
+    """A backend override reaches the three asm variants; ``dma-only``
+    runs the naive kernel whatever backend the others use."""
+    sim = PerformanceSimulator(TOY_ARCH)
+    plain = sim.breakdown(64, 64, 32)
+    parametric = sim.breakdown(64, 64, 32, {"kernel_backend": "parametric"})
+    assert parametric["dma-only"] == plain["dma-only"]
+    assert parametric["+hiding"].variant == "+hiding#parametric"
+
+
 def test_batched_amortises_spawn(sim):
     options = CompilerOptions.full().with_(batch=True)
     single = sim.simulate(512, 512, 1024, options, batch=1)

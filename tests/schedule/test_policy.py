@@ -65,7 +65,7 @@ def test_reconcile_pins_off_only_without_hiding():
     spec = GemmSpec()
     optimize = CompilerOptions.full().with_(schedule="optimize")
     assert reconcile_options(spec, optimize, SW26010PRO) == optimize
-    no_asm = CompilerOptions.full().with_(use_asm=False)
+    no_asm = CompilerOptions.full().with_(kernel_backend="naive")
     assert reconcile_options(spec, no_asm, SW26010PRO).schedule == (
         SchedulePolicy(mode="off")
     )

@@ -64,13 +64,13 @@ def test_api_compile_rejects_bad_schedule(toy_service):
 
 def test_api_compile_rejects_optimize_without_asm(toy_service):
     with pytest.raises(ConfigurationError, match="--schedule=optimize"):
-        api.compile(GemmSpec(), arch=TOY_ARCH, use_asm=False,
+        api.compile(GemmSpec(), arch=TOY_ARCH, kernel_backend="naive",
                     schedule="optimize", service=toy_service)
-    for use_asm, schedule in (
-        (True, "recipe"), (True, "optimize"), (True, "off"),
-        (False, "recipe"), (False, "off"),
+    for kernel, schedule in (
+        ("vendor", "recipe"), ("vendor", "optimize"), ("vendor", "off"),
+        ("naive", "recipe"), ("naive", "off"),
     ):
-        program = api.compile(GemmSpec(), arch=TOY_ARCH, use_asm=use_asm,
+        program = api.compile(GemmSpec(), arch=TOY_ARCH, kernel_backend=kernel,
                               schedule=schedule, service=toy_service)
         assert_self_describing(program)
 

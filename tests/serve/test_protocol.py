@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import TileConfig
 from repro.errors import ProtocolError
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -211,38 +212,51 @@ def test_spec_and_options_registry_archs_resolve():
         assert arch.name.lower() == name.lower()
 
 
-def test_spec_and_options_micro_kernel_shorthand():
+def test_spec_and_options_tile_composes_with_backend():
+    """``tile`` carries mt/nt/kt and composes with ``kernel_backend``;
+    a ``k_strip`` pin is refused."""
     _, options, _ = spec_and_options(
-        {"arch": "toy", "micro_kernel": "8x8x4"}
+        {"arch": "toy", "tile": {"mt": 8, "nt": 8, "kt": 4},
+         "kernel_backend": "parametric"}
     )
-    assert options.tile_config is not None
+    assert options.kernel_backend == "parametric"
+    assert options.tile_config == TileConfig(8, 8, 4)
+    with pytest.raises(ProtocolError, match="invalid tile config"):
+        spec_and_options(
+            {"arch": "toy", "tile": {"mt": 8, "nt": 8, "kt": 4, "k_strip": 2}}
+        )
+
+
+def test_spec_and_options_micro_kernel_shorthand():
+    """The ``micro_kernel: "MTxNTxKT"`` shorthand restated ``tile``: a
+    well-formed one is refused like any other unknown key, and the same
+    shape is spelt through ``tile``."""
+    with pytest.raises(ProtocolError, match="unknown param key"):
+        spec_and_options({"arch": "toy", "micro_kernel": "8x8x4"})
+    _, options, _ = spec_and_options(
+        {"arch": "toy", "tile": {"mt": 8, "nt": 8, "kt": 4}}
+    )
     assert (options.tile_config.mt, options.tile_config.nt,
             options.tile_config.kt) == (8, 8, 4)
 
 
-def test_spec_and_options_micro_kernel_composes_with_backend():
-    _, options, _ = spec_and_options(
-        {"arch": "toy", "micro_kernel": "8x8x4",
-         "kernel_backend": "parametric"}
-    )
-    assert options.kernel_backend == "parametric"
-    assert options.tile_config.kt == 4
-
-
 def test_spec_and_options_micro_kernel_rejects_garbage():
-    with pytest.raises(ProtocolError, match="invalid micro_kernel"):
+    with pytest.raises(ProtocolError, match="unknown param key"):
         spec_and_options({"arch": "toy", "micro_kernel": "8by8by4"})
 
 
-def test_spec_and_options_micro_kernel_and_tile_mutually_exclusive():
-    with pytest.raises(ProtocolError, match="mutually exclusive"):
-        spec_and_options(
-            {
-                "arch": "toy",
-                "micro_kernel": "8x8x4",
-                "tile": {"mt": 8, "nt": 8, "kt": 4},
-            }
+def test_spec_and_options_use_asm_alias():
+    """The wire's ``use_asm`` is an input alias: false selects the naive
+    kernel whatever backend the request names; true keeps the backend."""
+    for params in ({}, {"kernel_backend": "parametric"}):
+        _, options, _ = spec_and_options(
+            {"arch": "toy", "use_asm": False, **params}
         )
+        assert options.kernel_backend == "naive"
+    _, options, _ = spec_and_options(
+        {"arch": "toy", "use_asm": True, "kernel_backend": "parametric"}
+    )
+    assert options.kernel_backend == "parametric"
 
 
 def test_spec_and_options_unknown_kernel_backend_is_protocol_error():

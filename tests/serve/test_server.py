@@ -74,6 +74,32 @@ def test_compile_run_verify_round_trip(daemon):
         assert verified["ok"]
 
 
+@pytest.mark.parametrize("reduced", [{"use_asm": False}, {"schedule": "off"}])
+def test_tune_op_searches_from_the_request_options(tmp_path, reduced):
+    """The wire's ``tune`` searches from the request's options, as
+    ``api.tune`` does with the same options: both pick one winner."""
+    from repro import api
+    from repro.serve.protocol import spec_and_options
+
+    params = {"arch": "toy", "M": 96, "N": 96, "K": 64, "budget": 3, **reduced}
+    handle = start_in_thread(
+        CompileService(ServiceConfig(cache_dir=tmp_path / "wire")),
+        ServeConfig(workers=1, quota=None),
+    )
+    try:
+        with Client(handle.address, tenant="t") as client:
+            wire = client.tune(params)
+    finally:
+        handle.stop()
+    spec, options, arch = spec_and_options(params)
+    record = api.tune(
+        spec, shape=(96, 96, 64), arch=arch, budget=3, options=options,
+        service=CompileService(ServiceConfig(cache_dir=tmp_path / "facade")),
+    )
+    assert wire["config"] == record.candidate.name()
+    assert "-d1-" in wire["config"]
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.

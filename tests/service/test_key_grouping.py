@@ -10,7 +10,10 @@ This test pins *which* requests share a key, over three request sets:
 * facade spellings — SW26010Pro/SW26010/toy × ``use_asm`` ×
   ``enable_rma`` × ``schedule`` {unset, recipe, optimize, off} ×
   ``kernel_backend`` {unset, vendor, parametric}, minus ``optimize``
-  without the asm kernel (a refused combination);
+  without the asm kernel (a refused combination).  ``use_asm`` is no
+  option field; the ``asm=0`` requests go through the wire's
+  ``use_asm`` alias (:func:`repro.serve.protocol.spec_and_options`),
+  the one place that spelling is still accepted;
 * ``Candidate.apply(CompilerOptions.full())`` for every autotuner
   candidate on SW26010Pro and toy.
 
@@ -41,6 +44,7 @@ from repro.core.passes import reconcile_options
 from repro.core.spec import GemmSpec
 from repro.errors import SwGemmError
 from repro.frontend import extract_spec
+from repro.serve.protocol import spec_and_options
 from repro.service.keys import cache_key
 from repro.sunway import get_arch
 from repro.tune.space import enumerate_candidates
@@ -65,6 +69,11 @@ def _facade_request(arch_name, overrides):
     return GemmSpec(), get_arch(arch_name), _coerce_options(None, overrides)
 
 
+def _wire_request(params):
+    spec, options, arch = spec_and_options(params)
+    return spec, arch, options
+
+
 def _candidate_request(arch, candidate):
     return GemmSpec(), arch, candidate.apply(CompilerOptions.full())
 
@@ -83,7 +92,7 @@ def _facade_requests() -> Iterator[Tuple[str, Callable]]:
     ):
         if schedule == "optimize" and not use_asm:
             continue
-        overrides: Dict[str, object] = {"use_asm": use_asm, "enable_rma": rma}
+        overrides: Dict[str, object] = {"enable_rma": rma}
         if schedule is not None:
             overrides["schedule"] = schedule
         if backend is not None:
@@ -92,7 +101,11 @@ def _facade_requests() -> Iterator[Tuple[str, Callable]]:
             f"facade/{arch_name}/asm={int(use_asm)}/rma={int(rma)}/"
             f"schedule={schedule or 'unset'}/backend={backend or 'unset'}"
         )
-        yield label, partial(_facade_request, arch_name, overrides)
+        if use_asm:
+            yield label, partial(_facade_request, arch_name, overrides)
+        else:
+            params = {"arch": arch_name, "use_asm": False, **overrides}
+            yield label, partial(_wire_request, params)
 
 
 def _candidate_requests() -> Iterator[Tuple[str, Callable]]:

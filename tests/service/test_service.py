@@ -192,7 +192,7 @@ def test_clear_drops_both_tiers(tmp_path):
 def test_corrupt_artifact_recompiles(tmp_path):
     config = ServiceConfig(cache_dir=tmp_path / "cache")
     first = CompileService(config)
-    key = first.key_for(GemmSpec(), TOY_ARCH, CompilerOptions.full())
+    key = first.reconciled_key(GemmSpec(), TOY_ARCH, CompilerOptions.full())
     first.get_program(GemmSpec(), TOY_ARCH, CompilerOptions.full())
     first.store.path_for(key).write_text("{ not json")
 

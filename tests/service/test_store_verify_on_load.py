@@ -90,7 +90,7 @@ def test_service_recompiles_after_quarantine(tmp_path):
     svc = CompileService(config)
     spec, options = GemmSpec(), CompilerOptions.full()
     program = svc.get_program(spec, TOY_ARCH, options)
-    key = svc.key_for(spec, TOY_ARCH, options)
+    key = svc.reconciled_key(spec, TOY_ARCH, options)
 
     # Poison the disk artifact behind the service's back.
     store = ArtifactStore(tmp_path / "cache")

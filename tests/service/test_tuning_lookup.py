@@ -125,3 +125,49 @@ def test_schedule_off_is_not_steered(tmp_path):
     wire = service.get_program(spec, arch, options,
                                shape_hint=shape_hint(params))
     assert wire.options == off.options
+
+
+def test_explicit_kernel_backend_is_not_steered(tmp_path):
+    """A record names the kernel it was measured with: an explicit
+    ``kernel_backend`` other than the default states the kernel, so the
+    record must not replace it."""
+    from repro import api
+
+    service = CompileService(ServiceConfig(cache_dir=tmp_path / "cache"))
+    shape = (48, 80, 32)
+    api.tune(GemmSpec(), arch=TOY_ARCH, shape=shape, seed=0, budget=6,
+             service=service)
+    program = api.compile(GemmSpec(), arch=TOY_ARCH, shape=shape,
+                          kernel_backend="parametric", service=service)
+    assert program.options.variant_name() == "+hiding#parametric"
+    assert program.plan.kernel_shape == TOY_ARCH.micro_kernel
+    assert service.tuning_hits == 0
+
+
+@pytest.mark.parametrize(
+    "reduced",
+    [{"kernel_backend": "naive"}, {"schedule": "off"}, {"enable_rma": False}],
+    ids=["naive", "schedule-off", "no-rma"],
+)
+def test_reduced_tune_does_not_touch_the_shared_record(tmp_path, reduced):
+    """Only a whole-space tune speaks for a shape class: a tune from a
+    reduced base returns its winner without writing the record or the
+    journal a default compile is steered by."""
+    from repro import api
+
+    cache = tmp_path / "cache"
+    service = CompileService(ServiceConfig(cache_dir=cache))
+    shape = (48, 80, 32)
+    full = api.tune(GemmSpec(), arch=TOY_ARCH, shape=shape, seed=0,
+                    budget=6, service=service)
+    assert full.candidate.name() == "16x16x8-d2-s1:dma+hide"
+
+    result = api.tune(GemmSpec(), arch=TOY_ARCH, shape=shape, seed=0,
+                      budget=6, service=service, full_result=True, **reduced)
+    steered = api.compile(GemmSpec(), arch=TOY_ARCH, shape=shape,
+                          service=service)
+    assert steered.plan.kernel_shape == full.candidate.tile.shape()
+    assert steered.options.schedule.mode == "recipe"
+    assert service.tuning_store.records() == [full]
+    assert not list((cache / "tuning").glob("*.journal.json"))
+    assert not result.persisted

@@ -3,8 +3,9 @@
 Micro-kernel shape was already searchable; PR 8 makes the *generator*
 searchable too.  Vendor candidates must stay byte-identical with the v1
 space (names, options, cache keys), parametric candidates must appear
-exactly when the asm path is on, and shapes the parametric backend
-refuses must come back infeasible from the pruner — not crash it.
+exactly when the asm path is on (a naive base searches the naive kernel,
+named ``:naive``), and shapes the parametric backend refuses must come
+back infeasible from the pruner — not crash it.
 """
 
 from repro.core.options import CompilerOptions, TileConfig
@@ -27,24 +28,22 @@ def test_space_version_bumped_for_backend_axis():
 def test_vendor_candidate_names_unchanged_from_v1():
     """The default backend adds no suffix, so tuning-record config
     strings written before the backend axis existed still match."""
-    c = Candidate(TileConfig(64, 64, 32, k_strip=8))
+    c = Candidate(TileConfig(64, 64, 32), k_strip=8)
     assert c.kernel_backend == "vendor"
-    assert ":vendor" not in c.name()
+    assert c.name() == "64x64x32-d2-s8:rma+hide"
     parametric = Candidate(
-        TileConfig(64, 64, 32, k_strip=8),
-        kernel_backend="parametric",
+        TileConfig(64, 64, 32), kernel_backend="parametric", k_strip=8
     )
     assert parametric.name().endswith(":parametric")
 
 
-def test_vendor_candidate_maps_to_none_backend():
-    """``vendor`` normalises to ``kernel_backend=None`` so the steered
-    options share cache keys with pre-backend compiles."""
+def test_candidate_applies_its_backend():
+    """A candidate steers the one kernel field to its own backend, so
+    vendor candidates address the default compile's cache key."""
     base = CompilerOptions.full()
-    c = Candidate(TileConfig(64, 64, 32), kernel_backend="vendor")
-    assert c.apply(base).kernel_backend is None
-    p = Candidate(TileConfig(64, 64, 32), kernel_backend="parametric")
-    assert p.apply(base).kernel_backend == "parametric"
+    for backend in ("vendor", "parametric", "naive"):
+        c = Candidate(TileConfig(64, 64, 32), kernel_backend=backend)
+        assert c.apply(base).kernel_backend == backend
 
 
 def test_backend_axis_doubles_the_asm_space():
@@ -60,7 +59,9 @@ def test_backend_axis_doubles_the_asm_space():
 def test_no_asm_space_has_no_parametric_candidates():
     base = CompilerOptions.baseline()
     candidates = enumerate_candidates(SW26010PRO, base)
-    assert {c.kernel_backend for c in candidates} == {"vendor"}
+    assert {c.kernel_backend for c in candidates} == {"naive"}
+    assert all(c.name().endswith(":naive") for c in candidates)
+    assert default_candidate(SW26010PRO, base).kernel_backend == "naive"
 
 
 def test_default_candidate_is_vendor():
@@ -89,15 +90,13 @@ def test_pruner_marks_backend_refused_shapes_infeasible():
     spec = GemmSpec()
     base = CompilerOptions.full()
     refused = Candidate(
-        TileConfig(64, 36, 32, k_strip=8),
-        kernel_backend="parametric",
+        TileConfig(64, 36, 32), kernel_backend="parametric", k_strip=8
     )
     verdict = analyze(spec, SW26010PRO, base, refused)
     assert not verdict.feasible
     assert "parametric" in verdict.reason
 
     accepted = Candidate(
-        TileConfig(64, 64, 32, k_strip=8),
-        kernel_backend="parametric",
+        TileConfig(64, 64, 32), kernel_backend="parametric", k_strip=8
     )
     assert analyze(spec, SW26010PRO, base, accepted).feasible
