@@ -1,8 +1,9 @@
 """Shared state for the benchmark suite.
 
 One :class:`PerformanceSimulator` is shared across all benchmark files so
-chunk simulations are computed once per (variant, K) and reused — the
-same caching a user sweeping shapes would rely on.
+chunk simulations are computed once and reused — per (variant, K) for
+short K, per variant's k-step line for long K — the same caching a user
+sweeping shapes would rely on.
 """
 
 import pytest

@@ -333,8 +333,13 @@ def _build_program(args, service=None) -> "CompiledProgram":
     shape_hint = None
     if all(hasattr(args, dim) for dim in ("M", "N", "K")):
         # Commands carrying a concrete shape (run) are steered to a
-        # tuned configuration when the shape class has a record.
+        # tuned configuration when the shape class has a record; a
+        # batched source runs as a batch of RUN_BATCH.
+        from repro.runtime.executor import RUN_BATCH
+
         shape_hint = (args.M, args.N, args.K)
+        if spec.is_batched:
+            shape_hint += (RUN_BATCH,)
     return service.get_program(
         spec, _arch_from_args(args), options,
         timeout_s=getattr(args, "timeout", None), shape_hint=shape_hint,

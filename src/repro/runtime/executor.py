@@ -753,6 +753,11 @@ def run_gemm(
     return C, report
 
 
+#: The batch count :func:`run_checked` draws for a batched spec unless
+#: told otherwise (``swgemm run`` and the daemon's ``run`` op).
+RUN_BATCH = 4
+
+
 def run_checked(
     program: CompiledProgram,
     M: int,
@@ -760,7 +765,7 @@ def run_checked(
     K: int,
     seed: int = 0,
     alpha: float = 1.0,
-    batch: int = 4,
+    batch: int = RUN_BATCH,
     guarded: bool = False,
 ) -> Tuple[ExecutionReport, float]:
     """Run ``program`` on seeded random operands and compare with NumPy:

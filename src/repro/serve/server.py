@@ -761,7 +761,7 @@ class KernelServer:
     def _op_run(
         self, params: Dict[str, Any], budget_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        from repro.runtime.executor import run_checked
+        from repro.runtime.executor import RUN_BATCH, run_checked
 
         spec, options, arch = protocol.spec_and_options(params)
         program, source = self.service.get_program_with_source(
@@ -778,7 +778,7 @@ class KernelServer:
             int(params.get("K", 32)),
             seed=int(params.get("seed", 0)),
             alpha=float(params.get("alpha", 1.0)),
-            batch=int(params.get("batch_count", 4)),
+            batch=int(params.get("batch_count", RUN_BATCH)),
             guarded=bool(params.get("guarded", False)),
         )
         result = {

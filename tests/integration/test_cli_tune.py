@@ -66,6 +66,34 @@ def test_run_is_steered_by_the_record(capsys, cache_dir):
     assert report["persistent"].get("tuning_hits", 0) >= 1
 
 
+def test_batched_run_is_steered_by_the_batched_record(
+    capsys, cache_dir, tmp_path
+):
+    """``run`` executes a batched source as a batch of ``RUN_BATCH``, so
+    its shape hint carries that batch and finds the record a ``tune
+    --batch-count RUN_BATCH`` of the same M/N/K wrote."""
+    from perfbench.grid import SOURCES
+    from repro.runtime.executor import RUN_BATCH
+
+    source = tmp_path / "batched.c"
+    source.write_text(SOURCES["batched"])
+    shape = ["-M", "48", "-N", "80", "-K", "32"]
+    assert main(["--cache-dir", cache_dir, "tune", "--arch", "toy",
+                 "--batch-count", str(RUN_BATCH), *shape,
+                 "--seed", "0", "--budget", "6", "--json"]) == 0
+    tuned = json.loads(capsys.readouterr().out)
+    assert tuned["best_gflops"] > tuned["default_gflops"]
+    assert main(["--cache-dir", cache_dir, "run", "--arch", "toy",
+                 str(source), *shape]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("max |C - reference| = ")[1].split()[0]) < 1e-8
+    gflops = float(out.split("ms (")[1].split()[0])
+    assert gflops == pytest.approx(tuned["best_gflops"], rel=0.05)
+    assert main(["--cache-dir", cache_dir, "cache", "stats", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["persistent"].get("tuning_hits", 0) == 1
+
+
 def test_cache_clear_drops_tuning_records(capsys, cache_dir):
     assert main(["--cache-dir", cache_dir, *TOY_TUNE]) == 0
     capsys.readouterr()
