@@ -825,12 +825,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--schedule", choices=("recipe", "optimize", "off"),
             default=None, metavar="MODE",
             help="schedule policy: 'recipe' keeps the fixed §6 pipeline "
-            "(default), 'optimize' runs the replay-proven schedule rewrite "
-            "stack on top of it, 'off' disables latency hiding entirely",
+            "(default), 'optimize' runs the schedule rewrite stack on top "
+            "of it (admitted by the verifier like every kernel), 'off' "
+            "disables latency hiding entirely",
         )
         p.add_argument("--no-verify", action="store_true",
-                       help="skip the admission verifier (escape hatch; "
-                       "generated code is bit-exact either way)")
+                       help="skip the admission verifier, the schedule "
+                       "rewrites' proof included (escape hatch; generated "
+                       "code is bit-exact either way)")
 
     def add_introspection(p):
         p.add_argument(

@@ -11,8 +11,9 @@ both directions:
   enabled) and *prove* it fits the SPM, raising otherwise;
 * :func:`search_optimal_shape` — the analytical model itself: enumerate
   feasible power-of-two shapes and score them with a per-inner-iteration
-  time model (kernel efficiency, RMA broadcast latency, shared-DMA
-  bandwidth, fixed per-iteration overhead).  For the SW26010Pro
+  time model, :func:`iteration_cost` (kernel efficiency, RMA broadcast
+  latency, shared-DMA bandwidth, fixed per-iteration overhead), which
+  the autotuner's pruner reads too.  For the SW26010Pro
   parameters the arg-max is exactly the arch's 64×64×32 contract,
   reproducing the paper's claim that the empirically chosen kernel shape
   is the modelled optimum; other registered archs carry their own
@@ -103,6 +104,11 @@ class TilePlan:
         single source of truth for kernel selection after tile selection
         (the arch default may differ under an autotuned config)."""
         return MicroKernelShape(self.mt, self.nt, self.kt)
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes per element (every buffer of a plan shares one dtype)."""
+        return self.buffers[0].itemsize
 
     def spm_bytes(self) -> int:
         return sum(b.nbytes for b in self.buffers)
@@ -244,6 +250,58 @@ def dma_burst_efficiency(run_bytes: int, burst: int = 128) -> float:
     return run_bytes / burst
 
 
+#: Fixed cost of one inner pipeline iteration (loop control, reply
+#: bookkeeping), charged on top of the kernel time.
+PER_ITER_OVERHEAD_S = 1.2e-6
+
+
+@dataclass(frozen=True)
+class IterationCost:
+    """The §3.1 cost of one inner pipeline iteration of a plan."""
+
+    kernel_s: float
+    rma_s: float
+    dma_s: float
+    per_iter_s: float
+    #: ``kernel``/``rma``/``dma`` — the largest term with hiding — or
+    #: ``serial`` without it.
+    limiter: str
+
+
+def iteration_cost(arch: ArchSpec, plan: TilePlan) -> IterationCost:
+    """Per-iteration time of ``plan``: kernel, RMA and DMA terms.
+
+    With double buffering the three overlap and the iteration costs the
+    largest; without, transfers and compute serialise (Fig. 9)."""
+    mt, nt, kt, itemsize = plan.mt, plan.nt, plan.kt, plan.itemsize
+    eff = kernel_efficiency_model(kt)
+    t_kernel = plan.kernel_shape.flops / (arch.cpe_peak_gflops * 1e9 * eff)
+    t_kernel += PER_ITER_OVERHEAD_S
+    a_bytes = mt * kt * itemsize
+    b_bytes = kt * nt * itemsize
+    # Short contiguous runs (kt elements for A, nt for B) waste bursts.
+    dma_bytes = a_bytes / dma_burst_efficiency(
+        kt * itemsize
+    ) + b_bytes / dma_burst_efficiency(nt * itemsize)
+    if plan.use_rma:
+        # Row/column broadcasts travel on independent channels and are
+        # launched together (§6.1), so their latencies overlap; each
+        # DMA'd tile is reused mesh-wide, so every CPE's share of the
+        # shared channel is 1/mesh of the naive traffic.
+        t_rma = max(arch.rma_time_s(a_bytes), arch.rma_time_s(b_bytes))
+        dma_bytes /= plan.mesh
+    else:
+        t_rma = 0.0
+    t_dma = arch.num_cpes * dma_bytes / (arch.dma_bandwidth_gbs * 1e9)
+    if plan.double_buffered:
+        per_iter = max(t_kernel, t_rma, t_dma)
+        limiter = {t_kernel: "kernel", t_rma: "rma", t_dma: "dma"}[per_iter]
+    else:
+        per_iter = t_kernel + t_rma + t_dma
+        limiter = "serial"
+    return IterationCost(t_kernel, t_rma, t_dma, per_iter, limiter)
+
+
 @dataclass(frozen=True)
 class ShapeScore:
     shape: MicroKernelShape
@@ -253,37 +311,23 @@ class ShapeScore:
     limiter: str
 
 
-def score_shape(
-    arch: ArchSpec,
-    mt: int,
-    nt: int,
-    kt: int,
-    per_iter_overhead_us: float = 1.2,
-) -> ShapeScore:
-    """Modelled per-CPE throughput of one inner pipeline iteration."""
+def score_shape(arch: ArchSpec, mt: int, nt: int, kt: int) -> ShapeScore:
+    """Modelled per-CPE throughput of one inner pipeline iteration of
+    the RMA + double-buffered plan of ``mt×nt×kt``."""
     shape = MicroKernelShape(mt, nt, kt)
-    mesh = arch.mesh_rows
-    buffers = _build_buffers(mt, nt, kt, True, True)
-    nbytes = sum(b.nbytes for b in buffers)
-    usable = arch.spm_bytes - spm_reserve_bytes(arch)
-    feasible = nbytes <= usable
-    eff = kernel_efficiency_model(kt)
-    t_kernel = shape.flops / (arch.cpe_peak_gflops * 1e9 * eff)
-    t_kernel += per_iter_overhead_us * 1e-6
-    # A row-broadcast and B column-broadcast travel on independent
-    # channels and are launched together (§6.1): their latencies overlap.
-    t_rma = max(arch.rma_time_s(shape.a_bytes), arch.rma_time_s(shape.b_bytes))
-    # Each input tile is DMA-fetched once per mesh row/column, i.e. every
-    # CPE's share per kernel is (A+B)/mesh; the channel serves the whole
-    # mesh, and short runs (len = kt doubles for A) waste DDR bursts.
-    a_eff = dma_burst_efficiency(kt * _DT)
-    b_eff = dma_burst_efficiency(nt * _DT)
-    dma_bytes = (shape.a_bytes / a_eff + shape.b_bytes / b_eff) / mesh
-    t_dma = arch.num_cpes * dma_bytes / (arch.dma_bandwidth_gbs * 1e9)
-    per_iter = max(t_kernel, t_rma, t_dma)
-    limiter = {t_kernel: "kernel", t_rma: "rma", t_dma: "dma"}[per_iter]
-    gflops = shape.flops / per_iter / 1e9
-    return ShapeScore(shape, per_iter, gflops, feasible, limiter)
+    plan = TilePlan(
+        mt=mt,
+        nt=nt,
+        kt=kt,
+        mesh=arch.mesh_rows,
+        buffers=_build_buffers(mt, nt, kt, True, True),
+        use_rma=True,
+        double_buffered=True,
+    )
+    feasible = plan.spm_bytes() <= arch.spm_bytes - spm_reserve_bytes(arch)
+    cost = iteration_cost(arch, plan)
+    gflops = shape.flops / cost.per_iter_s / 1e9
+    return ShapeScore(shape, cost.per_iter_s, gflops, feasible, cost.limiter)
 
 
 def candidate_shapes(

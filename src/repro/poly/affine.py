@@ -20,7 +20,7 @@ isl's exact-arithmetic contract.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from repro.errors import NonAffineError
 
@@ -352,11 +352,3 @@ def aff_var(name: str) -> AffExpr:
 def aff_const(value: int) -> AffExpr:
     """Shorthand for :meth:`AffExpr.constant`."""
     return AffExpr.constant(value)
-
-
-def aff_sum(terms: Iterable[IntLike]) -> AffExpr:
-    """Sum an iterable of expressions/ints."""
-    total = aff_const(0)
-    for term in terms:
-        total = total + AffExpr.coerce(term)
-    return total

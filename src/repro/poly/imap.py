@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpaceMismatchError
 from repro.poly.affine import AffExpr, IntLike
-from repro.poly.iset import IntegerSet
 from repro.poly.space import Space
 
 
@@ -78,16 +77,6 @@ class AffineMap:
             n for n in self.variables() if not self.domain_space.has_dim(n)
         )
 
-    def is_injective_over(self, domain: IntegerSet, params: Mapping[str, int]) -> bool:
-        """Brute-force injectivity check over a bounded domain (test helper)."""
-        seen: Dict[Tuple[int, ...], Dict[str, int]] = {}
-        for point in domain.points(params):
-            image = self.apply(point, params)
-            if image in seen and seen[image] != point:
-                return False
-            seen[image] = point
-        return True
-
     # -- transformation --------------------------------------------------------
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
@@ -137,14 +126,6 @@ class AffineMap:
         }
         env_box.update(box)
         return [e.interval(env_box) for e in self.exprs]
-
-    def image_extents(
-        self,
-        box: Mapping[str, Tuple[int, int]],
-        params: Mapping[str, int] = (),
-    ) -> List[int]:
-        """Number of integer values covered by each output over ``box``."""
-        return [hi - lo + 1 for lo, hi in self.box_image(box, params)]
 
     # -- structural ------------------------------------------------------------
 

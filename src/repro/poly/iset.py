@@ -50,14 +50,6 @@ class Constraint:
         value = self.expr.evaluate(env)
         return value == 0 if self.kind == EQ else value >= 0
 
-    def negated(self) -> "List[Constraint]":
-        """Constraints whose disjunction is the negation (GE only)."""
-        if self.kind == GE:
-            # not(e >= 0)  <=>  -e - 1 >= 0
-            return [Constraint(-self.expr - 1, GE)]
-        # not(e == 0) is a disjunction; callers must handle both branches.
-        return [Constraint(self.expr - 1, GE), Constraint(-self.expr - 1, GE)]
-
     def substitute(self, bindings: Mapping[str, IntLike]) -> "Constraint":
         return Constraint(self.expr.substitute(bindings), self.kind)
 
@@ -107,27 +99,8 @@ class IntegerSet:
 
     # -- construction ----------------------------------------------------
 
-    @staticmethod
-    def universe(space: Space) -> "IntegerSet":
-        return IntegerSet(space, ())
-
     def with_constraints(self, extra: Iterable[Constraint]) -> "IntegerSet":
         return IntegerSet(self.space, tuple(self.constraints) + tuple(extra))
-
-    def intersect(self, other: "IntegerSet") -> "IntegerSet":
-        self.space.require_same(other.space)
-        return self.with_constraints(other.constraints)
-
-    def substitute_params(self, params: Mapping[str, int]) -> "IntegerSet":
-        """Bind parameter names to integer values."""
-        usable = {
-            name: value for name, value in params.items()
-            if not self.space.has_dim(name)
-        }
-        return IntegerSet(
-            self.space,
-            tuple(c.substitute(usable) for c in self.constraints),
-        )
 
     # -- queries -----------------------------------------------------------
 
@@ -242,34 +215,12 @@ class IntegerSet:
             result[dim] = (lo, hi)
         return result
 
-    def is_empty(self, params: Mapping[str, int] = ()) -> bool:
-        """Emptiness check: box propagation first, enumeration fallback."""
+    def points(self, params: Mapping[str, int] = ()) -> Iterator[Dict[str, int]]:
+        """Enumerate all integer points (bounded sets only)."""
         try:
             box = self.bounding_box(params)
         except EmptySetError:
-            return True
-        size = 1
-        for lo, hi in box.values():
-            size *= hi - lo + 1
-            if size > 200_000:
-                # The box is non-empty and huge; for the conjunctive
-                # per-dimension constraints this compiler produces the box
-                # is exact, so the set is non-empty.
-                return False
-        return not any(True for _ in self.points(params, _box=box))
-
-    def points(
-        self,
-        params: Mapping[str, int] = (),
-        _box: Optional[Dict[str, Tuple[int, int]]] = None,
-    ) -> Iterator[Dict[str, int]]:
-        """Enumerate all integer points (bounded sets only)."""
-        if _box is None:
-            try:
-                _box = self.bounding_box(params)
-            except EmptySetError:
-                return
-        box = _box
+            return
         dims = list(self.space.dims)
         ranges = [range(box[d][0], box[d][1] + 1) for d in dims]
         env_params = dict(params or {})

@@ -114,12 +114,6 @@ class DomainNode(ScheduleNode):
     def statement_names(self) -> List[str]:
         return list(self.statements)
 
-    def domain_of(self, name: str) -> IntegerSet:
-        try:
-            return self.statements[name]
-        except KeyError:
-            raise ScheduleTreeError(f"unknown statement {name!r}") from None
-
     def _label(self) -> str:
         body = "; ".join(str(s) for s in self.statements.values())
         return f"DOMAIN: {body}"
@@ -161,15 +155,6 @@ class BandMember:
             raise ScheduleTreeError(
                 f"band member {self.var!r} has no schedule for statement {stmt!r}"
             ) from None
-
-    def clone(self) -> "BandMember":
-        return BandMember(
-            self.var,
-            dict(self.schedules),
-            self.coincident,
-            self.extent,
-            self.binding,
-        )
 
 
 class BandNode(ScheduleNode):
@@ -280,9 +265,6 @@ class ExtensionStmt:
     relation: Optional[AffineMap] = None
     payload: Dict[str, object] = field(default_factory=dict)
 
-    def clone(self) -> "ExtensionStmt":
-        return ExtensionStmt(self.name, self.role, self.relation, dict(self.payload))
-
 
 class ExtensionNode(ScheduleNode):
     """Introduces statements not covered by the domain node."""
@@ -356,27 +338,6 @@ class ContextNode(ScheduleNode):
 # ---------------------------------------------------------------------------
 
 
-def clone_tree(node: ScheduleNode) -> ScheduleNode:
-    """Deep-copy a schedule tree (band members and extension statements
-    are copied; integer sets and affine objects are immutable and shared)."""
-    children = [clone_tree(c) for c in node.children]
-    if isinstance(node, DomainNode):
-        return DomainNode(dict(node.statements), children)
-    if isinstance(node, BandNode):
-        return BandNode([m.clone() for m in node.members], node.permutable, children)
-    if isinstance(node, SequenceNode):
-        return SequenceNode(children)
-    if isinstance(node, FilterNode):
-        return FilterNode(node.statements, children, node.constraints, node.label)
-    if isinstance(node, ExtensionNode):
-        return ExtensionNode([s.clone() for s in node.stmts], children)
-    if isinstance(node, MarkNode):
-        return MarkNode(node.mark, children, dict(node.payload))
-    if isinstance(node, ContextNode):
-        return ContextNode(node.constraints, children)
-    raise ScheduleTreeError(f"cannot clone node of kind {node.kind!r}")
-
-
 def parent_map(root: ScheduleNode) -> Dict[int, ScheduleNode]:
     """Map ``id(child) -> parent`` for an entire tree."""
     parents: Dict[int, ScheduleNode] = {}
@@ -384,25 +345,3 @@ def parent_map(root: ScheduleNode) -> Dict[int, ScheduleNode]:
         for c in node.children:
             parents[id(c)] = node
     return parents
-
-
-def band_ancestors(root: ScheduleNode, target: ScheduleNode) -> List[BandNode]:
-    """All band nodes on the path from ``root`` down to ``target``."""
-    path: List[BandNode] = []
-
-    def descend(node: ScheduleNode) -> bool:
-        if node is target:
-            return True
-        for c in node.children:
-            if isinstance(node, BandNode):
-                pass
-            if descend(c):
-                if isinstance(node, BandNode):
-                    path.append(node)
-                return True
-        return False
-
-    if not descend(root):
-        raise ScheduleTreeError("target node not found under root")
-    path.reverse()
-    return path

@@ -62,10 +62,6 @@ class Space:
 
     # -- derivation ----------------------------------------------------
 
-    def renamed(self, name: str) -> "Space":
-        """Same dimensions under a different tuple name."""
-        return Space(name, self.dims)
-
     def drop(self, dim: str) -> "Space":
         """Remove one dimension."""
         self.index(dim)
@@ -78,11 +74,6 @@ class Space:
         dims = list(self.dims)
         dims.insert(position, dim)
         return Space(self.name, tuple(dims))
-
-    def require_same(self, other: "Space") -> None:
-        """Raise :class:`SpaceMismatchError` unless spaces are identical."""
-        if self != other:
-            raise SpaceMismatchError(f"space mismatch: {self} vs {other}")
 
     # -- display -------------------------------------------------------
 

@@ -6,16 +6,16 @@ pipelines; this package rewrites it into another:
 * :mod:`repro.schedule.ir` — the timeline IR (steps, segments, levels);
 * :mod:`repro.schedule.extract` — lift the recipe's schedule tree into
   a timeline and write rewritten timelines back;
-* :mod:`repro.schedule.passes` — the three rewrites plus the
-  clone → rewrite → replay → admit protocol (every candidate is proven
-  on the verifier's ``ScheduleMachine`` and re-checked against the SPM
-  budget before it replaces the installed tree).
+* :mod:`repro.schedule.passes` — the three rewrites, applied to the
+  schedule tree in place.
 
 Selected via ``CompilerOptions.schedule`` / ``--schedule=optimize``,
 which runs every registered rewrite in registry order; each rewrite
 runs as a ``schedule:<name>`` pipeline pass, so
 ``swgemm passes list``, ``--print-after`` and the cache identity cover
-schedule optimization exactly like every other stage.
+schedule optimization exactly like every other stage.  The rewrites
+propose; the pipeline's terminal ``verify`` pass admits the rewritten
+program once, exactly as it admits every other kernel.
 """
 
 from repro.schedule.extract import extract_timeline, materialize
@@ -27,14 +27,7 @@ from repro.schedule.ir import (
     Segment,
     Timeline,
 )
-from repro.schedule.passes import (
-    REWRITES,
-    Rewrite,
-    RewriteOutcome,
-    apply_rewrite,
-    check_legal,
-    lower_root,
-)
+from repro.schedule.passes import REWRITES, Rewrite, apply_rewrite
 
 __all__ = [
     "ROLE_TO_KIND",
@@ -47,8 +40,5 @@ __all__ = [
     "materialize",
     "REWRITES",
     "Rewrite",
-    "RewriteOutcome",
     "apply_rewrite",
-    "check_legal",
-    "lower_root",
 ]

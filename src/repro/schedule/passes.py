@@ -1,4 +1,4 @@
-"""The schedule rewrites and their verified admission protocol.
+"""The schedule rewrites and their in-place application.
 
 Three composable rewrites over :class:`~repro.schedule.ir.Timeline`
 (modelled on zero-bubble pipeline schedulers, where the per-stage
@@ -20,22 +20,20 @@ registry order:
     Merge the outer peel's unguarded DMA issues into the chunk's first
     transfer group, so the C/A/B gets share one issue burst.
 
-Every rewrite mutates the timeline only; admission is the job of
-:func:`apply_rewrite`, which rewrites a *clone* of the schedule tree,
-lowers it, replays it on the verifier's
-:func:`~repro.verify.replay_schedule` machine and re-checks the SPM
-budget — the original tree is swapped out only when the candidate is
-proven legal.  An illegal or no-op candidate leaves the decomposition
-untouched and reports why.
+Every rewrite mutates the timeline only; :func:`apply_rewrite` writes
+it back into the decomposition's schedule tree in place.  The rewrites
+propose and the pipeline's terminal ``verify`` pass admits: the final
+program is replayed on the verifier's ``ScheduleMachine`` and checked
+against the SPM budget once, like every other kernel, and a refusal
+fails the compile with the verifier's witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import CompilationError
-from repro.poly.schedule_tree import clone_tree
 from repro.schedule.extract import extract_timeline, materialize
 from repro.schedule.ir import ScheduleStep, Segment, Timeline
 
@@ -101,7 +99,7 @@ def reorder_issues(tl: Timeline) -> bool:
        the waits, so the next transfers are in flight (back to back, on
        the RMA level) before the current ones are waited on.  Parity
        selectors keep the moved issues targeting the other buffer slot,
-       which the replay machine re-proves on every candidate.
+       which the verify pass's replay proves on the final program.
     """
     changed = False
     kmid = tl.level("kmid")
@@ -201,94 +199,27 @@ REWRITES: Dict[str, Rewrite] = {
 
 
 # ---------------------------------------------------------------------------
-# Verified admission
+# Application
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RewriteOutcome:
-    """What happened to one rewrite attempt."""
+def apply_rewrite(dec, name: str) -> bool:
+    """Apply one rewrite to ``dec``'s schedule tree, in place.
 
-    name: str
-    #: True only when the candidate was replayed legal and installed.
-    applied: bool
-    reason: str = ""
-
-
-def lower_root(dec, root, dma_specs, rma_specs, arch):
-    """Lower an arbitrary schedule-tree root for this decomposition.
-
-    The lowering delegate reads only the decomposition's spec, plan,
-    options and arch — never ``dec.root`` — so candidate clones lower
-    exactly like the installed tree."""
-    # Lazy: core.passes imports this package at module level.
-    from repro.codegen.backend import resolve_kernel
-    from repro.core.lowering import GemmLowering
-    from repro.core.passes import _buffer_decls, _reply_decls
-    from repro.poly.astgen import AstGenerator
-    from repro.poly.astnodes import CpeProgram
-
-    body = AstGenerator(GemmLowering(dec)).generate(
-        root, dec.spec.param_names()
-    )
-    return CpeProgram(
-        buffers=_buffer_decls(dec),
-        replies=_reply_decls(dec, dma_specs, rma_specs),
-        body=body,
-        kernel_name=resolve_kernel(arch, dec.options, dec.plan.kernel_shape).name,
-    )
-
-
-def check_legal(dec, cpe_program, arch) -> Optional[str]:
-    """Replay + SPM re-check; ``None`` when legal, else the refusal."""
-    from repro.verify import replay_schedule
-    from repro.verify.report import PASSED
-    from repro.verify.static_checks import check_spm_budget
-
-    result = replay_schedule(cpe_program, dec.plan, dec.spec)
-    if result.hazards:
-        return f"replay found {len(result.hazards)} hazard(s)"
-    if result.discipline:
-        return f"replay found {len(result.discipline)} discipline violation(s)"
-    if result.deadlock:
-        return f"replay deadlocked ({result.deadlock})"
-    if not result.completed:
-        return "replay did not complete"
-    spm = check_spm_budget(arch, dec.plan, cpe_program)
-    if spm.status != PASSED:
-        return f"SPM slack check failed: {spm.detail}"
-    return None
-
-
-def apply_rewrite(dec, name, dma_specs, rma_specs, arch) -> RewriteOutcome:
-    """Apply one rewrite to ``dec`` if and only if it is proven legal.
-
-    Clones the tree, rewrites the clone's timeline, lowers and replays
-    it; on success installs the clone as ``dec.root`` (re-pointing the
-    named band handles through a pre-rewrite node correspondence, so
-    later passes and serde keep working on live nodes)."""
+    Extracts the timeline, runs the rewrite and materializes it back
+    into the same tree when it changed anything; returns whether it
+    did.  The band handles in ``dec.bands`` stay live (materialization
+    rebuilds extensions and filters, never bands).  Legality is not
+    checked here: the pipeline's terminal ``verify`` pass admits the
+    rewritten program like every other kernel."""
     rewrite = REWRITES.get(name)
     if rewrite is None:
         raise CompilationError(
             f"unknown schedule rewrite {name!r}; known: "
             f"{', '.join(REWRITES)}"
         )
-    clone = clone_tree(dec.root)
-    # clone_tree preserves child order and walk() is pre-order, so the
-    # zipped traversals are aligned node-for-node.
-    correspondence = {
-        id(orig): copy for orig, copy in zip(dec.root.walk(), clone.walk())
-    }
-    timeline = extract_timeline(clone)
+    timeline = extract_timeline(dec.root)
     if not rewrite.fn(timeline):
-        return RewriteOutcome(name, applied=False, reason="no opportunity")
+        return False
     materialize(timeline)
-    candidate = lower_root(dec, clone, dma_specs, rma_specs, arch)
-    refusal = check_legal(dec, candidate, arch)
-    if refusal is not None:
-        return RewriteOutcome(name, applied=False, reason=refusal)
-    dec.root = clone
-    dec.bands = {
-        key: correspondence[id(band)] for key, band in dec.bands.items()
-    }
-    return RewriteOutcome(name, applied=True)
+    return True

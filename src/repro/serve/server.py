@@ -764,12 +764,17 @@ class KernelServer:
         from repro.runtime.executor import RUN_BATCH, run_checked
 
         spec, options, arch = protocol.spec_and_options(params)
+        batch = int(params.get("batch_count", RUN_BATCH))
+        shape_hint = protocol.shape_hint(params)
+        if spec.is_batched and shape_hint is not None and len(shape_hint) == 3:
+            # Steer by the batch this op runs, not only a requested one.
+            shape_hint += (batch,)
         program, source = self.service.get_program_with_source(
             spec,
             arch,
             options,
             timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
-            shape_hint=protocol.shape_hint(params),
+            shape_hint=shape_hint,
         )
         report, max_error = run_checked(
             program,
@@ -778,7 +783,7 @@ class KernelServer:
             int(params.get("K", 32)),
             seed=int(params.get("seed", 0)),
             alpha=float(params.get("alpha", 1.0)),
-            batch=int(params.get("batch_count", RUN_BATCH)),
+            batch=batch,
             guarded=bool(params.get("guarded", False)),
         )
         result = {

@@ -9,10 +9,10 @@ anything*, using exactly the arithmetic the rest of the stack enforces:
   admission verifier's §6.3 check, so no point the verifier would later
   reject survives pruning;
 * ranking — the per-iteration cost model of §3.1
-  (:func:`~repro.core.tile_model.kernel_efficiency_model`, the arch's
-  DMA/RMA cost model), extended with the padding waste a concrete
-  problem shape pays: ragged shapes are exactly where a smaller chunk
-  beats the paper's 512×512×256 default, and the pruner must see that.
+  (:func:`~repro.core.tile_model.iteration_cost`, the formula the shape
+  search uses), extended with the padding waste a concrete problem
+  shape pays: ragged shapes are exactly where a smaller chunk beats the
+  paper's 512×512×256 default, and the pruner must see that.
 
 The predicted number is a *ranking* signal, not a measurement — stage 2
 (:mod:`repro.tune.driver`) measures survivors on the cycle-accurate
@@ -28,21 +28,10 @@ from repro.errors import ConfigurationError, SPMOverflowError
 from repro.core.options import CompilerOptions
 from repro.core.passes import reconcile_options
 from repro.core.spec import GemmSpec
-from repro.core.tile_model import (
-    TilePlan,
-    dma_burst_efficiency,
-    kernel_efficiency_model,
-)
-from repro.core.tile_model import plan_for_kernel
+from repro.core.tile_model import TilePlan, iteration_cost, plan_for_kernel
 from repro.sunway.arch import ArchSpec
 from repro.tune.space import Candidate
 from repro.verify import plan_spm_slack
-
-_DT = 8
-
-#: Per-inner-iteration fixed overhead (loop control, reply bookkeeping),
-#: matching the constant the §3.1 shape search uses.
-PER_ITER_OVERHEAD_US = 1.2
 
 
 @dataclass(frozen=True)
@@ -61,45 +50,18 @@ def predict_gflops(
     arch: ArchSpec,
     plan: TilePlan,
     shape: Optional[Tuple[int, int, int]] = None,
-    itemsize: int = _DT,
 ) -> Tuple[float, str]:
     """Modelled mesh-wide throughput of one plan, with padding waste.
 
-    Mirrors :func:`repro.core.tile_model.score_shape` but honours the
-    candidate's actual RMA / double-buffering mode, and — when the
-    concrete ``(M, N, K)`` is known — scales by the useful-flops
-    fraction of the zero-padded problem the mesh really executes.
+    The §3.1 per-iteration cost of the candidate's own plan
+    (:func:`~repro.core.tile_model.iteration_cost`, the formula
+    :func:`~repro.core.tile_model.score_shape` uses, in the candidate's
+    RMA / double-buffering mode) — and, when the concrete ``(M, N, K)``
+    is known, scaled by the useful-flops fraction of the zero-padded
+    problem the mesh really executes.
     """
-    mt, nt, kt, mesh = plan.mt, plan.nt, plan.kt, plan.mesh
-    flops = 2.0 * mt * nt * kt
-    eff = kernel_efficiency_model(kt)
-    t_kernel = flops / (arch.cpe_peak_gflops * 1e9 * eff)
-    t_kernel += PER_ITER_OVERHEAD_US * 1e-6
-    a_bytes = mt * kt * itemsize
-    b_bytes = kt * nt * itemsize
-    if plan.use_rma:
-        # Row/column broadcasts travel on independent channels (§6.1);
-        # each DMA'd tile is reused mesh-wide, so the shared channel
-        # carries 1/mesh of the naive traffic.
-        t_rma = max(arch.rma_time_s(a_bytes), arch.rma_time_s(b_bytes))
-        dma_bytes = (
-            a_bytes / dma_burst_efficiency(kt * itemsize)
-            + b_bytes / dma_burst_efficiency(nt * itemsize)
-        ) / mesh
-    else:
-        t_rma = 0.0
-        dma_bytes = a_bytes / dma_burst_efficiency(
-            kt * itemsize
-        ) + b_bytes / dma_burst_efficiency(nt * itemsize)
-    t_dma = arch.num_cpes * dma_bytes / (arch.dma_bandwidth_gbs * 1e9)
-    if plan.double_buffered:
-        per_iter = max(t_kernel, t_rma, t_dma)
-        limiter = {t_kernel: "kernel", t_rma: "rma", t_dma: "dma"}[per_iter]
-    else:
-        # No hiding: transfers and compute serialise (Fig. 9).
-        per_iter = t_kernel + t_rma + t_dma
-        limiter = "serial"
-    gflops = arch.num_cpes * flops / per_iter / 1e9
+    cost = iteration_cost(arch, plan)
+    gflops = arch.num_cpes * plan.kernel_shape.flops / cost.per_iter_s / 1e9
     if shape is not None:
         M, N, K = shape
 
@@ -110,7 +72,7 @@ def predict_gflops(
             up(M, plan.chunk_m) * up(N, plan.chunk_n) * up(K, plan.k_step)
         )
         gflops *= (M * N * K) / padded
-    return gflops, limiter
+    return gflops, cost.limiter
 
 
 def analyze(
@@ -139,7 +101,7 @@ def analyze(
         return PrunedCandidate(
             candidate, False, f"SPM overflow by {-slack} B", 0.0, "spm", slack
         )
-    gflops, limiter = predict_gflops(arch, plan, shape, spec.itemsize)
+    gflops, limiter = predict_gflops(arch, plan, shape)
     return PrunedCandidate(candidate, True, "", gflops, limiter, slack)
 
 

@@ -8,8 +8,8 @@ The tuner instead searches the surrounding configuration space:
   analytical default (quarter to double per dimension, SIMD-aligned);
 * RMA broadcasts on/off and latency hiding on/off (the SPM buffer depth,
   2 or 1, follows from the latter and is part of the candidate name);
-* the schedule policy — the fixed §6 recipe vs. the replay-proven
-  schedule rewrite stack (``--schedule=optimize``), searched only where
+* the schedule policy — the fixed §6 recipe vs. the schedule rewrite
+  stack (``--schedule=optimize``), searched only where
   it can run (hiding candidates on the asm path);
 * the kernel backend — the vendor contract kernel vs. the parametric
   register-tiled generator (:mod:`repro.codegen.backend`), searched
@@ -57,7 +57,7 @@ class Candidate:
     kernel_backend: str = "vendor"
     #: ``None`` keeps the fixed §6 recipe (the pre-v3 behaviour, and the
     #: only legal value for non-hiding candidates); ``"optimize"`` runs
-    #: the replay-proven schedule rewrite stack on top of the recipe.
+    #: the schedule rewrite stack on top of the recipe.
     schedule: Optional[str] = None
     #: The k-strip factor the compiler derives for this point's RMA mode
     #: (mesh size with RMA, 1 without, §5.2): a name label (``-sN``) only.

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NonAffineError
-from repro.poly.affine import AffExpr, FloorDiv, aff_const, aff_sum, aff_var
+from repro.poly.affine import AffExpr, FloorDiv, aff_const, aff_var
 
 
 def test_var_and_const_construction():
@@ -143,12 +143,6 @@ def test_interval_floordiv():
 def test_interval_rejects_unbounded_var():
     with pytest.raises(NonAffineError):
         aff_var("i").interval({})
-
-
-def test_aff_sum():
-    total = aff_sum([aff_var("i"), 3, aff_var("i")])
-    assert total.coefficient("i") == 2
-    assert total.const == 3
 
 
 def test_hash_and_equality_are_structural():

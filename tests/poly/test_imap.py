@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SpaceMismatchError
 from repro.poly.affine import aff_var
 from repro.poly.imap import AffineMap
-from repro.poly.iset import box_set
 from repro.poly.space import Space
 
 S1 = Space("S1", ("i", "j", "k"))
@@ -63,20 +62,12 @@ def test_box_image_is_footprint():
     box = {"i": (64, 127), "j": (0, 63), "k": (32, 63)}
     image = m.box_image(box)
     assert image == [(64, 127), (32, 63)]
-    assert m.image_extents(box) == [64, 32]
 
 
 def test_box_image_with_params():
     m = AffineMap(S1, [i + aff_var("M")])
     image = m.box_image({"i": (0, 3), "j": (0, 0), "k": (0, 0)}, {"M": 100})
     assert image == [(100, 103)]
-
-
-def test_injectivity_check():
-    dom = box_set(S1, {"i": (0, 3), "j": (0, 3), "k": (0, 3)})
-    assert AffineMap.identity(S1).is_injective_over(dom, {})
-    proj = AffineMap(S1, [i, j])
-    assert not proj.is_injective_over(dom, {})
 
 
 def test_parameters():

@@ -70,15 +70,15 @@ def test_emptiness_detected():
     dom = box_set(S, {"i": (0, 4), "j": (0, 4)}).with_constraints(
         [ge(aff_var("i"), 10)]
     )
-    assert dom.is_empty()
+    assert list(dom.points()) == []
 
 
 def test_nonempty():
-    assert not gemm_domain().is_empty({"M": 1, "N": 1, "K": 1})
+    assert gemm_domain().count({"M": 1, "N": 1, "K": 1}) == 1
 
 
 def test_empty_when_param_zero():
-    assert gemm_domain().is_empty({"M": 0, "N": 4, "K": 4})
+    assert gemm_domain().count({"M": 0, "N": 4, "K": 4}) == 0
 
 
 def test_unbounded_raises():
@@ -93,26 +93,6 @@ def test_unbound_parameter_raises():
         dom.bounding_box({"M": 4})  # N, K missing
 
 
-def test_intersect():
-    a = box_set(S, {"i": (0, 10), "j": (0, 10)})
-    b = IntegerSet(S, [le(aff_var("i"), 3)])
-    inter = a.intersect(b)
-    assert inter.bounding_box()["i"] == (0, 3)
-
-
-def test_intersect_space_mismatch():
-    a = box_set(S, {"i": (0, 10), "j": (0, 10)})
-    b = IntegerSet(Space("T", ("x",)), [])
-    with pytest.raises(SpaceMismatchError):
-        a.intersect(b)
-
-
-def test_substitute_params():
-    dom = gemm_domain().substitute_params({"M": 4, "N": 4, "K": 4})
-    assert dom.parameters() == frozenset()
-    assert dom.count() == 64
-
-
 def test_parameters_listed():
     assert gemm_domain().parameters() == frozenset({"M", "N", "K"})
 
@@ -121,13 +101,6 @@ def test_constraint_dedup():
     c = ge(aff_var("i"), 0)
     dom = IntegerSet(S, [c, c, lt(aff_var("i"), 5), ge(aff_var("j"), 0), lt(aff_var("j"), 5)])
     assert len(dom.constraints) == 4
-
-
-def test_constraint_negation():
-    c = ge(aff_var("i"), 3)
-    (neg,) = c.negated()
-    assert neg.holds({"i": 2})
-    assert not neg.holds({"i": 3})
 
 
 def test_floordiv_constraint_bounds():

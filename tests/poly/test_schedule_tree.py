@@ -14,8 +14,6 @@ from repro.poly.schedule_tree import (
     FilterNode,
     MarkNode,
     SequenceNode,
-    band_ancestors,
-    clone_tree,
     parent_map,
 )
 from repro.poly.space import Space
@@ -43,9 +41,7 @@ def make_band():
 def test_domain_statement_lookup():
     root = make_domain()
     assert root.statement_names() == ["S1"]
-    assert root.domain_of("S1").space.name == "S1"
-    with pytest.raises(ScheduleTreeError):
-        root.domain_of("S9")
+    assert root.statements["S1"].space.name == "S1"
 
 
 def test_band_queries():
@@ -121,16 +117,6 @@ def test_replace_child():
         root.replace_child(band, other)
 
 
-def test_clone_is_deep_for_mutable_parts():
-    root = make_domain()
-    band = make_band()
-    root.set_child(band)
-    copy = clone_tree(root)
-    copy.child.members[0].var = "zz"
-    assert band.members[0].var == "i"
-    assert copy.dump() != root.dump()
-
-
 def test_dump_contains_figure_vocabulary():
     root = make_domain()
     band = make_band()
@@ -146,18 +132,3 @@ def test_filter_constraints_in_dump():
     assert "ko" in node._label()
 
 
-def test_band_ancestors():
-    root = make_domain()
-    outer = make_band()
-    inner = BandNode(
-        [BandMember("k", {"S1": aff_var("k")}, False, (aff_const(0), aff_var("K")))]
-    )
-    leaf = MarkNode("x")
-    inner.set_child(leaf)
-    outer.set_child(inner)
-    root.set_child(outer)
-    path = band_ancestors(root, leaf)
-    # Root-to-target order: the outer band first.
-    assert [b.member_vars()[0] for b in path] == ["i", "k"]
-    with pytest.raises(ScheduleTreeError):
-        band_ancestors(root, MarkNode("unattached"))

@@ -1,28 +1,36 @@
 """Shared helpers for the schedule-IR test suite.
 
-``fresh_context`` compiles one recipe pipeline and hands back the live
-compile context (decomposition + DMA/RMA specs + arch) — the raw
-material :func:`repro.schedule.apply_rewrite` operates on.  Rewrites
-mutate the decomposition in place, so every test that rewrites asks for
-a fresh one.
+``fresh_context`` compiles one recipe pipeline without its terminal
+verify pass and hands back the live compile context — the raw material
+:func:`repro.schedule.apply_rewrite` operates on.  Rewrites mutate the
+decomposition in place, so every test that rewrites asks for a fresh
+one.  ``prove`` then finishes that context the way the pipeline does:
+its own AST generation, then its verify pass, which raises
+:class:`~repro.errors.KernelAdmissionError` on a refusal.
 """
 
 import pytest
 
 from repro.core import CompilerOptions, GemmSpec
+from repro.core.passes import AstGenerationPass, VerificationPass
 from repro.core.pipeline import GemmCompiler
 from repro.sunway.arch import SW26010PRO, TOY_ARCH
 
 
 def fresh_context(arch=TOY_ARCH, options=None, spec=None):
-    """(decomposition, dma_specs, rma_specs, arch) of a recipe compile."""
+    """The compile context of a recipe compile, before admission."""
     options = options or CompilerOptions.full()
     spec = spec or GemmSpec()
-    # The admission protocol replays every candidate itself; skipping
-    # the pipeline's terminal verify keeps the fixtures fast.
     compiler = GemmCompiler(arch, options.with_(verify=False))
     _, ctx = compiler.compile_with_context(spec)
-    return ctx.decomposition, ctx.dma_specs, ctx.rma_specs, ctx.arch
+    return ctx
+
+
+def prove(ctx):
+    """Lower ``ctx``'s current tree and admit it; returns the report."""
+    AstGenerationPass().run(ctx)
+    VerificationPass().run(ctx)
+    return ctx.verification
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ VARIANTS = {
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_extract_materialize_is_identity(variant):
     arch, options, spec = VARIANTS[variant]
-    dec, _, _, _ = fresh_context(arch, options, spec)
+    dec = fresh_context(arch, options, spec).decomposition
     before = dec.root.dump()
     timeline = extract_timeline(dec.root)
     materialize(timeline)
@@ -50,14 +50,14 @@ def test_extract_materialize_is_identity(variant):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_dump_is_deterministic(variant):
     arch, options, spec = VARIANTS[variant]
-    dec, _, _, _ = fresh_context(arch, options, spec)
+    dec = fresh_context(arch, options, spec).decomposition
     first = extract_timeline(dec.root).dump()
     second = extract_timeline(dec.root).dump()
     assert first == second
 
 
 def test_every_step_kind_is_canonical(toy_context):
-    dec, _, _, _ = toy_context
+    dec = toy_context.decomposition
     timeline = extract_timeline(dec.root)
     seen = set()
     for lvl in timeline.levels.values():
@@ -72,15 +72,15 @@ def test_every_step_kind_is_canonical(toy_context):
 
 
 def test_levels_are_outermost_first(toy_context):
-    dec, _, _, _ = toy_context
+    dec = toy_context.decomposition
     timeline = extract_timeline(dec.root)
     assert list(timeline.levels) == ["chunk", "kouter", "kmid"]
 
 
 def test_no_rma_variant_has_no_kmid_level():
-    dec, _, _, _ = fresh_context(
+    dec = fresh_context(
         SW26010PRO, CompilerOptions.full().with_(enable_rma=False)
-    )
+    ).decomposition
     timeline = extract_timeline(dec.root)
     assert "kmid" not in timeline.levels
     assert "kouter" in timeline.levels

@@ -1,20 +1,17 @@
-"""The three schedule rewrites and the clone→replay→admit protocol."""
+"""The three schedule rewrites and their one-proof admission: each
+rewrite edits the tree in place and the terminal verify pass admits
+the final program."""
 
 import pytest
 
 from repro.core import CompilerOptions, GemmCompiler, GemmSpec
-from repro.errors import CompilationError
+from repro.errors import CompilationError, KernelAdmissionError
 from repro.runtime.executor import Executor
-from repro.schedule import (
-    REWRITES,
-    apply_rewrite,
-    check_legal,
-    extract_timeline,
-    lower_root,
-)
+from repro.schedule import REWRITES, Rewrite, apply_rewrite, extract_timeline
 from repro.sunway.arch import SW26010PRO, TOY_ARCH
+from repro.verify import FAILED, verify_program
 
-from tests.schedule.conftest import fresh_context
+from tests.schedule.conftest import fresh_context, prove
 
 
 def test_registry_matches_the_canonical_pass_names():
@@ -27,28 +24,26 @@ def test_registry_matches_the_canonical_pass_names():
 
 
 def test_unknown_rewrite_is_an_error(toy_context):
-    dec, dma, rma, arch = toy_context
     with pytest.raises(CompilationError, match="unknown schedule rewrite"):
-        apply_rewrite(dec, "defragment-universe", dma, rma, arch)
+        apply_rewrite(toy_context.decomposition, "defragment-universe")
 
 
 @pytest.mark.parametrize(
     "name", ["split-waits", "reorder-issues", "merge-transfers"]
 )
 def test_rewrite_applies_and_is_proven_on_the_recipe(toy_context, name):
-    dec, dma, rma, arch = toy_context
+    dec = toy_context.decomposition
     before = dec.root.dump()
-    outcome = apply_rewrite(dec, name, dma, rma, arch)
-    assert outcome.applied
+    assert apply_rewrite(dec, name)
     assert dec.root.dump() != before
-    # The installed tree lowers and replays clean on its own.
-    candidate = lower_root(dec, dec.root, dma, rma, arch)
-    assert check_legal(dec, candidate, arch) is None
+    # The rewritten tree lowers and is admitted by the verify pass.
+    assert prove(toy_context).ok
 
 
 def test_optimize_compile_never_runs_the_executor(monkeypatch):
-    """Admission proves each rewrite on the replay machine and times
-    nothing: bubble figures come from the simulator, not the compiler."""
+    """Admission proves the rewritten program on the replay machine and
+    times nothing: bubble figures come from the simulator, not the
+    compiler."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("an optimize compile ran the executor")
@@ -63,41 +58,69 @@ def test_optimize_compile_never_runs_the_executor(monkeypatch):
     )
 
 
-def test_rejected_candidate_leaves_the_tree_untouched(toy_context):
-    """Force the legality check to refuse and confirm the admission
-    protocol rolls back (the clone is dropped, dec.root survives)."""
-    from repro.schedule import passes as schedule_passes
+def _drop_first_dma_wait(tl):
+    """A broken rewrite: deletes the first DMA wait of the outer body,
+    so a tile is read while its transfer is still in flight."""
+    for seg in tl.level("kouter").body:
+        for step in seg.steps:
+            if step.kind == "dma_wait":
+                seg.steps.remove(step)
+                return True
+    return False
 
-    dec, dma, rma, arch = toy_context
-    before = dec.root.dump()
+
+def test_refused_rewrite_fails_the_compile_with_the_witness(monkeypatch):
+    """The verify pass is the rewrites' only proof: a rewrite that
+    breaks the schedule fails the ``optimize`` compile with the hazard
+    witness, instead of being dropped silently."""
+    monkeypatch.setitem(
+        REWRITES,
+        "split-waits",
+        Rewrite("split-waits", "drops a wait", _drop_first_dma_wait),
+    )
+    optimize = CompilerOptions.full().with_(schedule="optimize")
+    with pytest.raises(KernelAdmissionError) as err:
+        GemmCompiler(TOY_ARCH, optimize).compile(GemmSpec())
+    refused = err.value.report.check("double-buffer-hazards")
+    assert refused.status == FAILED
+    assert refused.witness["violation"] in (
+        "read-while-in-flight",
+        "unbalanced-reply-counter",
+        "in-flight-at-exit",
+    )
+    assert "double-buffer-hazards" in str(err.value)
+
+    # The recipe never runs the rewrite and still compiles.
+    recipe = GemmCompiler(TOY_ARCH, CompilerOptions.full()).compile(GemmSpec())
+    assert recipe.verification.ok
+
+    # --no-verify skips the rewrites' proof with every other one: the
+    # program comes back report-less and re-verifying it refuses it
+    # with the same witness.
+    unproven = GemmCompiler(TOY_ARCH, optimize.with_(verify=False)).compile(
+        GemmSpec()
+    )
+    assert unproven.verification is None
+    report = verify_program(unproven)
+    assert not report.ok
+    assert report.check("double-buffer-hazards").witness == refused.witness
+
+
+def test_band_handles_stay_live_after_an_in_place_rewrite(toy_context):
+    dec = toy_context.decomposition
     bands_before = dict(dec.bands)
-    original = schedule_passes.check_legal
-    try:
-        schedule_passes.check_legal = lambda *a: "synthetic refusal"
-        outcome = schedule_passes.apply_rewrite(
-            dec, "split-waits", dma, rma, arch
-        )
-    finally:
-        schedule_passes.check_legal = original
-    assert not outcome.applied
-    assert outcome.reason == "synthetic refusal"
-    assert dec.root.dump() == before
+    assert apply_rewrite(dec, "reorder-issues")
     assert dec.bands == bands_before
-
-
-def test_band_handles_repointed_into_admitted_clone(toy_context):
-    dec, dma, rma, arch = toy_context
-    assert apply_rewrite(dec, "reorder-issues", dma, rma, arch).applied
     live = {id(node) for node in dec.root.walk()}
     for key, band in dec.bands.items():
         assert id(band) in live, key
 
 
 def test_merge_transfers_moves_peel_into_chunk_burst():
-    dec, dma, rma, arch = fresh_context(SW26010PRO)
+    dec = fresh_context(SW26010PRO).decomposition
     before = extract_timeline(dec.root)
     assert any(seg.steps for seg in before.level("kouter").peel)
-    assert apply_rewrite(dec, "merge-transfers", dma, rma, arch).applied
+    assert apply_rewrite(dec, "merge-transfers")
     after = extract_timeline(dec.root)
     # The peeled A0/B0 issues now ride in the chunk's first burst...
     kouter = after.level("kouter")
@@ -108,14 +131,14 @@ def test_merge_transfers_moves_peel_into_chunk_burst():
 
 
 def test_split_waits_separates_the_wait_pair():
-    dec, dma, rma, arch = fresh_context(SW26010PRO)
+    dec = fresh_context(SW26010PRO).decomposition
     before = extract_timeline(dec.root).level("kouter")
     paired = [
         seg for seg in before.body
         if len(seg.steps) >= 2 and all(s.kind == "dma_wait" for s in seg.steps)
     ]
     assert paired, "recipe should group the A/B waits"
-    assert apply_rewrite(dec, "split-waits", dma, rma, arch).applied
+    assert apply_rewrite(dec, "split-waits")
     after = extract_timeline(dec.root).level("kouter")
     still_paired = [
         seg for seg in after.body
@@ -125,8 +148,8 @@ def test_split_waits_separates_the_wait_pair():
 
 
 def test_reorder_issues_hoists_swap_and_front_loads_issues():
-    dec, dma, rma, arch = fresh_context(SW26010PRO)
-    assert apply_rewrite(dec, "reorder-issues", dma, rma, arch).applied
+    dec = fresh_context(SW26010PRO).decomposition
+    assert apply_rewrite(dec, "reorder-issues")
     after = extract_timeline(dec.root)
     kouter = after.level("kouter")
     # The decollectivized buffer swap leads the outer body...

@@ -100,6 +100,31 @@ def test_tune_op_searches_from_the_request_options(tmp_path, reduced):
     assert "-d1-" in wire["config"]
 
 
+def test_batched_run_is_steered_by_the_batched_record(tmp_path):
+    """The ``run`` op executes a batched spec as a batch of
+    ``RUN_BATCH`` unless told otherwise, so its shape hint carries that
+    batch and finds the record a tune of the same shape class wrote."""
+    from repro import api
+    from repro.core import GemmSpec
+    from repro.runtime.executor import RUN_BATCH
+    from repro.sunway.arch import TOY_ARCH
+
+    service = CompileService(ServiceConfig(cache_dir=tmp_path / "cache"))
+    api.tune(GemmSpec(batch_param="BS"), shape=(48, 80, 32, RUN_BATCH),
+             arch=TOY_ARCH, seed=0, budget=6, service=service)
+    hits = service.tuning_hits
+    handle = start_in_thread(service, ServeConfig(workers=1, quota=None))
+    try:
+        with Client(handle.address, tenant="t") as client:
+            ran = client.run(
+                {"arch": "toy", "batch": True, "M": 48, "N": 80, "K": 32}
+            )
+    finally:
+        handle.stop()
+    assert ran["ok"]
+    assert service.tuning_hits - hits == 1
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.

@@ -7,8 +7,8 @@ witness in order, and the stats (``steps`` included) — and must match
 exactly.  The corpus:
 
 * ``compiled.json`` — every replay one compile makes, per arch (toy,
-  SW26010Pro) × variant × schedule mode: the verify pass's replay and,
-  under ``optimize``, each rewrite candidate ``check_legal`` replays;
+  SW26010Pro) × variant × schedule mode: the verify pass's replay, the
+  only one, ``optimize`` included (its rewrites are proven there);
 * ``tampered.json`` — the replays of the tampered pipelines of
   ``tests/verify/test_admission.py`` (dropped waits and ``synch()``, an
   oversized buffer plan, a shifted DMA start);
