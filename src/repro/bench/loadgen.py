@@ -277,14 +277,14 @@ def run_serve_bench(
     handle = None
     if address is None:
         from repro.serve import QuotaConfig, ServeConfig, start_in_thread
-        from repro.service import CompileService, ServiceConfig
+        from repro.service import CompileService
 
         quota = (
             QuotaConfig(capacity=quota_capacity, refill_per_s=quota_refill)
             if quota_capacity is not None
             else None
         )
-        service = CompileService(ServiceConfig(admission_threshold=2))
+        service = CompileService()
         handle = start_in_thread(
             service, ServeConfig(workers=workers, quota=quota)
         )
@@ -571,7 +571,7 @@ def run_overload_bench(config: Optional[OverloadScenario] = None) -> Dict[str, A
         ServeConfig,
         start_in_thread,
     )
-    from repro.service import CompileService, ServiceConfig
+    from repro.service import CompileService
 
     config = config or OverloadScenario()
     overload = ServeOverloadConfig(
@@ -580,7 +580,7 @@ def run_overload_bench(config: Optional[OverloadScenario] = None) -> Dict[str, A
         brownout_exit_ms=config.brownout_exit_ms,
         brownout_dwell_s=config.brownout_dwell_s,
     )
-    service = CompileService(ServiceConfig(admission_threshold=2))
+    service = CompileService()
     handle = start_in_thread(
         service,
         ServeConfig(workers=config.workers, quota=None, overload=overload),

@@ -81,9 +81,9 @@ def _measure_isolation(
     config: TraceConfig, isolation: str, workers: int
 ) -> Dict[str, Any]:
     from repro.serve import ServeConfig, start_in_thread
-    from repro.service import CompileService, ServiceConfig
+    from repro.service import CompileService
 
-    service = CompileService(ServiceConfig(admission_threshold=2))
+    service = CompileService()
     handle = start_in_thread(
         service,
         ServeConfig(workers=workers, quota=None, isolation=isolation),

@@ -557,8 +557,7 @@ def cmd_cache_stats(args) -> int:
     persistent = report.get("persistent", {})
     print(f"cache dir : {disk['dir']}")
     print(f"artifacts : {disk['artifacts']} ({disk['bytes'] / 1024:.1f} KiB)")
-    migrated = f", {disk['migrated']} migrated from flat layout" if disk.get("migrated") else ""
-    print(f"shards    : {disk['shards']} (hash-prefix sharded{migrated})")
+    print(f"shards    : {disk['shards']} (hash-prefix sharded)")
     per_shard = disk.get("per_shard") or {}
     if per_shard:
         print(
@@ -669,7 +668,6 @@ def cmd_serve(args) -> int:
             cache_dir=cache_dir,
             workers=args.workers,
             memory_capacity=args.memory_capacity,
-            admission_threshold=args.admission_threshold,
         )
     service = CompileService(service_config)
     quota = (
@@ -972,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--memory-capacity", type=int, default=64, metavar="N",
         help="hot-tier LRU capacity in kernels (default: 64)",
-    )
-    p_serve.add_argument(
-        "--admission-threshold", type=int, default=2, metavar="N",
-        help="accesses before a key is admitted to a full hot tier "
-        "(default: 2; 1 = always admit)",
     )
     p_serve.add_argument(
         "--max-requests", type=int, default=None, metavar="N",

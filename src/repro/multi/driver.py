@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, RankFailureError
 from repro.core.options import CompilerOptions
-from repro.core.pipeline import GemmCompiler
 from repro.core.spec import GemmSpec
 from repro.faults import FaultPolicy, RetryPolicy
 from repro.multi.comm import NetworkSpec, SimComm
@@ -99,8 +98,8 @@ class MultiClusterGemm:
             pr * pc, network,
             fault_policy=self.fault_policy, retry_policy=self.retry_policy,
         )
-        self.program = GemmCompiler(arch, self.options).compile(GemmSpec())
         self._simulator = PerformanceSimulator(arch)
+        self.program = self._simulator.program_for(self.options, GemmSpec())
 
     def _straggler_factor(self, rank: int) -> float:
         if (self.fault_policy.enabled

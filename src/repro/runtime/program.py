@@ -34,13 +34,12 @@ class CompiledProgram:
     codegen_seconds: float = 0.0
     #: Compact per-pass breakdown (name, paper section, seconds,
     #: diagnostics).  ``codegen_seconds == sum(s.seconds for s in
-    #: pass_stats)`` by construction; empty for artifacts produced before
-    #: the instrumented pipeline existed.
+    #: pass_stats)`` by construction.
     pass_stats: Tuple[PassStat, ...] = ()
     #: The admission verifier's report + certificate
     #: (:class:`repro.verify.VerificationReport`).  ``None`` only for
-    #: ``--no-verify`` compiles and pre-verifier artifacts — the artifact
-    #: store re-verifies those on load before serving them.
+    #: ``--no-verify`` compiles — the artifact store re-verifies those on
+    #: load before serving them.
     verification: Optional[object] = None
 
     @property
@@ -113,35 +112,16 @@ class CompiledProgram:
                 f"artifact has serde version {version!r}, "
                 f"expected {serde.SERDE_VERSION}"
             )
-        # Pre-refactor artifacts (before arch became a degree of freedom)
-        # may carry no arch tag at all; they were all compiled for the
-        # paper's single SW26010Pro target, so default rather than crash.
-        if data.get("arch") is not None:
-            arch = serde.decode(data["arch"])
-        else:
-            from repro.sunway.arch import SW26010PRO
-
-            arch = SW26010PRO
-        decomposition = serde.decode(data["decomposition"])
-        # Artifacts written before Decomposition.arch became a real field
-        # (and before the field entered the serde payload) reload with
-        # arch=None; restore the invariant either way.
-        decomposition.arch = arch
-        # ``pass_stats`` is likewise absent from pre-pipeline artifacts:
-        # they must still load (with an empty breakdown), not quarantine.
-        stats = data.get("pass_stats")
         return cls(
             spec=serde.decode(data["spec"]),
             options=serde.decode(data["options"]),
-            arch=arch,
+            arch=serde.decode(data["arch"]),
             plan=serde.decode(data["plan"]),
-            decomposition=decomposition,
+            decomposition=serde.decode(data["decomposition"]),
             cpe_program=serde.decode(data["cpe_program"]),
-            codegen_seconds=float(data.get("codegen_seconds", 0.0)),
-            pass_stats=tuple(serde.decode(stats)) if stats is not None else (),
-            # Absent from pre-verifier artifacts; the store's
-            # verify-on-load path fills it in (or quarantines).
-            verification=serde.decode(data.get("verification")),
+            codegen_seconds=float(data["codegen_seconds"]),
+            pass_stats=tuple(serde.decode(data["pass_stats"])),
+            verification=serde.decode(data["verification"]),
         )
 
     # -- source rendering ----------------------------------------------------

@@ -397,9 +397,7 @@ def _register_all() -> None:
             summary=decode(p["summary"]),
             reconstruction=decode(p["reconstruction"]),
             bands={name: nodes[index] for name, index in p["bands"].items()},
-            # Absent in artifacts written before the arch became a field;
-            # CompiledProgram.from_dict re-stamps it on reload.
-            arch=decode(p.get("arch")),
+            arch=decode(p["arch"]),
         )
 
     register(Decomposition, "Decomposition", enc_dec, dec_dec)

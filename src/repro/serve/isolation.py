@@ -44,7 +44,6 @@ import multiprocessing
 import os
 import queue as queue_mod
 import resource
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -58,6 +57,7 @@ from repro.errors import (
     PoisonedKernelError,
     WorkerCrashError,
 )
+from repro.service.store import atomic_write
 
 
 def _peak_rss_mb() -> float:
@@ -280,19 +280,7 @@ class CircuitBreaker:
         }
         try:
             self.state_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.state_path.parent), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(payload, sort_keys=True))
-                os.replace(tmp, self.state_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.state_path, json.dumps(payload, sort_keys=True))
         except OSError:
             self.persist_errors += 1  # read-only cache dir: session-local
 

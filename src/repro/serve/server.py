@@ -49,7 +49,7 @@ from repro.serve.protocol import MAX_FRAME_BYTES, Request, Response
 from repro.serve.quotas import DEFAULT_COSTS, QuotaConfig, QuotaManager
 from repro.serve.queue import FairPriorityQueue
 from repro.serve.workers import WorkerPool
-from repro.service import CompileService, ServiceConfig
+from repro.service import CompileService
 
 #: Address of a listening server: a unix-socket path or ``(host, port)``.
 Address = Union[str, Tuple[str, int]]
@@ -59,6 +59,13 @@ Address = Union[str, Tuple[str, int]]
 #: ``shutdown`` must not outlive the daemon, and ``warmup`` re-derives
 #: its own work list, so none of them are journaled.
 JOURNALED_OPS = frozenset({"compile", "run", "tune", "verify"})
+
+
+def _run_batch(params: Dict[str, Any]) -> int:
+    """The batch a ``run`` op executes a batched spec as."""
+    from repro.runtime.executor import RUN_BATCH
+
+    return int(params.get("batch_count", RUN_BATCH))
 
 
 def _clear_stale_unix_socket(path: str) -> None:
@@ -173,9 +180,7 @@ class KernelServer:
         config: Optional[ServeConfig] = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self.service = service or CompileService(
-            ServiceConfig(admission_threshold=2)
-        )
+        self.service = service or CompileService()
         overload = self.config.overload
         self.overload = (
             overload if overload is not None and overload.enabled else None
@@ -658,22 +663,39 @@ class KernelServer:
         if request.op in ("tune", "warmup"):
             return False
         try:
-            spec, options, arch = protocol.spec_and_options(request.params)
-        except ProtocolError:
+            spec, arch, options, shape_hint = self._kernel_lookup(
+                request.op, request.params
+            )
+        except (ProtocolError, TypeError, ValueError):
             # Malformed params: admit it so the normal path can answer
-            # with the real, more useful protocol error.
+            # with the real, more useful error.
             return True
-        shape_hint = protocol.shape_hint(request.params)
-        if request.op == "verify":
-            # Mirror _op_verify's lookup exactly (no shape hint there).
-            options = options.with_(verify=False)
-            shape_hint = None
         try:
             return self.service.is_cached(
                 spec, arch, options, shape_hint=shape_hint
             )
         except Exception:
             return False
+
+    @staticmethod
+    def _kernel_lookup(op: str, params: Dict[str, Any]) -> Tuple:
+        """``(spec, arch, options, shape_hint)`` of a ``compile``, ``run``
+        or ``verify`` op: the one lookup the op and the brownout probe
+        share, so the probe judges the key the op will compile."""
+        spec, options, arch = protocol.spec_and_options(params)
+        if op == "verify":
+            # verify proves the program itself: unverified, unsteered.
+            return spec, arch, options.with_(verify=False), None
+        shape_hint = protocol.shape_hint(params)
+        if (
+            op == "run"
+            and spec.is_batched
+            and shape_hint is not None
+            and len(shape_hint) == 3
+        ):
+            # Steer by the batch this op runs, not only a requested one.
+            shape_hint += (_run_batch(params),)
+        return spec, arch, options, shape_hint
 
     # -- operations (run on worker threads) ----------------------------------
 
@@ -741,13 +763,13 @@ class KernelServer:
     def _op_compile(
         self, params: Dict[str, Any], budget_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        spec, options, arch = protocol.spec_and_options(params)
+        spec, arch, options, shape_hint = self._kernel_lookup("compile", params)
         program, source = self.service.get_program_with_source(
             spec,
             arch,
             options,
             timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
-            shape_hint=protocol.shape_hint(params),
+            shape_hint=shape_hint,
         )
         return {
             "key": self.service.reconciled_key(spec, arch, options),
@@ -761,14 +783,9 @@ class KernelServer:
     def _op_run(
         self, params: Dict[str, Any], budget_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        from repro.runtime.executor import RUN_BATCH, run_checked
+        from repro.runtime.executor import run_checked
 
-        spec, options, arch = protocol.spec_and_options(params)
-        batch = int(params.get("batch_count", RUN_BATCH))
-        shape_hint = protocol.shape_hint(params)
-        if spec.is_batched and shape_hint is not None and len(shape_hint) == 3:
-            # Steer by the batch this op runs, not only a requested one.
-            shape_hint += (batch,)
+        spec, arch, options, shape_hint = self._kernel_lookup("run", params)
         program, source = self.service.get_program_with_source(
             spec,
             arch,
@@ -783,7 +800,7 @@ class KernelServer:
             int(params.get("K", 32)),
             seed=int(params.get("seed", 0)),
             alpha=float(params.get("alpha", 1.0)),
-            batch=batch,
+            batch=_run_batch(params),
             guarded=bool(params.get("guarded", False)),
         )
         result = {
@@ -829,10 +846,11 @@ class KernelServer:
     ) -> Dict[str, Any]:
         from repro.verify import verify_program
 
-        spec, options, arch = protocol.spec_and_options(params)
+        spec, arch, options, shape_hint = self._kernel_lookup("verify", params)
         program, source = self.service.get_program_with_source(
-            spec, arch, options.with_(verify=False),
+            spec, arch, options,
             timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
+            shape_hint=shape_hint,
         )
         report = verify_program(program)
         described = report.describe()

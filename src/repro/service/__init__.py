@@ -12,7 +12,7 @@ call from serving paths (see ROADMAP.md).  Three layers:
   deduplicates concurrent requests and precompiles shape sets.
 """
 
-from repro.service.cache import AdmissionLRUCache, LRUCache
+from repro.service.cache import LRUCache
 from repro.service.keys import CACHE_SCHEMA_VERSION, cache_key, canonical_blob
 from repro.service.service import (
     CompileService,
@@ -24,7 +24,6 @@ from repro.service.service import (
 from repro.service.store import ArtifactStore, CACHE_DIR_ENV, default_cache_dir
 
 __all__ = [
-    "AdmissionLRUCache",
     "ArtifactStore",
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",

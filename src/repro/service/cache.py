@@ -4,14 +4,6 @@ A plain ``OrderedDict`` LRU with hit/miss/eviction counters.  The
 :class:`~repro.service.service.CompileService` holds exactly one and
 serialises access through its own lock, so the cache itself carries no
 locking.
-
-:class:`AdmissionLRUCache` adds the *hot-tile admission layer* the
-multi-tenant daemon runs with: once the cache is full, a new key is
-only admitted after it has been requested ``admission_threshold`` times
-(a TinyLFU-style frequency gate with periodic aging).  One tenant
-scanning a thousand one-off shapes then cannot evict the popular
-kernels every other tenant keeps hitting — cold keys stay on disk,
-popular shapes stay memory-resident across tenants.
 """
 
 from __future__ import annotations
@@ -82,54 +74,3 @@ class LRUCache(Generic[V]):
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-
-class AdmissionLRUCache(LRUCache[V]):
-    """LRU with a frequency-based admission gate (the hot tier of the
-    serving daemon).
-
-    Every ``get`` — hit or miss — counts as one access of the key.  A
-    ``put`` into a *full* cache only admits keys whose access count has
-    reached ``admission_threshold``; colder keys are rejected (counted,
-    not stored) and keep living in the disk tier.  While the cache has
-    spare capacity everything is admitted — the gate only arbitrates
-    genuine contention.  The frequency table is bounded: when it grows
-    past ``8 × capacity`` entries every count is halved and zeros are
-    dropped, so long-gone keys age out instead of leaking memory.
-    """
-
-    def __init__(self, capacity: int = 64, admission_threshold: int = 2) -> None:
-        super().__init__(capacity)
-        if admission_threshold < 1:
-            raise ConfigurationError(
-                f"admission_threshold must be >= 1, got {admission_threshold}"
-            )
-        self.admission_threshold = admission_threshold
-        self._freq: Dict[str, int] = {}
-        self.admission_rejected = 0
-
-    def _touch(self, key: str) -> None:
-        self._freq[key] = self._freq.get(key, 0) + 1
-        if len(self._freq) > 8 * self.capacity:
-            # Age: halve every count, drop the zeros (TinyLFU reset).
-            self._freq = {k: c // 2 for k, c in self._freq.items() if c // 2}
-
-    def get(self, key: str) -> Optional[V]:
-        self._touch(key)
-        return super().get(key)
-
-    def put(self, key: str, value: V) -> None:
-        if (
-            key not in self._entries
-            and len(self._entries) >= self.capacity
-            and self._freq.get(key, 0) < self.admission_threshold
-        ):
-            self.admission_rejected += 1
-            return
-        super().put(key, value)
-
-    def stats(self) -> Dict[str, int]:
-        report = super().stats()
-        report["admission_threshold"] = self.admission_threshold
-        report["admission_rejected"] = self.admission_rejected
-        return report

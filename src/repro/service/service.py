@@ -18,12 +18,11 @@ kernels compiles each distinct ``(spec, arch, options)`` triple once.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.options import CompilerOptions
 from repro.errors import CompileTimeout
@@ -32,7 +31,7 @@ from repro.core.pipeline import GemmCompiler
 from repro.core.spec import GemmSpec
 from repro.faults import FaultInjector, FaultPolicy
 from repro.runtime.program import CompiledProgram
-from repro.service.cache import AdmissionLRUCache, LRUCache
+from repro.service.cache import LRUCache
 from repro.service.keys import cache_key
 from repro.service.store import ArtifactStore
 from repro.sunway.arch import SW26010PRO, ArchSpec
@@ -40,7 +39,19 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 #: One compilation request: the content-addressed triple.
 Request = Tuple[GemmSpec, ArchSpec, CompilerOptions]
 
-CompileFn = Callable[[GemmSpec, ArchSpec, CompilerOptions], CompiledProgram]
+
+class CompileFn(Protocol):
+    """What the service compiles with.  ``timeout_s`` is the wall time
+    the request has left (``None``: no deadline); the function enforces
+    it and raises :class:`repro.errors.CompileTimeout` on an overrun."""
+
+    def __call__(
+        self,
+        spec: GemmSpec,
+        arch: ArchSpec,
+        options: CompilerOptions,
+        timeout_s: Optional[float] = None,
+    ) -> CompiledProgram: ...
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,6 @@ class ServiceConfig:
     #: Optional fault plane for the artifact store (chaos testing of the
     #: quarantine/recompile path); ``None`` or disabled means no faults.
     fault_policy: Optional[FaultPolicy] = None
-    #: Hot-tier admission gate: a key is only admitted to a *full*
-    #: memory tier after this many accesses (1 = always admit, the
-    #: library default; the serving daemon runs with 2 so one tenant's
-    #: cold sweep cannot evict every other tenant's hot kernels).
-    admission_threshold: int = 1
 
 
 @dataclass
@@ -85,24 +91,12 @@ def _default_compile(
     return GemmCompiler(arch, options).compile(spec, timeout_s=timeout_s)
 
 
-def _accepts_timeout(compile_fn) -> bool:
-    """Whether a compile function takes the ``timeout_s`` keyword.
-
-    Custom ``compile_fn`` callables (tests, alternative compilers) may
-    predate the deadline API; for those the service falls back to a
-    post-hoc wall-time check."""
-    try:
-        parameters = inspect.signature(compile_fn).parameters.values()
-    except (TypeError, ValueError):  # builtins, exotic callables
-        return False
-    return any(
-        p.name == "timeout_s" or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in parameters
-    )
-
-
 class CompileService:
-    """Content-addressed, single-flight kernel compilation."""
+    """Content-addressed, single-flight kernel compilation.
+
+    ``compile_fn`` (default: :class:`GemmCompiler`) is a
+    :class:`CompileFn`: it is always called with the ``timeout_s``
+    keyword, the wall time the request has left, and enforces it."""
 
     def __init__(
         self,
@@ -111,14 +105,9 @@ class CompileService:
     ) -> None:
         self.config = config or ServiceConfig()
         self._compile = compile_fn or _default_compile
-        self._compile_takes_timeout = _accepts_timeout(self._compile)
-        if self.config.admission_threshold > 1:
-            self._memory: LRUCache[CompiledProgram] = AdmissionLRUCache(
-                self.config.memory_capacity,
-                admission_threshold=self.config.admission_threshold,
-            )
-        else:
-            self._memory = LRUCache(self.config.memory_capacity)
+        self._memory: LRUCache[CompiledProgram] = LRUCache(
+            self.config.memory_capacity
+        )
         injector = None
         if self.config.fault_policy is not None and self.config.fault_policy.enabled:
             injector = FaultInjector(self.config.fault_policy).fork("artifact")
@@ -245,7 +234,6 @@ class CompileService:
         above — content-addressed keys, the two cache tiers, the
         in-flight rendezvous, admission — stays unchanged."""
         self._compile = compile_fn
-        self._compile_takes_timeout = _accepts_timeout(compile_fn)
 
     def attach_worker_pool(self, pool) -> None:
         """Share the serving daemon's priority worker pool.
@@ -588,23 +576,8 @@ class CompileService:
                 timeout_s=timeout_s,
             )
         started = time.perf_counter()
-        if self._compile_takes_timeout:
-            program = self._compile(spec, arch, options, timeout_s=timeout_s)
-        else:
-            program = self._compile(spec, arch, options)
+        program = self._compile(spec, arch, options, timeout_s=timeout_s)
         elapsed = time.perf_counter() - started
-        if (
-            timeout_s is not None
-            and not self._compile_takes_timeout
-            and elapsed > timeout_s
-        ):
-            # Custom compile functions without deadline support still get
-            # the structured error, just after the fact.
-            raise CompileTimeout(
-                f"compilation took {elapsed:.3f}s, over the {timeout_s}s "
-                "deadline",
-                timeout_s=timeout_s,
-            )
         with self._lock:
             self.compile_count += 1
             self.compile_seconds_total += elapsed

@@ -13,10 +13,7 @@ Artifacts are *sharded* by content-hash prefix: key ``ca7382…`` lives
 at ``<cache-dir>/ca/ca7382….json``.  A flat directory degrades badly at
 serving scale (every lookup readdirs thousands of entries, rsync/ls
 choke), and hash-prefix shards spread a content-addressed keyspace
-uniformly by construction.  Legacy flat stores migrate transparently —
-and idempotently — on open: any artifact found at the root is moved
-into its shard, re-running the migration is a no-op, and a flat and a
-sharded copy of the same key resolve to the sharded one.
+uniformly by construction.
 
 The store also keeps cumulative service counters in ``stats.json`` so a
 later ``swgemm cache stats`` invocation can report the hits a previous
@@ -67,6 +64,23 @@ def _is_shard_dir(path: Path) -> bool:
     )
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and a
+    rename, so a concurrent reader sees the old bytes or the new ones,
+    never a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def default_cache_dir() -> Path:
     """``$SWGEMM_CACHE_DIR`` or ``~/.cache/swgemm``."""
     env = os.environ.get(CACHE_DIR_ENV)
@@ -83,7 +97,6 @@ class ArtifactStore:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.migrated = self._migrate_flat_layout()
         self.disk_hits = 0
         self.disk_misses = 0
         self.writes = 0
@@ -103,57 +116,19 @@ class ArtifactStore:
     def quarantine_dir(self) -> Path:
         return self.root / _QUARANTINE_DIR
 
-    def _migrate_flat_layout(self) -> int:
-        """Move pre-sharding artifacts from the root into their shards.
-
-        Idempotent by construction: a second run finds nothing flat to
-        move, and a key that somehow exists both flat and sharded keeps
-        the sharded copy (the flat duplicate is dropped).  Best-effort —
-        a read-only legacy store still serves flat artifacts via the
-        fallback in :meth:`get`."""
-        moved = 0
-        for path in sorted(self.root.glob(f"*{_SUFFIX}")):
-            if path.name in (_STATS_FILE, _POISON_FILE):
-                continue
-            target = self.path_for(path.stem)
-            try:
-                target.parent.mkdir(exist_ok=True)
-                if target.exists():
-                    path.unlink()
-                else:
-                    os.replace(path, target)
-            except OSError:
-                continue
-            moved += 1
-        if moved:
-            self.bump_persistent_stats({"migrated": moved})
-        return moved
-
     def _artifact_paths(self) -> List[Path]:
-        """Every artifact file: sharded, plus any flat stragglers a
-        failed/read-only migration left behind."""
-        paths = [
+        """Every artifact file, across all shards."""
+        return sorted(
             p
             for shard in self.root.iterdir()
             if shard.is_dir() and _is_shard_dir(shard)
             for p in shard.glob(f"*{_SUFFIX}")
-        ]
-        paths.extend(
-            p
-            for p in self.root.glob(f"*{_SUFFIX}")
-            if p.name not in (_STATS_FILE, _POISON_FILE)
         )
-        return sorted(paths)
 
     def get(
         self, key: str, verify_on_load: bool = True
     ) -> Optional[CompiledProgram]:
         path = self.path_for(key)
-        if not path.exists():
-            # Read-only legacy stores cannot migrate; still serve flat.
-            flat = self.root / f"{key}{_SUFFIX}"
-            if flat.exists():
-                path = flat
         try:
             data = json.loads(path.read_text())
             program = CompiledProgram.from_dict(data["program"])
@@ -167,7 +142,7 @@ class ArtifactStore:
             self.disk_misses += 1
             return None
         if verify_on_load and program.verification is None:
-            # Legacy (pre-verifier) or --no-verify artifact: prove it safe
+            # A --no-verify artifact carries no report: prove it safe
             # before serving the hit.  A pass self-heals the artifact (the
             # report is persisted so the work happens once per store); a
             # failure quarantines it exactly like corruption — the caller
@@ -207,7 +182,7 @@ class ArtifactStore:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, json.dumps(payload))
+        atomic_write(path, json.dumps(payload))
         self.writes += 1
         if self.injector is not None:
             # The fault plane may truncate the artifact we just landed —
@@ -248,7 +223,7 @@ class ArtifactStore:
         """Artifacts per (non-empty) shard directory."""
         counts: Dict[str, int] = {}
         for path in self._artifact_paths():
-            shard = path.parent.name if path.parent != self.root else "(flat)"
+            shard = path.parent.name
             counts[shard] = counts.get(shard, 0) + 1
         return dict(sorted(counts.items()))
 
@@ -300,27 +275,12 @@ class ArtifactStore:
                 totals[name] = totals.get(name, 0) + delta
         totals["updated"] = time.time()
         try:
-            self._atomic_write(
+            atomic_write(
                 self.root / _STATS_FILE, json.dumps(totals, sort_keys=True)
             )
         except OSError:
             pass  # read-only store: counters stay session-local
         return totals
-
-    # -- helpers -----------------------------------------------------------
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def poison_keys(self) -> List[str]:
         """Cache keys the serving daemon's circuit breaker quarantined.
@@ -349,7 +309,6 @@ class ArtifactStore:
             "shards": len(shards),
             "per_shard": shards,
             "archs": self.arch_counts(),
-            "migrated": self.migrated,
             "hits": self.disk_hits,
             "misses": self.disk_misses,
             "writes": self.writes,

@@ -21,7 +21,7 @@ space version, shape class), and later compiles of the same shape class
 are steered straight to the recorded best configuration.
 """
 
-from repro.tune.driver import TuneOptions, TuneResult, Tuner, Trial, tune_spec
+from repro.tune.driver import TuneOptions, TuneResult, Tuner, Trial
 from repro.tune.pruner import PrunedCandidate, analyze, predict_gflops, prune
 from repro.tune.records import (
     TuningRecord,
@@ -59,5 +59,4 @@ __all__ = [
     "shape_bucket",
     "shape_class",
     "spec_class",
-    "tune_spec",
 ]

@@ -287,27 +287,3 @@ class Tuner:
                 if best_step is None:
                     break  # local optimum — restart elsewhere
                 current = best_step
-
-
-def tune_spec(
-    spec: Optional[GemmSpec] = None,
-    M: int = 4096,
-    N: int = 4096,
-    K: int = 4096,
-    batch: int = 1,
-    arch: ArchSpec = SW26010PRO,
-    service: Optional[object] = None,
-    base_options: Optional[CompilerOptions] = None,
-    tune_options: Optional[TuneOptions] = None,
-) -> TuneResult:
-    """One-call convenience wrapper around :class:`Tuner`."""
-    tuner = Tuner(arch, service=service)
-    return tuner.tune(
-        spec,
-        M=M,
-        N=N,
-        K=K,
-        batch=batch,
-        base_options=base_options,
-        tune_options=tune_options,
-    )

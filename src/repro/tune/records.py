@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -34,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec
 from repro.runtime import serde
+from repro.service.store import atomic_write
 from repro.sunway.arch import ArchSpec
 from repro.tune.space import SEARCH_SPACE_VERSION, Candidate
 
@@ -177,7 +176,7 @@ class TuningRecordStore:
         if self.root is None:
             return
         payload = {"key": record.key, "record": serde.encode(record)}
-        self._atomic_write(
+        atomic_write(
             self.path_for(record.key), json.dumps(payload, sort_keys=True)
         )
 
@@ -222,7 +221,7 @@ class TuningRecordStore:
         self._journals[key] = dict(measurements)
         if self.root is None:
             return
-        self._atomic_write(
+        atomic_write(
             self.root / f"{key}{_JOURNAL_SUFFIX}",
             json.dumps(measurements, sort_keys=True),
         )
@@ -242,21 +241,6 @@ class TuningRecordStore:
             "misses": self.misses,
             "writes": self.writes,
         }
-
-    # -- helpers -----------------------------------------------------------
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 # Candidate and TuningRecord round-trip through the tagged serde format

@@ -67,12 +67,11 @@ def machine_params(spec, plan) -> Dict[str, int]:
 def replay_schedule(cpe_program, plan, spec) -> MachineResult:
     """Replay one lowered program on the :class:`ScheduleMachine`.
 
-    The legality oracle of the schedule rewrite stack
-    (:mod:`repro.schedule`): a candidate timeline is admitted only when
-    its replay completes on all CPEs with no hazards, no discipline
-    violations and no deadlock.  Shares :func:`machine_params` with the
-    admission checks, so rewrites are proven on exactly the chunk
-    problem the verifier itself replays."""
+    The replay behind the hazard and RMA-discipline checks of
+    :func:`run_checks` (a rewritten program is admitted by those checks
+    in the pipeline's terminal ``verify`` pass, like any other), and the
+    zero-violation proof the schedule benchmark records per program.
+    Runs the chunk problem :func:`machine_params` derives."""
     machine = ScheduleMachine(cpe_program, plan.mesh, machine_params(spec, plan))
     return machine.run()
 

@@ -105,7 +105,7 @@ def test_waiters_reattempt_after_owner_failure():
     calls = []
     lock = threading.Lock()
 
-    def flaky_compile(spec, arch, options):
+    def flaky_compile(spec, arch, options, timeout_s=None):
         with lock:
             calls.append(1)
             first = len(calls) == 1

@@ -85,3 +85,32 @@ def test_estimate_report_consistency():
         report.compute_seconds + report.comm_seconds
     )
     assert 0 < report.comm_fraction < 1
+
+
+def test_construct_and_estimate_compile_once(monkeypatch):
+    """The grid's program is its simulator's: constructing a grid and
+    estimating on it compiles the kernel once, through the service."""
+    from repro.core.pipeline import GemmCompiler
+    from repro.service import (
+        CompileService,
+        get_default_service,
+        set_default_service,
+    )
+
+    calls = []
+    compile_with_context = GemmCompiler.compile_with_context
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return compile_with_context(self, *args, **kwargs)
+
+    monkeypatch.setattr(GemmCompiler, "compile_with_context", counted)
+    previous = get_default_service()
+    set_default_service(CompileService())
+    try:
+        mc = make((2, 3))
+        plan = mc.program.plan
+        mc.estimate(2 * plan.chunk_m, 3 * plan.chunk_n, 2 * plan.k_step)
+    finally:
+        set_default_service(previous)
+    assert len(calls) == 1

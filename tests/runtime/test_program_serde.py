@@ -144,18 +144,29 @@ def test_round_trip_decomposition_arch(program, reloaded):
     assert reloaded.decomposition.arch == program.arch
 
 
-def test_legacy_artifact_without_pass_stats_loads(program):
-    """Pre-refactor artifacts predate ``pass_stats`` and the
-    ``Decomposition.arch`` field; they must load (with empty stats), not
-    quarantine."""
-    data = json.loads(json.dumps(program.to_dict()))
-    del data["pass_stats"]
-    dec_payload = data["decomposition"]["v"]
-    assert "arch" in dec_payload
-    del dec_payload["arch"]
-    legacy = CompiledProgram.from_dict(data)
-    assert legacy.pass_stats == ()
-    # from_dict restamps the program's arch onto the decomposition.
-    assert legacy.decomposition.arch == program.arch
-    assert legacy.tree_dump() == program.tree_dump()
-    assert legacy.cpe_source() == program.cpe_source()
+@pytest.mark.parametrize("field", [
+    "arch", "pass_stats", "codegen_seconds", "verification",
+    "decomposition.arch",
+])
+def test_artifact_without_a_field_is_quarantined_and_recompiled(tmp_path, field):
+    """Every artifact the store writes carries every field ``to_dict``
+    encodes; a file without one is corrupt like any other: it is
+    quarantined and the kernel recompiles."""
+    from repro.service import CompileService, ServiceConfig
+
+    config = ServiceConfig(cache_dir=tmp_path)
+    service = CompileService(config)
+    service.get_program(GemmSpec(), TOY_ARCH)
+    (path,) = [p for p in tmp_path.glob("*/*.json")]
+    data = json.loads(path.read_text())
+    payload = data["program"]
+    if field == "decomposition.arch":
+        payload = payload["decomposition"]["v"]
+    del payload[field.split(".")[-1]]
+    path.write_text(json.dumps(data))
+
+    fresh = CompileService(config)
+    _, source = fresh.get_program_with_source(GemmSpec(), TOY_ARCH)
+    assert source == "compiled"
+    assert fresh.store.quarantined == 1
+    assert [p.name for p in fresh.store.quarantine_dir.iterdir()] == [path.name]

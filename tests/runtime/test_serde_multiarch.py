@@ -4,9 +4,7 @@ The arch became a request degree of freedom: every registered
 :class:`~repro.sunway.arch.ArchSpec` (with its new register-file
 fields), :class:`~repro.sunway.arch.MicroKernelShape`, and
 ``CompilerOptions.kernel_backend`` must survive the JSON round trip the
-artifact store performs — and artifacts written *before* the refactor,
-which carry no arch tag at all, must load with the paper's SW26010Pro
-default rather than crash.
+artifact store performs.
 """
 
 import json
@@ -19,7 +17,6 @@ from repro.runtime import serde
 from repro.runtime.executor import run_gemm
 from repro.runtime.program import CompiledProgram
 from repro.sunway.arch import (
-    SW26010PRO,
     TOY_ARCH,
     MicroKernelShape,
     all_archs,
@@ -51,31 +48,6 @@ def test_options_with_kernel_backend_round_trip():
     copy = _round_trip(options)
     assert copy == options
     assert copy.kernel_backend == "parametric"
-
-
-def test_pre_refactor_artifact_without_arch_tag_defaults_to_sw26010pro():
-    """Artifacts compiled before arch became a degree of freedom carry no
-    ``arch`` key; they were all SW26010Pro compiles, so loading must
-    default there — not crash, not guess."""
-    program = GemmCompiler(SW26010PRO, CompilerOptions.full()).compile(
-        GemmSpec()
-    )
-    data = json.loads(json.dumps(program.to_dict()))
-    del data["arch"]
-    legacy = CompiledProgram.from_dict(data)
-    assert legacy.arch == SW26010PRO
-    assert legacy.decomposition.arch == SW26010PRO
-    assert legacy.tree_dump() == program.tree_dump()
-
-
-def test_pre_refactor_artifact_with_null_arch_tag_also_defaults():
-    program = GemmCompiler(SW26010PRO, CompilerOptions.full()).compile(
-        GemmSpec()
-    )
-    data = json.loads(json.dumps(program.to_dict()))
-    data["arch"] = None
-    legacy = CompiledProgram.from_dict(data)
-    assert legacy.arch == SW26010PRO
 
 
 def test_parametric_backend_program_round_trips_and_executes(rng):

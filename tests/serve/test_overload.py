@@ -426,7 +426,7 @@ def gated_service(calls, started, gate):
     """A service whose compile blocks on ``gate`` — one request can be
     parked inside a worker deterministically."""
 
-    def slow_compile(spec, arch, options):
+    def slow_compile(spec, arch, options, timeout_s=None):
         from repro.core.pipeline import GemmCompiler
 
         calls.append(1)

@@ -125,6 +125,43 @@ def test_batched_run_is_steered_by_the_batched_record(tmp_path):
     assert service.tuning_hits - hits == 1
 
 
+def test_brownout_probe_judges_the_key_a_batched_run_compiles():
+    """A batched ``run`` without ``batch_count`` compiles under the b4
+    record's key, so with only the unsteered key warm the brownout
+    probe must call it cold and fast-fail it, not admit it to compile."""
+    from repro import api
+    from repro.core import GemmSpec
+    from repro.errors import DegradedModeError
+    from repro.runtime.executor import RUN_BATCH
+    from repro.serve.overload import OverloadConfig
+    from repro.sunway.arch import TOY_ARCH
+
+    service = CompileService(ServiceConfig())
+    api.tune(GemmSpec(batch_param="BS"), shape=(48, 80, 32, RUN_BATCH),
+             arch=TOY_ARCH, seed=0, budget=6, service=service)
+    service.clear()
+    handle = start_in_thread(service, ServeConfig(
+        workers=1, quota=None, overload=OverloadConfig(
+            max_queue_depth=16, brownout_enter_ms=100.0,
+            brownout_exit_ms=50.0, brownout_dwell_s=0.0,
+        ),
+    ))
+    run = {"arch": "toy", "batch": True, "M": 48, "N": 80, "K": 32}
+    try:
+        with Client(handle.address, tenant="t") as client:
+            # Warm the unsteered batched key only (no shape, no record).
+            client.compile({"arch": "toy", "batch": True})
+            handle.server.brownout.observe(1e6)  # force the brownout
+            with pytest.raises(DegradedModeError):
+                client.run(run)
+            for _ in range(64):
+                handle.server.brownout.idle()
+            ran = client.run(run)
+    finally:
+        handle.stop()
+    assert ran["ok"] and ran["source"] == "compiled"
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.
@@ -143,7 +180,7 @@ def test_concurrent_tenants_single_flight_dedup():
     started = threading.Event()
     gate = threading.Event()
 
-    def slow_compile(spec, arch, options):
+    def slow_compile(spec, arch, options, timeout_s=None):
         from repro.core.pipeline import GemmCompiler
 
         calls.append(1)
@@ -240,7 +277,7 @@ def test_graceful_drain_finishes_queued_work():
     """Work accepted before the drain must be answered after it."""
     gate = threading.Event()
 
-    def gated_compile(spec, arch, options):
+    def gated_compile(spec, arch, options, timeout_s=None):
         from repro.core.pipeline import GemmCompiler
 
         assert gate.wait(timeout=30.0)
@@ -272,7 +309,7 @@ def test_graceful_drain_finishes_queued_work():
 def test_draining_server_rejects_new_requests():
     gate = threading.Event()
 
-    def gated_compile(spec, arch, options):
+    def gated_compile(spec, arch, options, timeout_s=None):
         from repro.core.pipeline import GemmCompiler
 
         assert gate.wait(timeout=30.0)

@@ -14,7 +14,7 @@ def counting_compiler(counter, result=None, before=None, gate=None):
     """A fake compile_fn that counts invocations.  ``before`` is set when
     a compile starts; ``gate`` (if given) blocks the compile until set."""
 
-    def compile_fn(spec, arch, options):
+    def compile_fn(spec, arch, options, timeout_s=None):
         counter.append((spec, arch, options))
         if before is not None:
             before.set()
@@ -83,7 +83,7 @@ def test_single_flight_propagates_errors_to_waiters():
     gate = threading.Event()
     boom = RuntimeError("compile exploded")
 
-    def failing_compile(spec, arch, options):
+    def failing_compile(spec, arch, options, timeout_s=None):
         started.set()
         assert gate.wait(timeout=10.0)
         raise boom

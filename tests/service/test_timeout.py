@@ -6,7 +6,6 @@ structured :class:`CompileTimeout`, never a hang.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -88,19 +87,20 @@ def test_waiter_timeout_is_counted_and_structured():
     assert svc.get_program(spec, TOY_ARCH, options, timeout_s=5.0) is not None
 
 
-def test_legacy_compile_fn_without_timeout_kwarg():
-    def legacy(spec, arch, options):
-        time.sleep(0.05)
+def test_compile_fn_always_receives_the_remaining_budget():
+    """Every compile function takes ``timeout_s``: ``None`` without a
+    deadline, otherwise the wall time the request has left."""
+    seen = []
+
+    def compile_fn(spec, arch, options, timeout_s=None):
+        seen.append(timeout_s)
         return object()
 
-    svc = CompileService(ServiceConfig(enabled=False), compile_fn=legacy)
-    # No deadline: the stub result passes straight through the bypass.
-    assert svc.get_program(GemmSpec(), TOY_ARCH, CompilerOptions.full()) is not None
-    # A deadline shorter than the compile is enforced post-hoc.
-    with pytest.raises(CompileTimeout):
-        svc.get_program(
-            GemmSpec(), TOY_ARCH, CompilerOptions.full(), timeout_s=0.01
-        )
+    svc = CompileService(ServiceConfig(enabled=False), compile_fn=compile_fn)
+    svc.get_program(GemmSpec(), TOY_ARCH)
+    svc.get_program(GemmSpec(), TOY_ARCH, timeout_s=60.0)
+    assert seen[0] is None
+    assert 0.0 < seen[1] <= 60.0
 
 
 def test_cli_timeout_flag_maps_to_exit_code(tmp_path, capsys):

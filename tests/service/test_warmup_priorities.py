@@ -54,7 +54,7 @@ def test_interactive_preempts_queued_warmup():
     order_lock = threading.Lock()
     release = threading.Event()
 
-    def gated_compile(spec, arch, options):
+    def gated_compile(spec, arch, options, timeout_s=None):
         # First warmup compile blocks the only worker so everything else
         # queues up behind it; later compiles run instantly.
         with order_lock:
