@@ -6,7 +6,7 @@ properties the daemon exists for:
 
 * single-flight dedup — compiles executed < unique kernels requested
   <= requests sent (the prewarmed hot pool makes the first inequality
-  strict, and the ``verify:false`` descriptor collapsing onto the
+  strict, and the ``schedule:recipe`` descriptor collapsing onto the
   default key makes unique-keys < descriptors);
 * cache hit rate above the floor the CI ``serve`` job also enforces;
 * per-tenant token-bucket quotas actually rejecting a burst;
@@ -59,7 +59,7 @@ def test_single_flight_dedup_proof(payload, benchmark):
         < dedup["unique_keys_window"]
         <= dedup["requests_window"]
     )
-    # The verify:false descriptor must collapse onto the default key:
+    # The schedule:recipe descriptor must collapse onto the default key:
     # 11 descriptors, at most 10 distinct kernels.
     config = TraceConfig(seed=SEED, requests=240)
     assert len(unique_kernel_keys(generate_trace(config))) <= 10

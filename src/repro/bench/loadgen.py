@@ -55,10 +55,10 @@ COLD_KERNELS: Tuple[Dict[str, Any], ...] = (
     {"trans_a": True},
     {"trans_b": True},
     {"trans_a": True, "trans_b": True},
-    # Same reconciled key as the default descriptor: --no-verify is
-    # normalised out of cache keys, so this "distinct" descriptor must
-    # NOT cost a compile — the key-collapse path in the proof.
-    {"verify": False},
+    # Same reconciled key as the default descriptor: it restates the
+    # default schedule, so this "distinct" descriptor must NOT cost a
+    # compile — the key-collapse path in the proof.
+    {"schedule": "recipe"},
 )
 
 #: Small problem sizes for ``run`` ops (the toy arch executes these in
@@ -159,8 +159,9 @@ def unique_kernel_keys(trace: Sequence[Dict[str, Any]]) -> List[str]:
     """Reconciled cache keys the trace's kernel ops will be served under.
 
     Runs the same wire codec and option reconciliation the daemon runs,
-    so descriptors that normalise identically (``verify: false``) count
-    as one kernel — exactly what the dedup inequality compares against.
+    so descriptors that normalise identically (``schedule: recipe``
+    restates the default) count as one kernel — exactly what the dedup
+    inequality compares against.
     """
     from repro.service import cache_key
 

@@ -25,10 +25,9 @@ plus the compilation-service surface::
 
 the admission-control surface::
 
-    swgemm verify gemm.c                       # per-check safety report
+    swgemm verify gemm.c                       # the gate's per-check report
     swgemm compile --explain-verify            # report alongside codegen
     swgemm run --guarded ...                   # certificate-checked run
-    swgemm compile --no-verify                 # escape hatch (bit-exact code)
     swgemm --timeout 10 compile ...            # structured compile deadline
 
 and the autotuning surface::
@@ -244,7 +243,7 @@ def _spec_and_options(args):
 
 def _apply_flags(args, options):
     """Fold the option flags — ``--no-use-asm``, ``--no-rma``,
-    ``--no-verify``, ``--micro-kernel`` and ``--schedule`` — into
+    ``--micro-kernel`` and ``--schedule`` — into
     ``options``: what the frontend inferred from the source (batch,
     fusion), or ``CompilerOptions.full()`` for ``tune`` without one.
     ``--no-use-asm`` selects the naive kernel and wins over a
@@ -254,8 +253,6 @@ def _apply_flags(args, options):
         overrides["kernel_backend"] = "naive"
     if args.no_rma:
         overrides["enable_rma"] = False
-    if getattr(args, "no_verify", False):
-        overrides["verify"] = False
     if args.schedule is not None:
         overrides["schedule"] = args.schedule
     return options.with_(**overrides)
@@ -360,29 +357,23 @@ def cmd_compile(args) -> int:
         )
     print(f"SPM plan: {program.plan.describe()}")
     if getattr(args, "explain_verify", False):
-        if getattr(args, "no_verify", False) or program.verification is None:
-            # A cached artifact may still carry a report (verified and
-            # unverified compiles share one cache entry); the user asked
-            # to skip the gate, so do not render it as if it had run.
-            print("verification: no report attached (compiled with --no-verify)")
-        else:
-            print(program.verification.render())
+        print(program.verification.render())
     return 0
 
 
 def cmd_verify(args) -> int:
-    """Run the admission verifier explicitly and report, instead of
-    compiling through the gate (which would raise on the first failure)."""
+    """Compile through the admission gate and print its report: the
+    program's, or on a refusal the one the refusal carries."""
     from repro.core.pipeline import GemmCompiler
-    from repro.verify import verify_program
+    from repro.errors import KernelAdmissionError
 
     spec, options = _spec_and_options(args)
-    # Compile without the terminal gate so a failing kernel still yields
-    # a full report (the gate would abort at the first failed check).
-    program = GemmCompiler(
-        _arch_from_args(args), options.with_(verify=False)
-    ).compile(spec, timeout_s=getattr(args, "timeout", None))
-    report = verify_program(program)
+    try:
+        report = GemmCompiler(_arch_from_args(args), options).compile(
+            spec, timeout_s=getattr(args, "timeout", None)
+        ).verification
+    except KernelAdmissionError as exc:
+        report = exc.report
     if args.json:
         print(json.dumps(report.describe(), indent=2, sort_keys=True))
     else:
@@ -578,8 +569,6 @@ def cmd_cache_stats(args) -> int:
         ("compiles", "compiles"),
         ("deduped in flight", "deduped"),
         ("quarantined", "quarantined"),
-        ("verified on load", "verified_on_load"),
-        ("verify rejected", "verify_rejected"),
         ("tuning hits", "tuning_hits"),
     ):
         print(f"  {label:>18s}: {int(persistent.get(key, 0))}")
@@ -827,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
             "of it (admitted by the verifier like every kernel), 'off' "
             "disables latency hiding entirely",
         )
-        p.add_argument("--no-verify", action="store_true",
-                       help="skip the admission verifier, the schedule "
-                       "rewrites' proof included (escape hatch; generated "
-                       "code is bit-exact either way)")
 
     def add_introspection(p):
         p.add_argument(

@@ -154,11 +154,6 @@ class CompilerOptions:
     fault_policy: Optional[FaultPolicy] = None
     #: Recovery behaviour for transient faults (``--max-retries``).
     retry_policy: Optional[RetryPolicy] = None
-    #: Run the static safety verifier as the pipeline's terminal pass
-    #: (``--no-verify`` disables it — the §8.1 ablation escape hatch).
-    #: Normalised away in cache keys: verified and unverified compiles
-    #: of the same request produce the same code.
-    verify: bool = True
     #: Two-level software pipelining + double buffering (§6), as a
     #: schedule policy (``--schedule``): the fixed ``recipe``, the
     #: ``optimize`` rewrite stack on top of it, or ``off``.  The only

@@ -754,8 +754,7 @@ def build_pipeline(
     else:
         passes.append(CommunicationSchedulePass())
     passes.append(AstGenerationPass())
-    if options.verify:
-        passes.append(VerificationPass())
+    passes.append(VerificationPass())
 
     if replacements:
         by_name = {p.name: i for i, p in enumerate(passes)}

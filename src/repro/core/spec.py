@@ -24,6 +24,17 @@ from repro.poly.iset import IntegerSet, box_set
 from repro.poly.space import Space
 
 
+def check_shape(M: int, N: int, K: int, batch: int = 1) -> None:
+    """Refuse a concrete problem shape with a dimension or batch below 1:
+    the one check every path that binds a shape (execution, simulation,
+    tuning) runs before the shape reaches NumPy or the chunk arithmetic."""
+    for name, value in (("M", M), ("N", N), ("K", K), ("batch", batch)):
+        if value < 1:
+            raise ConfigurationError(
+                f"{name} must be a positive integer, got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class GemmSpec:
     """One (possibly batched, possibly fused) DGEMM problem."""
@@ -147,15 +158,11 @@ class GemmSpec:
         self, M: int, N: int, K: int, batch: Optional[int] = None
     ) -> Dict[str, int]:
         """Concrete parameter environment for execution."""
-        for name, value in ((self.m_param, M), (self.n_param, N), (self.k_param, K)):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+        check_shape(M, N, K, 1 if batch is None else batch)
         env = {self.m_param: M, self.n_param: N, self.k_param: K}
         if self.is_batched:
-            if batch is None or batch <= 0:
-                raise ConfigurationError(
-                    "batched spec requires a positive batch size"
-                )
+            if batch is None:
+                raise ConfigurationError("batched spec requires a batch size")
             env[self.batch_param] = batch
         elif batch is not None:
             raise ConfigurationError("non-batched spec got a batch size")

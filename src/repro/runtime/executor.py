@@ -49,8 +49,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionError, SynchronizationError
+from repro.errors import ConfigurationError, ExecutionError, SynchronizationError
 from repro.codegen.elementwise import get_elementwise
+from repro.core.spec import check_shape
 from repro.codegen.backend import resolve_kernel
 from repro.poly.astnodes import (
     BINARY_OPS,
@@ -775,8 +776,12 @@ def run_checked(
     ``trans_a``, B is N×K under ``trans_b``; ``batch`` of each for a
     batched spec), C starts at zero, and the reference applies the
     kernel's own fused element-wise stages: quantised A in, activated
-    C out.
+    C out.  A shape or batch below 1 and a negative seed are refused
+    with a :class:`~repro.errors.ConfigurationError`.
     """
+    check_shape(M, N, K, batch)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     spec = program.spec
     rng = np.random.default_rng(seed)
     lead = (batch,) if spec.is_batched else ()

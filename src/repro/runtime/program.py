@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.decomposition import Decomposition
 from repro.core.diagnostics import PassStat
 from repro.core.options import CompilerOptions
-from repro.core.spec import GemmSpec
+from repro.core.spec import GemmSpec, check_shape
 from repro.core.tile_model import TilePlan
 from repro.poly.astnodes import BufferDecl, CpeProgram, ReplyDecl
 from repro.poly.schedule_tree import DomainNode
@@ -36,10 +36,10 @@ class CompiledProgram:
     #: diagnostics).  ``codegen_seconds == sum(s.seconds for s in
     #: pass_stats)`` by construction.
     pass_stats: Tuple[PassStat, ...] = ()
-    #: The admission verifier's report + certificate
-    #: (:class:`repro.verify.VerificationReport`).  ``None`` only for
-    #: ``--no-verify`` compiles — the artifact store re-verifies those on
-    #: load before serving them.
+    #: The admission verifier's passing report + certificate
+    #: (:class:`repro.verify.VerificationReport`).  The pipeline's
+    #: terminal ``verify`` pass attaches it to every program it returns,
+    #: and :meth:`from_dict` refuses an artifact without one.
     verification: Optional[object] = None
 
     @property
@@ -57,6 +57,7 @@ class CompiledProgram:
     def padded_shape(self, M: int, N: int, K: int) -> Tuple[int, int, int]:
         """The zero-padded shape the mesh actually executes (§8.1: M and N
         must be multiples of 512 and K of 256 on the default target)."""
+        check_shape(M, N, K)
         plan = self.plan
 
         def up(value: int, multiple: int) -> int:
@@ -112,6 +113,11 @@ class CompiledProgram:
                 f"artifact has serde version {version!r}, "
                 f"expected {serde.SERDE_VERSION}"
             )
+        verification = serde.decode(data["verification"])
+        if verification is None:
+            raise serde.SerializationError(
+                "artifact carries no admission report"
+            )
         return cls(
             spec=serde.decode(data["spec"]),
             options=serde.decode(data["options"]),
@@ -121,7 +127,7 @@ class CompiledProgram:
             cpe_program=serde.decode(data["cpe_program"]),
             codegen_seconds=float(data["codegen_seconds"]),
             pass_stats=tuple(serde.decode(data["pass_stats"])),
-            verification=serde.decode(data["verification"]),
+            verification=verification,
         )
 
     # -- source rendering ----------------------------------------------------

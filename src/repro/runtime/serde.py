@@ -294,7 +294,10 @@ def _register_all() -> None:
     # schema 8, ``use_asm`` beside a maybe-None ``kernel_backend`` spelt
     # the kernel, and ``TileConfig.k_strip`` could only restate the
     # derived strip: decode onto ``kernel_backend`` and drop the pin.
+    # Before schema 9, ``verify`` could switch the admission pass off;
+    # it never shaped code, so drop it.
     def upgrade_options(fields: dict) -> dict:
+        fields.pop("verify", None)
         if fields.pop("enable_latency_hiding", True) is False:
             fields["schedule"] = encode(SchedulePolicy(mode="off"))
         if "use_asm" in fields:

@@ -47,7 +47,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.options import CompilerOptions
-from repro.core.spec import GemmSpec
+from repro.core.spec import GemmSpec, check_shape
 from repro.runtime.executor import Executor
 from repro.runtime.program import CompiledProgram
 from repro.sunway.arch import SW26010PRO, ArchSpec
@@ -231,6 +231,7 @@ class PerformanceSimulator:
         (fused or transposed layouts change the pipeline) rather than a
         plain ``C = A×B``.
         """
+        check_shape(M, N, K, batch)
         options = options or CompilerOptions.full()
         if batch > 1 and not options.batch:
             options = options.with_(batch=True)

@@ -270,7 +270,6 @@ _OPTION_KEYS = (
     "prologue_func",
     "epilogue_func",
     "kernel_backend",
-    "verify",
     # the latency-hiding schedule policy, a mode string ("recipe"/
     # "optimize"/"off"); parsed by SchedulePolicy.parse when the options
     # are built, so bad values (objects included) surface as structured

@@ -36,6 +36,7 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     DegradedModeError,
+    KernelAdmissionError,
     OverloadError,
     ProtocolError,
     QuotaExceededError,
@@ -684,8 +685,8 @@ class KernelServer:
         share, so the probe judges the key the op will compile."""
         spec, options, arch = protocol.spec_and_options(params)
         if op == "verify":
-            # verify proves the program itself: unverified, unsteered.
-            return spec, arch, options.with_(verify=False), None
+            # verify reports on the requested kernel itself, unsteered.
+            return spec, arch, options, None
         shape_hint = protocol.shape_hint(params)
         if (
             op == "run"
@@ -772,12 +773,12 @@ class KernelServer:
             shape_hint=shape_hint,
         )
         return {
-            "key": self.service.reconciled_key(spec, arch, options),
+            "key": self.service.reconciled_key(spec, arch, program.options),
             "variant": program.options.variant_name(),
             "source": source,
             "codegen_ms": round(1e3 * program.codegen_seconds, 3),
             "spm_plan": program.plan.describe(),
-            "verified": program.verification is not None,
+            "verified": program.verification.ok,
         }
 
     def _op_run(
@@ -804,7 +805,7 @@ class KernelServer:
             guarded=bool(params.get("guarded", False)),
         )
         result = {
-            "key": self.service.reconciled_key(spec, arch, options),
+            "key": self.service.reconciled_key(spec, arch, program.options),
             "source": source,
             "gflops": report.gflops,
             "simulated_ms": 1e3 * report.elapsed_seconds,
@@ -844,21 +845,26 @@ class KernelServer:
     def _op_verify(
         self, params: Dict[str, Any], budget_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        from repro.verify import verify_program
-
+        """Compile through the admission gate and report its verdict:
+        the program's report, or the refused kernel's."""
         spec, arch, options, shape_hint = self._kernel_lookup("verify", params)
-        program, source = self.service.get_program_with_source(
-            spec, arch, options,
-            timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
-            shape_hint=shape_hint,
-        )
-        report = verify_program(program)
-        described = report.describe()
+        try:
+            program, source = self.service.get_program_with_source(
+                spec, arch, options,
+                timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
+                shape_hint=shape_hint,
+            )
+            report = program.verification
+        except KernelAdmissionError as exc:
+            if exc.report is None:  # lost crossing a worker process
+                raise
+            report, source = exc.report, "compiled"
         return {
+            # Unsteered: the request's options key the program.
             "key": self.service.reconciled_key(spec, arch, options),
             "source": source,
             "ok": report.ok,
-            "checks": len(described.get("checks", [])),
+            "checks": len(report.checks),
         }
 
     def _op_warmup(

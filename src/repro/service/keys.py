@@ -62,8 +62,9 @@ from repro.sunway.arch import SW26010PRO, ArchSpec
 #: ``optimize`` always runs the whole rewrite stack.  8: ``kernel_backend``
 #: became the one kernel field (``naive``/``vendor``/``parametric``, never
 #: ``None``) — ``use_asm`` and ``TileConfig.k_strip`` left the options
-#: blob.
-CACHE_SCHEMA_VERSION = 8
+#: blob.  9: the terminal verify pass became unconditional — ``verify``
+#: left the options blob, and every artifact carries its passing report.
+CACHE_SCHEMA_VERSION = 9
 
 
 def canonical_blob(obj: object) -> str:
@@ -94,12 +95,6 @@ def cache_key(
         # artifact store.  The service re-stamps the requested policies
         # onto cached programs (see CompileService._get).
         options = options.with_(fault_policy=None, retry_policy=None)
-    if not options.verify:
-        # The verifier never changes the generated code, so verified and
-        # --no-verify requests address the same artifact.  A report-less
-        # artifact served to a verifying caller is re-verified (and the
-        # report persisted) by the store's verify-on-load path.
-        options = options.with_(verify=True)
     # Arch-aware reconciliation also collapses a tile config restating
     # the arch's analytical default to ``tile_config=None``, so tuned
     # requests that land on the default share the default's artifact.

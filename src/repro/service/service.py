@@ -191,9 +191,9 @@ class CompileService:
 
         :func:`~repro.service.keys.cache_key` reconciles the options —
         the same normalisation :meth:`get_program` applies — so distinct
-        descriptors that compile identically (inert knobs, ``--no-verify``)
-        map to one key.  The load generator uses this to count unique
-        kernels a trace will demand."""
+        descriptors that compile identically (inert knobs, a restated
+        default) map to one key.  The load generator uses this to count
+        unique kernels a trace will demand."""
         return cache_key(spec, arch or SW26010PRO, options or CompilerOptions())
 
     def is_cached(
@@ -432,25 +432,6 @@ class CompileService:
             return program
         return dataclasses.replace(program, options=options)
 
-    def _ensure_verified(self, program: CompiledProgram) -> CompiledProgram:
-        """Attach a verification report to a report-less cached program.
-
-        A program can sit in the hot tier (or a single-flight result)
-        without a report when it was compiled for a ``--no-verify``
-        request; a verifying caller must still get admission-checked
-        code, so verify in place — the report attaches to the cached
-        object and the work happens once.
-
-        Stub programs without the attribute (test doubles injected via
-        ``compile_fn``) are passed through untouched — only a real
-        ``CompiledProgram`` that explicitly carries ``verification=None``
-        needs the re-check."""
-        if getattr(program, "verification", False) is None:
-            from repro.verify import admit, verify_program
-
-            program.verification = admit(verify_program(program))
-        return program
-
     def _get(
         self,
         spec: GemmSpec,
@@ -486,8 +467,6 @@ class CompileService:
             with self._lock:
                 cached = self._memory.get(key)
                 if cached is not None:
-                    if options.verify:
-                        cached = self._ensure_verified(cached)
                     self._flush_persistent({"requests": 1, "memory_hits": 1})
                     return self._restamp(cached, options), "memory"
                 flight = self._inflight.get(key)
@@ -517,11 +496,8 @@ class CompileService:
                 )
             if flight.error is None:
                 assert flight.program is not None
-                program = flight.program
-                if options.verify:
-                    program = self._ensure_verified(program)
                 self._flush_persistent({"requests": 1, "deduped": 1})
-                return self._restamp(program, options), "deduped"
+                return self._restamp(flight.program, options), "deduped"
             # The owner's compile failed.  Its error may be transient
             # (fault injection, a flaky disk) and belongs to the owner's
             # request anyway — instead of propagating a stranger's
@@ -531,12 +507,7 @@ class CompileService:
 
         source = "compiled"
         try:
-            verify_on_load = options.verify
-            program = (
-                self._store.get(key, verify_on_load=verify_on_load)
-                if self._store
-                else None
-            )
+            program = self._store.get(key) if self._store else None
             if program is not None:
                 source = "disk"
                 self._flush_persistent({"requests": 1, "disk_hits": 1})

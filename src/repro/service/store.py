@@ -101,8 +101,6 @@ class ArtifactStore:
         self.disk_misses = 0
         self.writes = 0
         self.quarantined = 0
-        self.verified_on_load = 0
-        self.verify_rejected = 0
         #: optional fault plane corrupting freshly written artifacts
         #: (chaos testing of the quarantine/recompile path)
         self.injector = injector
@@ -125,9 +123,7 @@ class ArtifactStore:
             for p in shard.glob(f"*{_SUFFIX}")
         )
 
-    def get(
-        self, key: str, verify_on_load: bool = True
-    ) -> Optional[CompiledProgram]:
+    def get(self, key: str) -> Optional[CompiledProgram]:
         path = self.path_for(key)
         try:
             data = json.loads(path.read_text())
@@ -136,36 +132,12 @@ class ArtifactStore:
             self.disk_misses += 1
             return None
         except Exception:
-            # Corrupt, truncated or version-skewed artifact: quarantine it
-            # for diagnosis and report a miss so the caller recompiles.
+            # Corrupt, truncated or version-skewed artifact (a missing
+            # field or admission report included): quarantine it for
+            # diagnosis and report a miss so the caller recompiles.
             self._quarantine(path)
             self.disk_misses += 1
             return None
-        if verify_on_load and program.verification is None:
-            # A --no-verify artifact carries no report: prove it safe
-            # before serving the hit.  A pass self-heals the artifact (the
-            # report is persisted so the work happens once per store); a
-            # failure quarantines it exactly like corruption — the caller
-            # recompiles through the admission gate.
-            from repro.verify import admit, verify_program
-
-            try:
-                program.verification = admit(verify_program(program))
-            except Exception:
-                self._quarantine(path)
-                self.verify_rejected += 1
-                self.bump_persistent_stats({"verify_rejected": 1})
-                self.disk_misses += 1
-                return None
-            self.verified_on_load += 1
-            self.bump_persistent_stats({"verified_on_load": 1})
-            try:
-                # Self-heal persists the report so the proof runs once per
-                # store — skippable on a read-only store (the verified
-                # program is still served; the next process re-proves).
-                self.put(key, program)
-            except OSError:
-                pass
         self.disk_hits += 1
         return program
 
@@ -230,16 +202,16 @@ class ArtifactStore:
     def arch_counts(self) -> Dict[str, int]:
         """Artifacts per architecture (top-level ``arch`` tag).
 
-        Artifacts written before the tag existed were all compiled for
-        the paper's single SW26010Pro target, so an untagged artifact
-        counts as ``sw26010pro`` rather than unknown."""
+        Every :meth:`put` writes the tag; a file the store cannot
+        attribute — unreadable, or without the tag, which :meth:`get`
+        quarantines — counts as ``(unreadable)``."""
         counts: Dict[str, int] = {}
         for path in self._artifact_paths():
             try:
-                data = json.loads(path.read_text())
-                name = str(data.get("arch") or "sw26010pro").lower()
-            except (OSError, ValueError):
-                name = "(unreadable)"
+                tag = json.loads(path.read_text()).get("arch")
+            except (OSError, ValueError, AttributeError):
+                tag = None
+            name = str(tag).lower() if tag else "(unreadable)"
             counts[name] = counts.get(name, 0) + 1
         return dict(sorted(counts.items()))
 
@@ -314,7 +286,5 @@ class ArtifactStore:
             "writes": self.writes,
             "quarantined": self.quarantined,
             "quarantine_files": quarantine_files,
-            "verified_on_load": self.verified_on_load,
-            "verify_rejected": self.verify_rejected,
             "poison_keys": self.poison_keys(),
         }

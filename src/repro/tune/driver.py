@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import CompilerOptions
 from repro.core.passes import reconcile_options
-from repro.core.spec import GemmSpec
+from repro.core.spec import GemmSpec, check_shape
 from repro.runtime.simulator import PerformanceSimulator
 from repro.sunway.arch import SW26010PRO, ArchSpec
 from repro.tune.pruner import PrunedCandidate, prune
@@ -155,6 +155,7 @@ class Tuner:
         base_options: Optional[CompilerOptions] = None,
         tune_options: Optional[TuneOptions] = None,
     ) -> TuneResult:
+        check_shape(M, N, K, batch)
         spec = spec or (
             GemmSpec(batch_param="BS") if batch > 1 else GemmSpec()
         )

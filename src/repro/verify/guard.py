@@ -34,14 +34,9 @@ class CertificateGuard:
     def from_program(cls, program, strict: bool = True) -> "CertificateGuard":
         """Build a guard from a program's attached verification report.
 
-        Guarded execution refuses programs without a passing report —
-        running unverified code in guarded mode would be contradictory."""
-        report = getattr(program, "verification", None)
-        if report is None:
-            raise KernelAdmissionError(
-                "guarded execution requires a verified program; this one "
-                "carries no VerificationReport (compiled with --no-verify?)"
-            )
+        Guarded execution refuses a program whose report does not pass
+        (a tampered one): its certificate proves nothing."""
+        report = program.verification
         if not report.ok or report.certificate is None:
             raise KernelAdmissionError(
                 "guarded execution requires a passing VerificationReport",

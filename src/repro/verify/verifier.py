@@ -1,13 +1,14 @@
 """The kernel admission verifier: four checks over the lowered program.
 
-``run_checks`` is the single entry point both admission paths share:
+``run_checks`` is the single entry point both paths share:
 
-* the terminal ``verify`` pass of the default pipeline (the compile-time
-  gate — a failing report raises :class:`KernelAdmissionError` before
-  the program ever reaches a caller), and
+* the terminal ``verify`` pass of every pipeline (the compile-time gate
+  — a failing report raises :class:`KernelAdmissionError` before the
+  program ever reaches a caller, and a passing one rides on the
+  program: the one proof ``swgemm verify`` and the serve ``verify`` op
+  report), and
 * :func:`verify_program`, which re-derives the DMA/RMA specs from a
-  program's decomposition and re-checks it — used by the artifact store
-  for report-less disk hits and by ``swgemm verify``.
+  program's decomposition and re-checks it (``api.verify``).
 
 The four checks and the paper invariants they enforce:
 
@@ -195,8 +196,9 @@ def run_checks(
 def verify_program(program) -> VerificationReport:
     """Re-verify a compiled program from its own decomposition.
 
-    Used for artifacts loaded from disk (whose attached report, if any,
-    predates this process) and by ``swgemm verify``."""
+    Every program the pipeline returns already carries its gate's
+    report, and this re-derivation equals it; :func:`repro.api.verify`
+    exposes it to re-check any program, a tampered one included."""
     from repro.core.dma import derive_dma_specs
     from repro.core.rma import derive_rma_specs
 

@@ -142,8 +142,8 @@ def test_tune_without_source_applies_every_option_flag(monkeypatch, cache_dir):
 
     monkeypatch.setattr(repro.api, "tune", fake_tune)
     with pytest.raises(Stop):
-        main(["--cache-dir", cache_dir, *TOY_TUNE, "--no-rma", "--no-verify",
+        main(["--cache-dir", cache_dir, *TOY_TUNE, "--no-rma",
               "--schedule", "off"])
     options = seen["options"]
-    assert (options.enable_rma, options.verify) == (False, False)
+    assert not options.enable_rma
     assert options.use_asm and options.schedule.mode == "off"

@@ -1,16 +1,12 @@
 """The admission-control CLI surface: ``swgemm verify``,
-``compile --explain-verify``, ``--no-verify``, ``--timeout`` and clean
-cache-dir failure modes."""
+``compile --explain-verify``, ``--timeout`` and clean cache-dir failure
+modes."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-
-
-def read_tree(directory):
-    return {p.name: p.read_text() for p in directory.iterdir() if p.is_file()}
 
 
 # -- swgemm verify -----------------------------------------------------------
@@ -56,25 +52,13 @@ def test_compile_explain_verify(tmp_path, capsys):
     assert "verdict: ADMITTED" in text
 
 
-def test_compile_explain_verify_with_no_verify_notes_skip(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(
-        ["compile", "-o", str(out), "--no-verify", "--explain-verify"]
-    ) == 0
-    text = capsys.readouterr().out
-    assert "ADMITTED" not in text
-    assert "no-verify" in text or "no verification" in text
-
-
-# -- --no-verify bit-exactness (§8.1 escape hatch) ---------------------------
-
-
-def test_no_verify_compile_outputs_are_byte_identical(tmp_path):
-    verified = tmp_path / "verified"
-    unverified = tmp_path / "unverified"
-    assert main(["compile", "-o", str(verified)]) == 0
-    assert main(["compile", "-o", str(unverified), "--no-verify"]) == 0
-    assert read_tree(verified) == read_tree(unverified)
+def test_the_gate_cannot_be_switched_off(tmp_path, capsys):
+    """Every compile ends in the admission gate: there is no flag that
+    skips it, so ``--no-verify`` is an argparse error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "-o", str(tmp_path / "out"), "--no-verify"])
+    assert exc.value.code == 2
+    assert "--no-verify" in capsys.readouterr().err
 
 
 # -- structured failure modes ------------------------------------------------
@@ -87,6 +71,36 @@ def test_timeout_zero_fails_cleanly(tmp_path, capsys):
     assert err.startswith("swgemm: error:")
     assert "deadline" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "-M", "0"],
+    ["run", "-K", "-16"],
+    ["tune", "-M", "0"],
+    ["tune", "--batch-count", "0"],
+    ["perf", "-M", "0"],
+])
+def test_non_positive_shape_fails_cleanly(tmp_path, capsys, argv):
+    assert main(["--cache-dir", str(tmp_path), *argv, "--arch", "toy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("swgemm: error:")
+    assert "must be a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_verify_reports_a_refused_kernel_and_exits_1(monkeypatch, capsys):
+    """``verify`` compiles through the gate; on a refusal it prints the
+    report the refusal carries instead of a bare error."""
+    from repro.schedule import REWRITES, Rewrite
+    from tests.schedule.test_rewrites import _drop_first_dma_wait
+
+    monkeypatch.setitem(
+        REWRITES, "split-waits",
+        Rewrite("split-waits", "drops a wait", _drop_first_dma_wait),
+    )
+    assert main(["verify", "--arch", "toy", "--schedule=optimize"]) == 1
+    out = capsys.readouterr().out
+    assert "REJECTED" in out and "double-buffer-hazards" in out
 
 
 def test_cache_stats_rejects_non_directory_cache_dir(tmp_path, capsys):
@@ -114,11 +128,3 @@ def test_cache_dir_under_a_file_parent_fails_cleanly(tmp_path, capsys):
     assert main(["--cache-dir", str(target), "cache", "stats"]) == 1
     err = capsys.readouterr().err
     assert "swgemm: error:" in err and "Traceback" not in err
-
-
-def test_cache_stats_reports_verify_counters(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert main(["--cache-dir", str(cache), "cache", "stats"]) == 0
-    out = capsys.readouterr().out
-    assert "verified on load" in out
-    assert "verify rejected" in out

@@ -146,12 +146,13 @@ def test_round_trip_decomposition_arch(program, reloaded):
 
 @pytest.mark.parametrize("field", [
     "arch", "pass_stats", "codegen_seconds", "verification",
-    "decomposition.arch",
+    "decomposition.arch", "verification=null",
 ])
 def test_artifact_without_a_field_is_quarantined_and_recompiled(tmp_path, field):
     """Every artifact the store writes carries every field ``to_dict``
-    encodes; a file without one is corrupt like any other: it is
-    quarantined and the kernel recompiles."""
+    encodes, its admission report included; a file without one is
+    corrupt like any other: it is quarantined and the kernel
+    recompiles."""
     from repro.service import CompileService, ServiceConfig
 
     config = ServiceConfig(cache_dir=tmp_path)
@@ -162,7 +163,10 @@ def test_artifact_without_a_field_is_quarantined_and_recompiled(tmp_path, field)
     payload = data["program"]
     if field == "decomposition.arch":
         payload = payload["decomposition"]["v"]
-    del payload[field.split(".")[-1]]
+    if field == "verification=null":
+        payload["verification"] = None
+    else:
+        del payload[field.split(".")[-1]]
     path.write_text(json.dumps(data))
 
     fresh = CompileService(config)

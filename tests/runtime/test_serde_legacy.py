@@ -7,7 +7,8 @@ its ``allow``/``deny`` rewrite filters are gone, and ``optimize`` runs
 the whole rewrite stack.  Schema 8 made ``kernel_backend`` the one
 kernel field: ``use_asm`` is gone, the backend is never ``None``, and
 ``TileConfig.k_strip`` is gone (a tuning candidate keeps it as a name
-label).
+label).  Schema 9 made the terminal verify pass unconditional: the
+``verify`` switch is gone.
 
 The fixtures under ``tests/golden/legacy/`` were written by the code of
 their schema: encoded option sets, and one schema-5 tuning record as
@@ -94,6 +95,27 @@ def test_schema6_filtered_optimize_refuses_to_decode(name):
     runs now; decoding it as ``optimize`` would serve the wrong one."""
     with pytest.raises(serde.SerializationError, match="legacy schedule"):
         serde.decode(_schema6(name))
+
+
+#: Schema-8 option sets: the ``verify`` switch is dropped, whatever it
+#: said, and every other field decodes as written.
+SCHEMA8_DECODES = {
+    "no_verify": full,
+    "optimize_no_verify": full.with_(schedule="optimize"),
+    "baseline_verified": CompilerOptions.baseline(),
+    "tiled_no_verify": full.with_(
+        tile_config=TileConfig(16, 16, 8), kernel_backend="parametric"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA8_DECODES))
+def test_schema8_options_drop_the_verify_switch(name):
+    payload = json.loads((LEGACY / "options_schema8.json").read_text())[name]
+    assert "verify" in payload["v"]
+    decoded = serde.decode(payload)
+    assert decoded == SCHEMA8_DECODES[name]
+    assert "verify" not in serde.encode(decoded)["v"]
 
 
 def test_schema5_tuning_record_decodes_and_steers(tmp_path):

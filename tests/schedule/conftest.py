@@ -1,8 +1,8 @@
 """Shared helpers for the schedule-IR test suite.
 
-``fresh_context`` compiles one recipe pipeline without its terminal
-verify pass and hands back the live compile context — the raw material
-:func:`repro.schedule.apply_rewrite` operates on.  Rewrites mutate the
+``fresh_context`` compiles one recipe pipeline (admitted by its
+terminal verify pass) and hands back the live compile context — the raw
+material :func:`repro.schedule.apply_rewrite` operates on.  Rewrites mutate the
 decomposition in place, so every test that rewrites asks for a fresh
 one.  ``prove`` then finishes that context the way the pipeline does:
 its own AST generation, then its verify pass, which raises
@@ -18,10 +18,10 @@ from repro.sunway.arch import SW26010PRO, TOY_ARCH
 
 
 def fresh_context(arch=TOY_ARCH, options=None, spec=None):
-    """The compile context of a recipe compile, before admission."""
+    """The compile context of an admitted recipe compile."""
     options = options or CompilerOptions.full()
     spec = spec or GemmSpec()
-    compiler = GemmCompiler(arch, options.with_(verify=False))
+    compiler = GemmCompiler(arch, options)
     _, ctx = compiler.compile_with_context(spec)
     return ctx
 

@@ -5,7 +5,8 @@ place and the terminal verify pass admits the result (a refusal fails
 the compile).  This slice is the traffic evidence behind that design:
 seeded ``optimize`` candidates of the tuner's space, cycling through
 every registered arch and six spec kinds, must each compile with all
-three rewrites applied and a passing verification report.
+three rewrites applied and a passing verification report, equal to the
+one :func:`repro.verify.verify_program` re-derives from the program.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.schedule import REWRITES
 from repro.sunway import all_archs
 from repro.tune.pruner import analyze
 from repro.tune.space import SplitMix64, enumerate_candidates
+from repro.verify import verify_program
 
 #: Spec kinds, each with the option fields that restate the spec.
 SPECS = {
@@ -64,6 +66,9 @@ def _draw_points():
 def test_every_rewrite_applies_and_the_program_is_admitted(arch, spec, options):
     program = GemmCompiler(arch, options).compile(spec)
     assert program.verification is not None and program.verification.ok
+    # The gate's report is the program's one proof: re-deriving it from
+    # the rewritten program gives the same report.
+    assert verify_program(program).describe() == program.verification.describe()
     decisions = {
         stat.name: [d.message for d in stat.diagnostics]
         for stat in program.pass_stats

@@ -9,7 +9,7 @@ from repro.errors import CompilationError, KernelAdmissionError
 from repro.runtime.executor import Executor
 from repro.schedule import REWRITES, Rewrite, apply_rewrite, extract_timeline
 from repro.sunway.arch import SW26010PRO, TOY_ARCH
-from repro.verify import FAILED, verify_program
+from repro.verify import FAILED
 
 from tests.schedule.conftest import fresh_context, prove
 
@@ -93,17 +93,6 @@ def test_refused_rewrite_fails_the_compile_with_the_witness(monkeypatch):
     # The recipe never runs the rewrite and still compiles.
     recipe = GemmCompiler(TOY_ARCH, CompilerOptions.full()).compile(GemmSpec())
     assert recipe.verification.ok
-
-    # --no-verify skips the rewrites' proof with every other one: the
-    # program comes back report-less and re-verifying it refuses it
-    # with the same witness.
-    unproven = GemmCompiler(TOY_ARCH, optimize.with_(verify=False)).compile(
-        GemmSpec()
-    )
-    assert unproven.verification is None
-    report = verify_program(unproven)
-    assert not report.ok
-    assert report.check("double-buffer-hazards").witness == refused.witness
 
 
 def test_band_handles_stay_live_after_an_in_place_rewrite(toy_context):

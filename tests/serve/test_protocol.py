@@ -193,6 +193,14 @@ def test_spec_and_options_rejects_unknown_option():
         spec_and_options({"arch": "toy", "turbo": True})
 
 
+def test_spec_and_options_refuses_the_verify_switch():
+    """The admission gate cannot be switched off over the wire either:
+    ``verify`` is an unknown key like any other."""
+    for value in (False, True):
+        with pytest.raises(ProtocolError, match="unknown param key"):
+            spec_and_options({"arch": "toy", "verify": value})
+
+
 def test_spec_and_options_fusion_and_batch():
     spec, options, _ = spec_and_options(
         {"arch": "toy", "fusion": "epilogue", "epilogue_func": "sigmoid"}

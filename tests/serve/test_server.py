@@ -162,6 +162,60 @@ def test_brownout_probe_judges_the_key_a_batched_run_compiles():
     assert ran["ok"] and ran["source"] == "compiled"
 
 
+def test_wire_key_names_the_artifact_served():
+    """A tuning record steers a shaped request to its winner: the
+    ``key`` the daemon answers is the key of the program it served
+    (the steered options), not of the unsteered request."""
+    from repro import api
+    from repro.core import CompilerOptions, GemmSpec
+    from repro.service import cache_key
+    from repro.sunway.arch import TOY_ARCH
+
+    service = CompileService(ServiceConfig())
+    record = api.tune(GemmSpec(), shape=(48, 80, 32), arch=TOY_ARCH,
+                      seed=0, budget=8, service=service)
+    steered = cache_key(GemmSpec(), TOY_ARCH, record.apply(CompilerOptions()))
+    shaped = {"arch": "toy", "M": 48, "N": 80, "K": 32}
+    handle = start_in_thread(service, ServeConfig(workers=1, quota=None))
+    try:
+        with Client(handle.address, tenant="t") as client:
+            plain = client.compile({"arch": "toy"})
+            compiled = client.compile(shaped)
+            ran = client.run(shaped)
+    finally:
+        handle.stop()
+    assert compiled["spm_plan"] != plain["spm_plan"]
+    assert compiled["key"] == ran["key"] == steered != plain["key"]
+
+
+def test_verify_op_reports_a_refused_kernel(daemon, monkeypatch):
+    """``verify`` compiles through the gate: a refusal is answered with
+    the report it carries, and a kernel the gate admits with its own."""
+    from repro.schedule import REWRITES, Rewrite
+    from tests.schedule.test_rewrites import _drop_first_dma_wait
+
+    monkeypatch.setitem(
+        REWRITES, "split-waits",
+        Rewrite("split-waits", "drops a wait", _drop_first_dma_wait),
+    )
+    with Client(daemon.address, tenant="t") as client:
+        refused = client.verify({"arch": "toy", "schedule": "optimize"})
+        admitted = client.verify({"arch": "toy"})
+    assert (refused["ok"], refused["checks"]) == (False, 4)
+    assert (admitted["ok"], admitted["checks"]) == (True, 4)
+
+
+@pytest.mark.parametrize("bad", [
+    {"M": 0}, {"M": -32}, {"K": 0}, {"batch_count": 0},
+    {"batch": True, "batch_count": 0}, {"seed": -1},
+])
+def test_run_refuses_non_positive_shapes(daemon, bad):
+    with Client(daemon.address, tenant="t") as client:
+        with pytest.raises(RemoteError) as err:
+            client.run({"arch": "toy", "M": 32, "N": 32, "K": 16, **bad})
+    assert err.value.remote_type == "ConfigurationError"
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.

@@ -1,10 +1,9 @@
 """Per-arch attribution in the artifact store (PR 8).
 
-Every artifact written since the multi-arch refactor carries a
-top-level ``arch`` tag so ``swgemm cache stats`` can attribute disk
-usage per target without decoding the programs; artifacts written
-before the tag existed were all SW26010Pro compiles and must be
-counted there.
+Every artifact carries a top-level ``arch`` tag so ``swgemm cache
+stats`` can attribute disk usage per target without decoding the
+programs; a file without the tag is one the store cannot attribute (and
+``get`` quarantines), so it counts as ``(unreadable)``.
 """
 
 import json
@@ -28,10 +27,10 @@ def test_arch_counts_split_by_registry_key(tmp_path):
     assert store.stats()["archs"] == {"toy": 2, "sw26010": 1}
 
 
-def test_untagged_legacy_artifact_counts_as_sw26010pro(tmp_path):
+def test_untagged_artifact_counts_as_unreadable(tmp_path):
     store = ArtifactStore(tmp_path)
-    path = store.put("k-legacy", compiled_program(TOY_ARCH))
+    path = store.put("k-untagged", compiled_program(TOY_ARCH))
     data = json.loads(path.read_text())
     del data["arch"]
     path.write_text(json.dumps(data))
-    assert store.arch_counts() == {"sw26010pro": 1}
+    assert store.arch_counts() == {"(unreadable)": 1}

@@ -84,17 +84,6 @@ def test_spm_budget_rejects_oversized_buffer_plan():
     assert "runaway_scratch" in str(err)
 
 
-def test_no_verify_escape_hatch_skips_the_gate():
-    # The same broken plan sails through with verification disabled —
-    # the escape hatch exists so §8.1 ablation studies stay possible.
-    program = compile_tampered(
-        {"ast-generation": OversizedAstPass()},
-        CompilerOptions.full().with_(verify=False),
-    )
-    assert program.verification is None
-    assert any(b.name == "runaway_scratch" for b in program.cpe_program.buffers)
-
-
 # -- check 2: DMA bounds (§4, Eq. 1) ----------------------------------------
 
 
