@@ -412,8 +412,10 @@ def cmd_passes_list(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.core.spec import check_shape
     from repro.runtime.executor import run_checked
 
+    check_shape(args.M, args.N, args.K)  # before the refused shape costs a compile
     program = _build_program(args)
     guarded = getattr(args, "guarded", False)
     report, error = run_checked(

@@ -9,20 +9,22 @@ and RMA engines, the mesh barrier, and each CPE's reply counters
 (:meth:`~repro.sunway.cpe.CPE.reset_reply`,
 :meth:`~repro.sunway.cpe.CPE.finish_wait`).  Each CPE runs the stream as
 a cursor.  A CPE blocks when it spins on a reply counter whose transfer
-has not completed or when it arrives at the mesh barrier: the wait
-re-polls the next time the CPE is resumed, so cross-CPE interactions —
-a receiver waiting for a broadcast its sender has not issued yet —
-behave exactly like the hardware's spin loops.
+has not completed: the wait re-polls the next time the CPE is resumed,
+so cross-CPE interactions — a receiver waiting for a broadcast its
+sender has not issued yet — behave exactly like the hardware's spin
+loops.  A CPE that arrives at the mesh barrier without opening it is
+*parked* instead: it is never polled, because only the last arrival
+changes what a poll would read.  That arrival moves every parked CPE
+past the barrier and queues them behind itself in arrival order.
 
 The scheduler always resumes the runnable CPE with the smallest virtual
 clock, the first queued among equal clocks.  The runnable CPEs sit in a
-binary heap keyed on ``(clock, enqueue order)``; a barrier release can
-move a queued CPE's clock forward, so a stale key is re-keyed when it
-reaches the top, which is exact because no clock ever moves back (see
-:class:`_RunQueue`).  When no CPE is runnable and some are still
-blocked, the run is reported as a deadlock with each CPE's blocking
-reason, which turns schedule bugs into actionable failures instead of
-hangs.
+binary heap keyed on ``(clock, enqueue order)``; a key that went stale
+while queued is re-keyed when it reaches the top, which is exact because
+no clock ever moves back (see :class:`_RunQueue`).  When no CPE is
+runnable and some are still blocked or parked, the run is reported as a
+deadlock with each CPE's blocking reason (``synch`` for a parked one),
+which turns schedule bugs into actionable failures instead of hangs.
 
 Two modes share all of this logic:
 
@@ -78,6 +80,11 @@ from repro.runtime.program import CompiledProgram
 from repro.sunway.cpe import CPE
 from repro.sunway.mesh import Cluster
 
+#: The end of a resume that arrived at the mesh barrier without opening
+#: it: the CPE waits off the run queue and the blocked list, and is never
+#: polled, until the arrival that opens the barrier releases it.
+PARKED = DONE + 1
+
 
 @dataclass
 class ExecutionReport:
@@ -100,13 +107,11 @@ class ExecutionReport:
 class _Cursor(Cursor):
     """One CPE's place in the lowered program."""
 
-    __slots__ = ("cpe", "token", "waited_since")
+    __slots__ = ("cpe", "waited_since")
 
     def __init__(self, cpe: CPE, env: Dict[str, object], slots: int) -> None:
         super().__init__(env, slots)
         self.cpe = cpe
-        #: barrier generation this CPE arrived in.
-        self.token = 0
         #: the watchdog's budget start: when the wait this CPE is blocked
         #: in first failed to pass (None when not blocked in a wait).
         self.waited_since: Optional[float] = None
@@ -119,7 +124,8 @@ class _RunQueue:
     A binary heap of ``(clock, seq, cursor)`` entries; ``seq`` counts the
     pushes, so it is unique and a comparison never reaches the cursor.
     A queued cursor's clock may move forward while it waits, so its key
-    can be stale.  Clocks never move back (:meth:`CPE.advance` refuses a
+    can be stale (no executor run makes one: a barrier release finds no
+    CPE queued).  Clocks never move back (:meth:`CPE.advance` refuses a
     negative charge and :meth:`CPE.sync_to` only raises), so a key is
     never above its cursor's clock: ``pop`` re-keys a stale top with the
     current clock and the *same* ``seq``, and a top whose key is current
@@ -180,6 +186,10 @@ class Executor:
             program.arch, program.options, program.plan.kernel_shape
         )
         self._blocked: Dict[Tuple[int, int], str] = {}
+        #: the cursors at the mesh barrier, in arrival order, and those the
+        #: last resume released from it, still to be queued.
+        self._parked: List[_Cursor] = []
+        self._released: List[_Cursor] = []
         self._progress = 0
 
     # ------------------------------------------------------------------
@@ -247,48 +257,64 @@ class Executor:
     # presented in (approximately) virtual-time order: always resume the
     # runnable CPE whose clock is smallest — conservative discrete-event
     # simulation.  A resume ends after every clock-advancing statement,
-    # or blocked in a spin-wait; blocked CPEs are re-armed (queued again,
-    # in the order they blocked) whenever a resume makes progress.
+    # blocked in a reply wait, or parked at the barrier.  Blocked CPEs are
+    # re-armed (queued again, in the order they blocked) whenever a resume
+    # makes progress.  Parked CPEs wait in arrival order and are never
+    # polled: the arrival that opens the barrier moves them past it, and
+    # they are queued right behind it, ahead of the re-armed ones.
     #
     # Among equal clocks the CPE enqueued first runs first: each enqueue —
     # the initial cursors in mesh order, a cursor requeued after its
-    # resume, then the re-armed ones — takes the next sequence number, and
-    # the run queue's heap orders ``(clock, seq)``.  A queued key goes
-    # stale when a barrier release ``sync_to``s the arrived CPEs, re-armed
-    # ones included; the pop re-keys a stale top and looks again.
+    # resume, the CPEs its resume released, then the re-armed ones — takes
+    # the next sequence number, and the run queue's heap orders
+    # ``(clock, seq)``.  A CPE at the barrier used to be re-polled like a
+    # reply wait and passed in its next resume, at its old place among the
+    # ties; parking moved only that tie order, and
+    # ``tests/runtime/test_barrier_parking.py`` keeps the polling
+    # scheduler as its oracle.  The barrier opens only when every CPE has
+    # arrived, so no CPE is queued when a release ``sync_to``s the mesh.
     #
-    # No poll is needed when the queue runs dry with CPEs still blocked:
-    # each of them failed a poll after the last resume that made progress,
-    # and nothing a poll reads changes without progress (reply counters
-    # are booked when a transfer is issued, the barrier opens inside the
-    # arrive whose resume then passes it, and clocks move only in resumes
-    # that progress), so another poll would fail the same way.
+    # No poll is needed when the queue runs dry with CPEs still blocked or
+    # parked: each blocked one failed a poll after the last resume that
+    # made progress, and nothing a poll reads changes without progress
+    # (reply counters are booked when a transfer is issued, and clocks
+    # move only in resumes that progress), so another poll would fail the
+    # same way; a parked one waits for an arrival that no CPE can make.
 
     def _schedule(self, code: List[Instr], cursors: List[_Cursor]) -> None:
         queue = _RunQueue()
         for cursor in cursors:
             queue.push(cursor)
         blocked: List[_Cursor] = []
+        parked, released = self._parked, self._released
+        parked.clear()  # what a deadlocked run left behind
         while queue:
             cursor = queue.pop()
             before = self._progress
             status = self._resume(code, cursor)
-            if status == BLOCKED:
-                blocked.append(cursor)
-            elif status != DONE:
+            if status == STEP:
                 queue.push(cursor)
+                if released:
+                    # The resume opened the barrier: the CPEs it released
+                    # queue behind it, in the order they arrived.
+                    for waiter in released:
+                        queue.push(waiter)
+                    released.clear()
+            elif status == BLOCKED:
+                blocked.append(cursor)
             if self._progress != before and blocked:
                 # Progress may have satisfied someone's wait: re-arm them.
                 for waiter in blocked:
                     queue.push(waiter)
                 blocked.clear()
-        if blocked:
+        if blocked or parked:
+            why = dict(self._blocked)
+            why.update(((w.cpe.rid, w.cpe.cid), "synch") for w in parked)
             reasons = "; ".join(
-                f"CPE({r},{c}): {why}"
-                for (r, c), why in sorted(self._blocked.items())
+                f"CPE({r},{c}): {reason}" for (r, c), reason in sorted(why.items())
             )
             raise ExecutionError(
-                f"deadlock: {len(blocked)} CPEs blocked with "
+                f"deadlock: {len(blocked) + len(parked)} CPEs blocked with "
                 f"no progress — {reasons or 'no reasons recorded'}"
             )
 
@@ -362,7 +388,7 @@ class Executor:
         if kind in ("rma_row_ibcast", "rma_col_ibcast"):
             return [self._rma(kind, args)]
         if kind == "synch":
-            return self._synch()
+            return [self._synch()]
         return [_fail(f"unknown communication statement {kind!r}")]
 
     def _reply_reset(self, args) -> Instr:
@@ -462,25 +488,24 @@ class Executor:
 
         return rma
 
-    def _synch(self) -> List[Instr]:
-        """``synch()``: arrive at the barrier, then spin until it opens."""
+    def _synch(self) -> Instr:
+        """``synch()``: arrive at the mesh barrier.  An arrival that does
+        not open it parks; the one that does moves every parked CPE past
+        the barrier and leaves them to be queued behind it."""
         mesh_barrier = self.cluster.barrier
-        blocked = self._blocked
+        parked, released = self._parked, self._released
 
-        def arrive(cursor: _Cursor) -> int:
-            cursor.token = mesh_barrier.arrive(cursor.cpe)
-            cursor.pc += 1
-            return NEXT
-
-        def barrier(cursor: _Cursor) -> int:
-            cpe = cursor.cpe
-            if not mesh_barrier.passed(cursor.token):
-                blocked[(cpe.rid, cpe.cid)] = "synch"
-                return BLOCKED
-            blocked.pop((cpe.rid, cpe.cid), None)
+        def synch(cursor: _Cursor) -> int:
+            if not mesh_barrier.passed(mesh_barrier.arrive(cursor.cpe)):
+                parked.append(cursor)
+                return PARKED
+            for waiter in parked:
+                waiter.pc += 1
+            released.extend(parked)
+            parked.clear()
             return self._advance(cursor)
 
-        return [arrive, barrier]
+        return synch
 
     # -- compute statements ----------------------------------------------------
 

@@ -54,6 +54,7 @@ from repro.errors import (
     CompilationError,
     CompileTimeout,
     ConfigurationError,
+    KernelAdmissionError,
     PoisonedKernelError,
     WorkerCrashError,
 )
@@ -73,8 +74,10 @@ PARENT_CHECK_S = 0.5
 def _worker_main(conn, inherited, parent_pid: int) -> None:
     """Worker-subprocess loop: recv pickled job, compile, send result.
 
-    Clean compiler failures are reported structurally (exception type +
-    message) so the parent re-raises them without striking the key.
+    Clean compiler failures are reported structurally (exception type,
+    message and an admission refusal's report; see
+    :func:`_failure_reply`) so the parent re-raises them without striking
+    the key.
     ``SystemExit``/``KeyboardInterrupt`` intentionally propagate — they
     kill the worker, which is exactly the crash the parent must contain.
 
@@ -124,20 +127,39 @@ def _worker_main(conn, inherited, parent_pid: int) -> None:
                 "peak_rss_mb": _peak_rss_mb(),
             }
         except Exception as exc:
-            reply = {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "peak_rss_mb": _peak_rss_mb(),
-            }
+            reply = _failure_reply(exc)
+            reply["peak_rss_mb"] = _peak_rss_mb()
         try:
             conn.send(reply)
         except (OSError, BrokenPipeError):
             return
 
 
-def _rebuild_error(type_name: str, message: str) -> BaseException:
-    """Worker-reported clean failure → the matching local exception."""
+def _failure_reply(exc: Exception) -> Dict[str, Any]:
+    """A clean compiler failure as a worker reports it: the exception's
+    type name and message and, for an admission refusal, its encoded
+    report."""
+    reply: Dict[str, Any] = {
+        "ok": False,
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+    }
+    if isinstance(exc, KernelAdmissionError):
+        from repro.runtime import serde
+
+        reply["report"] = serde.encode(exc.report)
+    return reply
+
+
+def _rebuild_error(reply: Dict[str, Any]) -> BaseException:
+    """A worker's failure reply → the matching local exception; an
+    admission refusal gets its report back."""
+    type_name = str(reply.get("error_type", "CompilationError"))
+    message = str(reply.get("message", "isolated compile failed"))
+    if "report" in reply:
+        from repro.runtime import serde
+
+        return KernelAdmissionError(message, report=serde.decode(reply["report"]))
     cls = getattr(errors_mod, type_name, None)
     if isinstance(cls, type) and issubclass(cls, BaseException):
         try:
@@ -500,10 +522,7 @@ class ProcessIsolation:
         if not reply.get("ok"):
             # Clean compiler failure: not a crash, no strike — the
             # original exception type is re-raised for the caller.
-            raise _rebuild_error(
-                str(reply.get("error_type", "CompilationError")),
-                str(reply.get("message", "isolated compile failed")),
-            )
+            raise _rebuild_error(reply)
         from repro.runtime.program import CompiledProgram
 
         self.jobs_ok += 1

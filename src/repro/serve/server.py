@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.core.spec import check_shape
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -787,6 +788,12 @@ class KernelServer:
         from repro.runtime.executor import run_checked
 
         spec, arch, options, shape_hint = self._kernel_lookup("run", params)
+        M, N, K = (
+            int(params.get(dim, default))
+            for dim, default in (("M", 64), ("N", 64), ("K", 32))
+        )
+        batch = _run_batch(params)
+        check_shape(M, N, K, batch)  # before the refused shape costs a compile
         program, source = self.service.get_program_with_source(
             spec,
             arch,
@@ -795,13 +802,10 @@ class KernelServer:
             shape_hint=shape_hint,
         )
         report, max_error = run_checked(
-            program,
-            int(params.get("M", 64)),
-            int(params.get("N", 64)),
-            int(params.get("K", 32)),
+            program, M, N, K,
             seed=int(params.get("seed", 0)),
             alpha=float(params.get("alpha", 1.0)),
-            batch=_run_batch(params),
+            batch=batch,
             guarded=bool(params.get("guarded", False)),
         )
         result = {
@@ -856,8 +860,6 @@ class KernelServer:
             )
             report = program.verification
         except KernelAdmissionError as exc:
-            if exc.report is None:  # lost crossing a worker process
-                raise
             report, source = exc.report, "compiled"
         return {
             # Unsteered: the request's options key the program.

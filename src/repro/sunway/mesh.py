@@ -23,10 +23,10 @@ from repro.sunway.rma_engine import RMAEngine
 class Barrier:
     """A generation-counting mesh barrier.
 
-    The executor's ``synch()`` instructions call :meth:`arrive` once per
-    CPE and spin (block) until :meth:`passed`.  When the last participant
-    arrives, every clock is advanced to the common release time
-    (``max(clocks) + sync cost``) and RMA launches are armed.
+    The executor's ``synch()`` instruction calls :meth:`arrive` once per
+    CPE; an arrival that has not :meth:`passed` parks its CPE until the
+    last participant arrives.  Then every clock is advanced to the common
+    release time (``max(clocks) + sync cost``) and RMA launches are armed.
     """
 
     def __init__(self, arch: ArchSpec, cpes: List[CPE]) -> None:

@@ -88,6 +88,19 @@ def test_non_positive_shape_fails_cleanly(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_run_refuses_a_bad_shape_before_compiling(tmp_path, capsys):
+    """``run`` refuses the shape before the compile: the cache is left
+    without an artifact and without a compile."""
+    cache = ["--cache-dir", str(tmp_path)]
+    assert main([*cache, "run", "--arch", "toy", "-M", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "swgemm: error: M must be a positive integer, got 0"
+    assert main([*cache, "cache", "stats", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["disk"]["artifacts"] == 0
+    assert stats["persistent"].get("compiles", 0) == 0
+
+
 def test_verify_reports_a_refused_kernel_and_exits_1(monkeypatch, capsys):
     """``verify`` compiles through the gate; on a refusal it prints the
     report the refusal carries instead of a bare error."""

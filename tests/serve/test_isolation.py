@@ -255,3 +255,49 @@ def test_isolation_validates_configuration():
         ProcessIsolation(deadline_s=0)
     with pytest.raises(ConfigurationError):
         ProcessIsolation(memory_budget_mb=-1)
+
+
+# -- admission refusals across the boundary ------------------------------------
+
+
+def test_failure_reply_keeps_an_admission_refusal_report():
+    """A worker's failure reply carries a refusal's report, so the parent
+    rebuilds ``KernelAdmissionError`` with it, not a bare message."""
+    import pickle
+
+    from repro.errors import KernelAdmissionError
+    from repro.serve.isolation import _failure_reply, _rebuild_error
+    from tests.verify.test_admission import DroppedSynchAstPass, rejection
+
+    refusal, report = rejection({"ast-generation": DroppedSynchAstPass()})
+    # The reply crosses the pipe pickled.
+    reply = pickle.loads(pickle.dumps(_failure_reply(refusal)))
+    rebuilt = _rebuild_error(reply)
+    assert type(rebuilt) is KernelAdmissionError
+    assert str(rebuilt) == str(refusal)
+    assert rebuilt.report == report and not rebuilt.report.ok
+
+
+def test_isolated_daemon_verify_answers_a_refusal_with_its_checks(monkeypatch):
+    """Under ``--isolation process`` the ``verify`` op reports a refused
+    kernel as ``ok: false`` with its checks, as the thread daemon does."""
+    from repro.schedule import REWRITES, Rewrite
+    from repro.serve import Client, ServeConfig, start_in_thread
+    from repro.service import CompileService, ServiceConfig
+    from tests.schedule.test_rewrites import _drop_first_dma_wait
+
+    # Patched before the daemon forks its workers, so they inherit it.
+    monkeypatch.setitem(
+        REWRITES, "split-waits",
+        Rewrite("split-waits", "drops a wait", _drop_first_dma_wait),
+    )
+    handle = start_in_thread(
+        CompileService(ServiceConfig()),
+        ServeConfig(workers=1, quota=None, isolation="process"),
+    )
+    try:
+        with Client(handle.address, tenant="t") as client:
+            refused = client.verify({"arch": "toy", "schedule": "optimize"})
+    finally:
+        handle.stop()
+    assert (refused["ok"], refused["checks"]) == (False, 4)

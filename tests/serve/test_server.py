@@ -216,6 +216,22 @@ def test_run_refuses_non_positive_shapes(daemon, bad):
     assert err.value.remote_type == "ConfigurationError"
 
 
+def test_run_refuses_a_bad_shape_before_compiling():
+    """A refused shape costs the daemon no compile: the error is the one
+    ``run_checked`` raises, and the service's compile count stays put."""
+    service = CompileService(ServiceConfig())
+    handle = start_in_thread(service, ServeConfig(workers=1, quota=None))
+    try:
+        with Client(handle.address, tenant="t") as client:
+            with pytest.raises(RemoteError) as err:
+                client.run({"arch": "toy", "M": 0, "N": 32, "K": 16})
+    finally:
+        handle.stop()
+    assert err.value.remote_type == "ConfigurationError"
+    assert "M must be a positive integer, got 0" in str(err.value)
+    assert service.compile_count == 0
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.
