@@ -412,10 +412,11 @@ def cmd_passes_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.core.spec import check_shape
+    from repro.core.spec import check_run
     from repro.runtime.executor import run_checked
 
-    check_shape(args.M, args.N, args.K)  # before the refused shape costs a compile
+    # Before a refused shape or seed costs a compile.
+    check_run(args.M, args.N, args.K, seed=args.seed)
     program = _build_program(args)
     guarded = getattr(args, "guarded", False)
     report, error = run_checked(

@@ -35,6 +35,16 @@ def check_shape(M: int, N: int, K: int, batch: int = 1) -> None:
             )
 
 
+def check_run(M: int, N: int, K: int, batch: int = 1, seed: int = 0) -> None:
+    """Refuse what a seeded, NumPy-checked run refuses: a shape or batch
+    below 1 (:func:`check_shape`) and a negative seed.  ``run_checked``
+    runs it, and ``swgemm run`` and the daemon's ``run`` op run it before
+    they spend a compile on the request."""
+    check_shape(M, N, K, batch)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class GemmSpec:
     """One (possibly batched, possibly fused) DGEMM problem."""

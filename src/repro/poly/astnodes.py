@@ -6,11 +6,11 @@ complete AST vocabulary used by both back ends of this reproduction:
 
 * :mod:`repro.codegen.printer` pretty-prints the AST to athread C source
   (the paper's actual output), and
-* :mod:`repro.poly.flat` lowers the same AST to a flat instruction stream
-  that :mod:`repro.runtime.executor` runs against the simulated SW26010Pro
-  core group — which is how the reproduction validates that the generated
-  program is *correct*, not merely well-formatted — and the verifier's
-  schedule machine replays.
+* :mod:`repro.poly.pygen` prints the same AST as one Python generator
+  function that :mod:`repro.runtime.executor` runs against the simulated
+  SW26010Pro core group — which is how the reproduction validates that the
+  generated program is *correct*, not merely well-formatted — and the
+  verifier's schedule machine replays.
 
 Expressions are either plain tree nodes (:class:`BinExpr` etc.) or a thin
 wrapper over a quasi-affine expression (:class:`AffRef`), which keeps the

@@ -3,7 +3,7 @@
 * :mod:`repro.runtime.program` — the :class:`CompiledProgram` container
   (schedule tree + CPE AST + SPM buffer plan + metadata);
 * :mod:`repro.runtime.executor` — the interpreter that runs the 64 CPE
-  programs, lowered to one flat instruction stream, against the
+  programs, printed as one Python generator function, against the
   simulated cluster, validating numerics *and* communication discipline;
 * :mod:`repro.runtime.simulator` — the timed evaluation used by the
   benchmark harness (chunk-level discrete simulation, extrapolated over

@@ -2,29 +2,28 @@
 
 Each CPE executes the *same* generated program (SPMD) with its own
 ``Rid``/``Cid`` bindings, exactly as the athread slave function would.
-The body is lowered once per run by :func:`repro.poly.flat.lower` — the
-lowering the verifier's schedule machine runs too — with leaf
-instructions that drive the cluster's hardware model directly: the DMA
-and RMA engines, the mesh barrier, and each CPE's reply counters
-(:meth:`~repro.sunway.cpe.CPE.reset_reply`,
-:meth:`~repro.sunway.cpe.CPE.finish_wait`).  Each CPE runs the stream as
-a cursor.  A CPE blocks when it spins on a reply counter whose transfer
-has not completed: the wait re-polls the next time the CPE is resumed,
-so cross-CPE interactions — a receiver waiting for a broadcast its
-sender has not issued yet — behave exactly like the hardware's spin
-loops.  A CPE that arrives at the mesh barrier without opening it is
-*parked* instead: it is never polled, because only the last arrival
-changes what a poll would read.  That arrival moves every parked CPE
-past the barrier and queues them behind itself in arrival order.
+The body is printed once per run by :func:`repro.poly.pygen.lower` — the
+printer the verifier's schedule machine runs too — as one Python
+generator function whose leaf calls drive the cluster's hardware model
+directly: the DMA and RMA engines, the mesh barrier, and each CPE's
+reply counters (:meth:`~repro.sunway.cpe.CPE.reset_reply`,
+:meth:`~repro.sunway.cpe.CPE.finish_wait`).  Each CPE runs the function
+as its own generator, its cursor.  A CPE blocks when it spins on a reply
+counter whose transfer has not completed: the wait re-polls the next
+time the CPE is resumed, so cross-CPE interactions — a receiver waiting
+for a broadcast its sender has not issued yet — behave exactly like the
+hardware's spin loops.  A CPE that arrives at the mesh barrier without
+opening it is *parked* instead: it is never polled, because only the
+last arrival changes what a poll would read.  That arrival releases
+every parked CPE and queues them behind itself in arrival order.
 
 The scheduler always resumes the runnable CPE with the smallest virtual
-clock, the first queued among equal clocks.  The runnable CPEs sit in a
-binary heap keyed on ``(clock, enqueue order)``; a key that went stale
-while queued is re-keyed when it reaches the top, which is exact because
-no clock ever moves back (see :class:`_RunQueue`).  When no CPE is
-runnable and some are still blocked or parked, the run is reported as a
-deadlock with each CPE's blocking reason (``synch`` for a parked one),
-which turns schedule bugs into actionable failures instead of hangs.
+clock, the first queued among equal clocks, popped from a binary heap
+keyed on ``(clock, enqueue order)`` (see :class:`_RunQueue`).  When no
+CPE is runnable and some are still blocked or parked, the run is
+reported as a deadlock with each CPE's blocking reason (``synch`` for a
+parked one), which turns schedule bugs into actionable failures instead
+of hangs.
 
 Two modes share all of this logic:
 
@@ -35,7 +34,7 @@ Two modes share all of this logic:
   copies.
 
 Each run sets the mode, and the guard of guarded execution, on both
-engines before the first instruction.
+engines before the first statement.
 
 The virtual clocks advance through compute charges and transfer
 completions, so wall time *emerges from the schedule*: if the latency-
@@ -45,15 +44,15 @@ hiding pass failed to overlap a transfer, the measured time shows it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ExecutionError, SynchronizationError
+from repro.errors import ExecutionError, SynchronizationError
 from repro.codegen.elementwise import get_elementwise
-from repro.core.spec import check_shape
+from repro.core.spec import check_run
 from repro.codegen.backend import resolve_kernel
 from repro.poly.astnodes import (
     BINARY_OPS,
@@ -65,16 +64,17 @@ from repro.poly.astnodes import (
     NaiveComputeStmt,
     Stmt,
 )
-from repro.poly.flat import (
+from repro.poly.pygen import (
     BLOCKED,
     DONE,
-    NEXT,
+    RUN_ON,
     STEP,
+    WAIT,
+    YIELD,
     Cursor,
-    Instr,
-    compile_expr,
+    Leaf,
+    Reply,
     lower,
-    reply_key,
 )
 from repro.runtime.program import CompiledProgram
 from repro.sunway.cpe import CPE
@@ -105,12 +105,12 @@ class ExecutionReport:
 
 
 class _Cursor(Cursor):
-    """One CPE's place in the lowered program."""
+    """One CPE's run of the printed program."""
 
     __slots__ = ("cpe", "waited_since")
 
-    def __init__(self, cpe: CPE, env: Dict[str, object], slots: int) -> None:
-        super().__init__(env, slots)
+    def __init__(self, cpe: CPE, env: Dict[str, object]) -> None:
+        super().__init__(env)
         self.cpe = cpe
         #: the watchdog's budget start: when the wait this CPE is blocked
         #: in first failed to pass (None when not blocked in a wait).
@@ -123,13 +123,9 @@ class _RunQueue:
 
     A binary heap of ``(clock, seq, cursor)`` entries; ``seq`` counts the
     pushes, so it is unique and a comparison never reaches the cursor.
-    A queued cursor's clock may move forward while it waits, so its key
-    can be stale (no executor run makes one: a barrier release finds no
-    CPE queued).  Clocks never move back (:meth:`CPE.advance` refuses a
-    negative charge and :meth:`CPE.sync_to` only raises), so a key is
-    never above its cursor's clock: ``pop`` re-keys a stale top with the
-    current clock and the *same* ``seq``, and a top whose key is current
-    is the true minimum.
+    A queued cursor's clock does not move: only its own resume and a
+    barrier release move a clock, and the barrier opens only when every
+    CPE has arrived, so none is queued then.
     """
 
     __slots__ = ("_heap", "_seq")
@@ -146,13 +142,7 @@ class _RunQueue:
         self._seq += 1
 
     def pop(self) -> _Cursor:
-        heap = self._heap
-        clock, seq, cursor = heap[0]
-        while clock < cursor.cpe.clock:
-            heapreplace(heap, (cursor.cpe.clock, seq, cursor))
-            clock, seq, cursor = heap[0]
-        heappop(heap)
-        return cursor
+        return heappop(self._heap)[2]
 
 
 class Executor:
@@ -224,14 +214,25 @@ class Executor:
                 self.guard.on_spm(str(cpe), cpe.spm.used_bytes)
         self.cluster.begin_spawn()
 
-        # The instruction stream is local to the run: its closures hold
-        # this executor, so keeping it on ``self`` would be a cycle.
-        code, slots = lower(program.cpe_program.body, self._leaf)
-        self._schedule(code, [
+        cursors = [
             _Cursor(cpe, dict(params, Rid=cpe.rid, Cid=cpe.cid, alpha=alpha,
-                              beta=beta), slots)
+                              beta=beta))
             for cpe in self.cluster.all_cpes()
-        ])
+        ]
+        # The function is local to the run: its globals hold the leaf
+        # closures, which hold this executor.
+        cpe_program = lower(program.cpe_program.body, self._leaf, cursors[0].env)
+        for cursor in cursors:
+            cursor.start(cpe_program)
+        try:
+            self._schedule(cursors)
+        finally:
+            # A suspended generator's frame holds its cursor: close them
+            # all, so no run leaves a reference cycle behind.
+            for cursor in cursors:
+                cursor.gen.close()
+            self._parked.clear()
+            self._released.clear()
 
         elapsed = self.cluster.elapsed()
         return ExecutionReport(
@@ -260,8 +261,8 @@ class Executor:
     # blocked in a reply wait, or parked at the barrier.  Blocked CPEs are
     # re-armed (queued again, in the order they blocked) whenever a resume
     # makes progress.  Parked CPEs wait in arrival order and are never
-    # polled: the arrival that opens the barrier moves them past it, and
-    # they are queued right behind it, ahead of the re-armed ones.
+    # polled: the arrival that opens the barrier releases them, and they
+    # are queued right behind it, ahead of the re-armed ones.
     #
     # Among equal clocks the CPE enqueued first runs first: each enqueue —
     # the initial cursors in mesh order, a cursor requeued after its
@@ -281,17 +282,16 @@ class Executor:
     # move only in resumes that progress), so another poll would fail the
     # same way; a parked one waits for an arrival that no CPE can make.
 
-    def _schedule(self, code: List[Instr], cursors: List[_Cursor]) -> None:
+    def _schedule(self, cursors: List[_Cursor]) -> None:
         queue = _RunQueue()
         for cursor in cursors:
             queue.push(cursor)
         blocked: List[_Cursor] = []
         parked, released = self._parked, self._released
-        parked.clear()  # what a deadlocked run left behind
         while queue:
             cursor = queue.pop()
             before = self._progress
-            status = self._resume(code, cursor)
+            status = self._resume(cursor)
             if status == STEP:
                 queue.push(cursor)
                 if released:
@@ -318,18 +318,10 @@ class Executor:
                 f"no progress — {reasons or 'no reasons recorded'}"
             )
 
-    def _resume(self, code: List[Instr], cursor: _Cursor) -> int:
-        signal = code[cursor.pc](cursor)
-        while not signal:
-            signal = code[cursor.pc](cursor)
+    def _resume(self, cursor: _Cursor) -> int:
+        signal = next(cursor.gen)
         if signal == DONE:
             self._progress += 1
-        return signal
-
-    def _advance(self, cursor: _Cursor, signal: int = STEP) -> int:
-        """The end of a leaf instruction that did its work."""
-        self._progress += 1
-        cursor.pc += 1
         return signal
 
     def _watchdog_error(
@@ -360,10 +352,11 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Leaf instructions
+    # Leaf calls: each takes the cursor and the statement's evaluated
+    # operands, and counts the progress it makes.
     # ------------------------------------------------------------------
 
-    def _leaf(self, stmt: Stmt) -> List[Instr]:
+    def _leaf(self, stmt: Stmt) -> List[Leaf]:
         if isinstance(stmt, CommStmt):
             return self._comm(stmt)
         if isinstance(stmt, KernelCall):
@@ -376,7 +369,7 @@ class Executor:
 
     # -- communication statements (the §7.1 extension node type) ----------
 
-    def _comm(self, stmt: CommStmt) -> List[Instr]:
+    def _comm(self, stmt: CommStmt) -> List[Leaf]:
         kind = stmt.kind
         args = stmt.args
         if kind == "reply_reset":
@@ -391,58 +384,54 @@ class Executor:
             return [self._synch()]
         return [_fail(f"unknown communication statement {kind!r}")]
 
-    def _reply_reset(self, args) -> Instr:
-        key_of = reply_key(args)
+    def _reply_reset(self, args) -> Leaf:
+        def reply_reset(cursor: _Cursor, key: str) -> None:
+            cursor.cpe.reset_reply(key)
+            self._progress += 1
 
-        def reply_reset(cursor: _Cursor) -> int:
-            cursor.cpe.reset_reply(key_of(cursor))
-            return self._advance(cursor, NEXT)
+        return Leaf(reply_reset, (Reply.of(args),), RUN_ON)
 
-        return reply_reset
-
-    def _dma(self, kind: str, args) -> Instr:
+    def _dma(self, kind: str, args) -> Leaf:
         name = str(args["array"])
-        row_of, col_of, slot_of = (
-            compile_expr(args[key]) for key in ("row", "col", "slot")
-        )
-        batch = args.get("batch")
-        batch_of = compile_expr(batch) if batch is not None else None
         length, size = int(args["len"]), int(args["size"])
         buffer = str(args["buffer"])
-        key_of = reply_key(args)
         memory, engine = self.cluster.memory, self.cluster.dma
+        get = kind == "dma_iget"
 
-        def dma(cursor: _Cursor) -> int:
+        def dma(cursor: _Cursor, row: int, col: int, slot: int, reply: str) -> None:
             array = memory[name]
             ld = int(array.shape[-1])
-            row = row_of(cursor)
-            col = col_of(cursor)
-            if batch_of is not None:
-                row += batch_of(cursor) * array.shape[-2]
             offset = row * ld + col
-            tile = (buffer, slot_of(cursor))
-            reply = key_of(cursor)
-            if kind == "dma_iget":
-                engine.iget(cursor.cpe, tile, array, offset, size, length,
-                            ld - length, reply)
+            if get:
+                engine.iget(cursor.cpe, (buffer, slot), array, offset, size,
+                            length, ld - length, reply)
             else:
-                engine.iput(cursor.cpe, array, offset, tile, size, length,
-                            ld - length, reply)
+                engine.iput(cursor.cpe, array, offset, (buffer, slot), size,
+                            length, ld - length, reply)
             # channel occupancy depends on virtual-time order
-            return self._advance(cursor)
+            self._progress += 1
 
-        return dma
+        row, col, slot, reply = args["row"], args["col"], args["slot"], Reply.of(args)
+        batch = args.get("batch")
+        if batch is None:
+            return Leaf(dma, (row, col, slot, reply))
 
-    def _wait(self, kind: str, args) -> Instr:
-        key_of = reply_key(args)
+        def batched_dma(cursor: _Cursor, row: int, col: int, batch: int,
+                        slot: int, reply: str) -> None:
+            dma(cursor, row + batch * memory[name].shape[-2], col, slot, reply)
+
+        return Leaf(batched_dma, (row, col, batch, slot, reply))
+
+    def _wait(self, kind: str, args) -> Leaf:
         value = int(args.get("value", 1))
         elapsed = self.cluster.elapsed
         blocked = self._blocked
 
-        def wait(cursor: _Cursor) -> int:
+        def wait(cursor: _Cursor, key: str) -> bool:
+            """One poll: True while the counter is short of ``value``."""
             cpe = cursor.cpe
-            key = key_of(cursor)
-            if not cpe.reply(key).satisfied(value):
+            counter = cpe.reply(key)
+            if counter.value < value:
                 blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
                 # Watchdog: a reply that the fault plane dropped will never
                 # arrive — diagnose immediately.  Otherwise give the wait a
@@ -458,40 +447,34 @@ class Executor:
                     and elapsed() - cursor.waited_since > self._watchdog_s
                 ):
                     raise self._watchdog_error(cpe, kind, key, value, lost=False)
-                return BLOCKED
+                return True
             cursor.waited_since = None
             blocked.pop((cpe.rid, cpe.cid), None)
-            cpe.finish_wait(key, value)
-            return self._advance(cursor)
+            cpe.finish_wait(counter, value)
+            self._progress += 1
+            return False
 
-        return wait
+        return Leaf(wait, (Reply.of(args),), WAIT)
 
-    def _rma(self, kind: str, args) -> Instr:
-        src_slot_of, dst_slot_of, reply_slot_of = (
-            compile_expr(args[key]) for key in ("src_slot", "dst_slot", "reply_slot")
-        )
+    def _rma(self, kind: str, args) -> Leaf:
         src, dst = str(args["src_buffer"]), str(args["dst_buffer"])
         size = int(args["size"])
-        replys, replyr = args["replys"], args["replyr"]
         engine = self.cluster.rma
         issue = engine.row_ibcast if kind == "rma_row_ibcast" else engine.col_ibcast
 
-        def rma(cursor: _Cursor) -> int:
-            slot_s = src_slot_of(cursor)
-            slot_d = dst_slot_of(cursor)
-            reply_slot = reply_slot_of(cursor)
-            issue(
-                cursor.cpe, (src, slot_s), (dst, slot_d), size,
-                f"{replys}#{reply_slot}", f"{replyr}#{reply_slot}",
-            )
-            return self._advance(cursor)
+        def rma(cursor: _Cursor, slot_s: int, slot_d: int, replys: str,
+                replyr: str) -> None:
+            issue(cursor.cpe, (src, slot_s), (dst, slot_d), size, replys, replyr)
+            self._progress += 1
 
-        return rma
+        slot = args["reply_slot"]
+        return Leaf(rma, (args["src_slot"], args["dst_slot"],
+                          Reply(args["replys"], slot), Reply(args["replyr"], slot)))
 
-    def _synch(self) -> Instr:
+    def _synch(self) -> Leaf:
         """``synch()``: arrive at the mesh barrier.  An arrival that does
-        not open it parks; the one that does moves every parked CPE past
-        the barrier and leaves them to be queued behind it."""
+        not open it parks; the one that does releases every parked CPE,
+        to be queued behind it, and steps past the barrier."""
         mesh_barrier = self.cluster.barrier
         parked, released = self._parked, self._released
 
@@ -499,108 +482,93 @@ class Executor:
             if not mesh_barrier.passed(mesh_barrier.arrive(cursor.cpe)):
                 parked.append(cursor)
                 return PARKED
-            for waiter in parked:
-                waiter.pc += 1
             released.extend(parked)
             parked.clear()
-            return self._advance(cursor)
+            self._progress += 1
+            return STEP
 
-        return synch
+        return Leaf(synch, (), YIELD)
 
     # -- compute statements ----------------------------------------------------
 
-    def _tile(self, ref: ArrayRef) -> Callable[[_Cursor], np.ndarray]:
-        """The SPM tile ``ref``'s slot index selects, checked readable."""
-        name = ref.array
-        slot_of = compile_expr(ref.indices[0])
+    def _gemm(self, refs, alpha, trans_a: bool, trans_b: bool, seconds: float,
+              update: Optional[Callable[..., None]]) -> Leaf:
+        """A kernel call or naive compute: the SPM tiles the slots of
+        ``refs`` select, each checked readable, then ``update(C, A, B,
+        alpha)`` unless it is None (timing only), then the compute charge."""
+        names = tuple(ref.array for ref in refs)
 
-        def tile(cursor: _Cursor) -> np.ndarray:
-            spm = cursor.cpe.spm
-            slot = slot_of(cursor)
-            spm.check_readable(name, slot)
-            return spm.slot(name, slot)
-
-        return tile
-
-    def _kernel_done(self, seconds: float) -> Instr:
-        """The bookkeeping that ends a kernel call or naive compute."""
-        cluster = self.cluster
-
-        def kernel_done(cursor: _Cursor) -> int:
+        def gemm(cursor: _Cursor, c_slot: int, a_slot: int, b_slot: int,
+                 alpha: object) -> None:
             cpe = cursor.cpe
-            charge_compute(cluster, cpe, seconds)
-            cpe.stats["kernel_calls"] += 1
-            return self._advance(cursor)
-
-        return kernel_done
-
-    def _kernel_call(self, stmt: KernelCall) -> Instr:
-        c_of, a_of, b_of = map(self._tile, (stmt.c_ref, stmt.a_ref, stmt.b_ref))
-        alpha_of = compile_expr(stmt.alpha)
-        trans_a, trans_b = stmt.trans_a, stmt.trans_b
-        execute = self.kernel.execute if self.move_data else None
-        done = self._kernel_done(
-            self.kernel.seconds_per_call * self._kernel_time_factor
-        )
-
-        def kernel_call(cursor: _Cursor) -> int:
-            c_view, a_view, b_view = c_of(cursor), a_of(cursor), b_of(cursor)
-            alpha = float(alpha_of(cursor))
-            if execute is not None:
+            c_view, a_view, b_view = _tiles(cpe.spm, names, (c_slot, a_slot, b_slot))
+            alpha = float(alpha)
+            if update is not None:
                 # Transposed entry points read the SPM tiles in their
                 # storage layouts (kt×mt / nt×kt); the zero-copy transpose
                 # restores the kernel's canonical contract shapes.
-                a_eff = a_view.T if trans_a else a_view
-                b_eff = b_view.T if trans_b else b_view
-                execute(c_view, a_eff, b_eff, alpha)
-            return done(cursor)
+                update(c_view, a_view.T if trans_a else a_view,
+                       b_view.T if trans_b else b_view, alpha)
+            self._kernel_done(cpe, seconds)
 
-        return kernel_call
+        return Leaf(gemm, tuple(ref.indices[0] for ref in refs) + (alpha,))
 
-    def _block_op(self, stmt: BlockOpStmt) -> Instr:
+    def _kernel_done(self, cpe: CPE, seconds: float) -> None:
+        """The bookkeeping that ends a kernel call or naive compute."""
+        charge_compute(self.cluster, cpe, seconds)
+        cpe.stats["kernel_calls"] += 1
+        self._progress += 1
+
+    def _kernel_call(self, stmt: KernelCall) -> Leaf:
+        return self._gemm(
+            (stmt.c_ref, stmt.a_ref, stmt.b_ref), stmt.alpha, stmt.trans_a,
+            stmt.trans_b, self.kernel.seconds_per_call * self._kernel_time_factor,
+            self.kernel.execute if self.move_data else None,
+        )
+
+    def _block_op(self, stmt: BlockOpStmt) -> Leaf:
         if stmt.op == "scale":
             func = None
-            factor_of = compile_expr(stmt.factor)
             rate = self.program.arch.cpe_elementwise_rate
         elif stmt.op == "apply":
             func = get_elementwise(stmt.func)
             rate = func.cpe_rate
         else:
             return _fail(f"unknown block op {stmt.op!r}")
-        tile = self._tile(stmt.dst)
+        name = (stmt.dst.array,)
         move_data = self.move_data
         seconds = stmt.shape[0] * stmt.shape[1] / rate
         cluster = self.cluster
 
-        def block_op(cursor: _Cursor) -> int:
-            view = tile(cursor)
+        def block_op(cursor: _Cursor, slot: int, factor: object = None) -> None:
+            (view,) = _tiles(cursor.cpe.spm, name, (slot,))
             if func is None:
-                factor = float(factor_of(cursor))
+                factor = float(factor)
                 if move_data:
                     view *= factor
             elif move_data:
                 view[...] = func.numpy_fn(view)
             charge_compute(cluster, cursor.cpe, seconds, kind="blockop")
-            return self._advance(cursor)
+            self._progress += 1
 
-        return block_op
+        slot = stmt.dst.indices[0]
+        return Leaf(block_op, (slot,) if func is not None else (slot, stmt.factor))
 
-    def _naive(self, stmt: NaiveComputeStmt) -> Instr:
-        seconds = self.program.arch.naive_time_s(*stmt.extents)
-        done = self._kernel_done(seconds * self._kernel_time_factor)
+    def _naive(self, stmt: NaiveComputeStmt) -> Leaf:
+        seconds = self.program.arch.naive_time_s(*stmt.extents) * self._kernel_time_factor
+        done = self._kernel_done
         if not self.move_data:
-            return done
-        update = _scalar_oracle(stmt) if self.scalar_naive else self._matmul(stmt)
+            return Leaf(lambda cursor: done(cursor.cpe, seconds))
+        if self.scalar_naive:
+            update = _scalar_oracle(stmt)
 
-        def naive(cursor: _Cursor) -> int:
-            update(cursor)
-            return done(cursor)
+            def naive(cursor: _Cursor) -> None:
+                update(cursor)
+                done(cursor.cpe, seconds)
 
-        return naive
-
-    def _matmul(self, stmt: NaiveComputeStmt) -> Callable[[_Cursor], None]:
-        """Fast path: the --no-use-asm body is always the canonical GEMM
-        update, so the whole point-loop box evaluates as one matmul."""
+            return Leaf(naive)
+        # Fast path: the --no-use-asm body is always the canonical GEMM
+        # update, so the whole point-loop box evaluates as one matmul.
         value = stmt.value
         if not (
             isinstance(value, BinExpr)
@@ -613,18 +581,10 @@ class Executor:
             return _fail(
                 "naive compute statement does not match the canonical GEMM form"
             )
-        c_of, a_of, b_of = map(self._tile, (stmt.target, value.lhs.rhs, value.rhs))
-        alpha_of = compile_expr(value.lhs.lhs)
-        trans_a, trans_b = stmt.trans_a, stmt.trans_b
-
-        def matmul(cursor: _Cursor) -> None:
-            c_view, a_view, b_view = c_of(cursor), a_of(cursor), b_of(cursor)
-            alpha = float(alpha_of(cursor))
-            a_eff = a_view.T if trans_a else a_view
-            b_eff = b_view.T if trans_b else b_view
-            c_view += alpha * (a_eff @ b_eff)
-
-        return matmul
+        return self._gemm(
+            (stmt.target, value.lhs.rhs, value.rhs), value.lhs.lhs, stmt.trans_a,
+            stmt.trans_b, seconds, _matmul,
+        )
 
 
 def charge_compute(
@@ -640,13 +600,26 @@ def charge_compute(
         cluster.trace.record(kind, start, cpe.clock, f"CPE({cpe.rid},{cpe.cid})")
 
 
-def _fail(message: str) -> Callable[[_Cursor], int]:
-    """An instruction that raises ``ExecutionError(message)`` when run."""
+def _matmul(c_view, a_view, b_view, alpha: float) -> None:
+    c_view += alpha * (a_view @ b_view)
 
-    def fail(cursor: _Cursor) -> int:
+
+def _tiles(spm, names, slots) -> List[np.ndarray]:
+    """The SPM tiles the slots select, each checked readable."""
+    views = []
+    for name, slot in zip(names, slots):
+        spm.check_readable(name, slot)
+        views.append(spm.slot(name, slot))
+    return views
+
+
+def _fail(message: str) -> Leaf:
+    """A leaf that raises ``ExecutionError(message)`` when run."""
+
+    def fail(cursor: _Cursor) -> None:
         raise ExecutionError(message)
 
-    return fail
+    return Leaf(fail)
 
 
 def _scalar_oracle(stmt: NaiveComputeStmt) -> Callable[[_Cursor], None]:
@@ -804,9 +777,7 @@ def run_checked(
     C out.  A shape or batch below 1 and a negative seed are refused
     with a :class:`~repro.errors.ConfigurationError`.
     """
-    check_shape(M, N, K, batch)
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    check_run(M, N, K, batch, seed)
     spec = program.spec
     rng = np.random.default_rng(seed)
     lead = (batch,) if spec.is_batched else ()

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.core.spec import check_shape
+from repro.core.spec import check_run
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -793,7 +793,9 @@ class KernelServer:
             for dim, default in (("M", 64), ("N", 64), ("K", 32))
         )
         batch = _run_batch(params)
-        check_shape(M, N, K, batch)  # before the refused shape costs a compile
+        seed = int(params.get("seed", 0))
+        # Before a refused shape or seed costs a compile.
+        check_run(M, N, K, batch, seed)
         program, source = self.service.get_program_with_source(
             spec,
             arch,
@@ -803,7 +805,7 @@ class KernelServer:
         )
         report, max_error = run_checked(
             program, M, N, K,
-            seed=int(params.get("seed", 0)),
+            seed=seed,
             alpha=float(params.get("alpha", 1.0)),
             batch=batch,
             guarded=bool(params.get("guarded", False)),

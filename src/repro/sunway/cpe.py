@@ -40,12 +40,14 @@ class ReplyCounter:
     afterwards (``reply = 0; ... ; dma_wait_value(&reply, 1);``).
     """
 
-    __slots__ = ("name", "value", "records")
+    __slots__ = ("name", "value", "records", "disarms")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
         self.records: List[ReplyRecord] = []
+        #: whether a completed wait on this counter disarms its CPE
+        self.disarms = is_rma_counter(name)
 
     def reset(self) -> None:
         self.value = 0
@@ -64,6 +66,8 @@ class ReplyCounter:
                 f"reply {self.name!r} waited to {target} but only "
                 f"{self.value} messages completed"
             )
+        if target == 1:
+            return self.records[0].time
         return max(r.time for r in self.records[:target])
 
     def consume(self, target: int) -> List[ReplyRecord]:
@@ -116,17 +120,17 @@ class CPE:
         # the previous window no longer explains a stall on this counter.
         self.lost_replies.pop(name, None)
 
-    def finish_wait(self, name: str, value: int) -> None:
-        """Commit a completed ``*_wait_value``: advance the clock to the
-        completion time and un-poison the buffers the wait covered."""
-        counter = self.reply(name)
+    def finish_wait(self, counter: ReplyCounter, value: int) -> None:
+        """Commit a completed ``*_wait_value`` on one of this CPE's
+        counters: advance the clock to the completion time and un-poison
+        the buffers the wait covered."""
         self.sync_to(counter.completion_time(value))
         for record in counter.consume(value):
             if record.buffer is not None:
                 self.spm.clear_inflight(record.buffer[0], record.buffer[1])
         # A completed RMA wait disarms the launch window (§5): the next
         # launch group needs a fresh synch().
-        if is_rma_counter(name):
+        if counter.disarms:
             self.rma_armed = False
 
     # -- clock ---------------------------------------------------------------

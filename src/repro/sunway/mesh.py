@@ -8,7 +8,7 @@ that synchronisation *arms* subsequent RMA launches.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import MeshError
 from repro.faults import FaultInjector, FaultPolicy, RetryPolicy
@@ -23,7 +23,7 @@ from repro.sunway.rma_engine import RMAEngine
 class Barrier:
     """A generation-counting mesh barrier.
 
-    The executor's ``synch()`` instruction calls :meth:`arrive` once per
+    The executor's ``synch()`` leaf call runs :meth:`arrive` once per
     CPE; an arrival that has not :meth:`passed` parks its CPE until the
     last participant arrives.  Then every clock is advanced to the common
     release time (``max(clocks) + sync cost``) and RMA launches are armed.
@@ -33,13 +33,14 @@ class Barrier:
         self.arch = arch
         self.expected = len(cpes)
         self.generation = 0
-        self._arrived: List[CPE] = []
+        #: the CPEs that arrived in this generation, in arrival order
+        self._arrived: Dict[CPE, None] = {}
 
     def arrive(self, cpe: CPE) -> int:
         if cpe in self._arrived:
             raise MeshError(f"{cpe!r} arrived twice at the same barrier")
         token = self.generation
-        self._arrived.append(cpe)
+        self._arrived[cpe] = None
         if len(self._arrived) == self.expected:
             release = max(c.clock for c in self._arrived) + self.arch.sync_us * 1e-6
             for c in self._arrived:

@@ -10,13 +10,13 @@ movement and the cost model, which makes the double-buffer hazard
 check (§6) and the RMA discipline check (§5) decidable before a kernel
 is ever admitted.
 
-The body is lowered once per run by :func:`repro.poly.flat.lower`, the
-lowering the executor runs too, with leaf instructions that check
-instead of moving data.  One *resume* of a CPE runs instructions up to
-its next leaf statement (one step), or re-polls the wait or barrier it
-is blocked in; ``reply_reset``, the arrival half of ``synch()``,
-comments and control flow take no step of their own.  ``run()``
-resumes the live CPEs round robin.
+The body is printed once per run by :func:`repro.poly.pygen.lower`, the
+printer the executor runs too, with leaf calls that check instead of
+moving data.  One *resume* of a CPE runs its generator up to its next
+leaf statement (one step), or re-polls the wait or barrier it is
+blocked in; ``reply_reset``, the arrival half of ``synch()``, comments
+and control flow take no step of their own.  ``run()`` resumes the live
+CPEs round robin.
 
 The machine runs one *chunk* problem with ``K = 2·k_step`` so both
 double-buffer parities (even and odd slots of the peeled/pipelined
@@ -40,17 +40,15 @@ from repro.poly.astnodes import (
     NaiveComputeStmt,
     Stmt,
 )
-from repro.poly.flat import (
-    BLOCKED,
+from repro.poly.pygen import (
     DONE,
-    NEXT,
+    RUN_ON,
     STEP,
+    WAIT,
     Cursor,
-    Instr,
-    compile_expr,
-    constant,
+    Leaf,
+    Reply,
     lower,
-    reply_key,
 )
 from repro.sunway.cpe import is_rma_counter
 
@@ -78,7 +76,7 @@ class MachineResult:
 
 class _CpeState(Cursor):
     """Per-CPE verification state: in-flight map, reply ledger, and
-    where the CPE is in the instruction stream."""
+    the CPE's run of the printed program."""
 
     __slots__ = (
         "rid",
@@ -156,17 +154,26 @@ class ScheduleMachine:
     # -- driving loop -------------------------------------------------------
 
     def run(self) -> MachineResult:
-        code, slots = lower(self.program.body, self._leaf)
         live = [s for row in self.states for s in row]
+        cpe_program = lower(self.program.body, self._leaf, live[0].env)
         for state in live:
-            state.loops = [None] * slots
+            state.start(cpe_program)
+        try:
+            self._run(live)
+        finally:
+            # A suspended generator's frame holds its state: close them
+            # all, so no replay leaves a reference cycle behind.
+            for row in self.states:
+                for state in row:
+                    state.gen.close()
+        return self.result
+
+    def _run(self, live: List[_CpeState]) -> None:
         steps = 0
         while live:
             progressed = False
             for state in list(live):
-                signal = code[state.pc](state)
-                while not signal:
-                    signal = code[state.pc](state)
+                signal = next(state.gen)
                 if signal == DONE:
                     live.remove(state)
                     progressed = True
@@ -180,7 +187,7 @@ class ScheduleMachine:
                         f"schedule did not terminate within {MAX_STEPS} steps"
                     )
                     self._finish()
-                    return self.result
+                    return
             if not progressed and live:
                 # Every live CPE blocked in this round, each exactly once.
                 reasons = {
@@ -190,14 +197,13 @@ class ScheduleMachine:
                 self.result.completed = False
                 self.result.deadlock = "; ".join(sorted(reasons)[:8])
                 self._finish()
-                return self.result
+                return
         self._stats["steps"] = steps
         self._finish()
-        return self.result
 
-    # -- leaf instructions ----------------------------------------------------
+    # -- leaf calls -------------------------------------------------------------
 
-    def _leaf(self, stmt: Stmt) -> List[Instr]:
+    def _leaf(self, stmt: Stmt) -> List[Leaf]:
         if isinstance(stmt, CommStmt):
             return self._comm(stmt)
         if isinstance(stmt, KernelCall):
@@ -217,9 +223,9 @@ class ScheduleMachine:
                 )
             )]
         # Anything else (AssignStmt over scalars, …) is hazard-neutral.
-        return [_step]
+        return [_STEP]
 
-    def _comm(self, stmt: CommStmt) -> List[Instr]:
+    def _comm(self, stmt: CommStmt) -> List[Leaf]:
         kind = stmt.kind
         if kind == "reply_reset":
             return [self._reply_reset(stmt.args)]
@@ -231,51 +237,37 @@ class ScheduleMachine:
             return [self._rma(kind, stmt.args)]
         if kind == "synch":
             return self._synch()
-        return [_step]
+        return [_STEP]
 
-    def _reads(self, refs) -> Instr:
+    def _reads(self, refs) -> Leaf:
         """A compute statement: check every SPM operand it reads."""
-        checks = tuple(
-            (
-                ref.array,
-                compile_expr(ref.indices[0]) if ref.indices else constant(0),
-                what,
-            )
-            for ref, what in refs
-            if ref.memory == "spm"
-        )
+        spm = [(ref, what) for ref, what in refs if ref.memory == "spm"]
+        checks = tuple((ref.array, what) for ref, what in spm)
         check_slot = self._check_slot
 
-        def reads(state: _CpeState) -> int:
+        def reads(state: _CpeState, *slots: int) -> None:
             inflight = state.inflight
-            for buffer, slot_of, what in checks:
-                slot = slot_of(state)
+            for (buffer, what), slot in zip(checks, slots):
                 if (buffer, slot) in inflight:
                     check_slot(state, buffer, slot, what)
-            state.pc += 1
-            return STEP
 
-        return reads
+        return Leaf(reads, tuple(
+            ref.indices[0] if ref.indices else 0 for ref, _ in spm
+        ))
 
-    def _reply_reset(self, args) -> Instr:
-        key_of = reply_key(args)
+    def _reply_reset(self, args) -> Leaf:
         flag_unconsumed = self._flag_unconsumed
 
-        def reply_reset(state: _CpeState) -> int:
-            key = key_of(state)
+        def reply_reset(state: _CpeState, key: str) -> None:
             flag_unconsumed(state, key, at="reply_reset")
             state.counters[key] = 0
             state.records[key] = []
             state.waited[key] = 0
-            state.pc += 1
-            return NEXT
 
-        return reply_reset
+        return Leaf(reply_reset, (Reply.of(args),), RUN_ON)
 
-    def _dma(self, kind: str, args) -> Instr:
-        slot_of = compile_expr(args["slot"])
+    def _dma(self, kind: str, args) -> Leaf:
         buffer = str(args["buffer"])
-        key_of = reply_key(args)
         cause = f"{kind}/"
         # A put *reads* the SPM source; mirror DMAEngine.iput's
         # check_readable-then-mark order.
@@ -283,9 +275,7 @@ class ScheduleMachine:
         check_slot = self._check_slot
         stats = self._stats
 
-        def dma(state: _CpeState) -> int:
-            slot = slot_of(state)
-            key = key_of(state)
+        def dma(state: _CpeState, slot: int, key: str) -> None:
             if put:
                 check_slot(state, buffer, slot, "dma_iput source")
             state.inflight[(buffer, slot)] = cause + key
@@ -293,62 +283,48 @@ class ScheduleMachine:
             counters[key] = counters.get(key, 0) + 1
             state.records.setdefault(key, []).append((buffer, slot))
             stats["dma_issues"] += 1
-            state.pc += 1
-            return STEP
 
-        return dma
+        return Leaf(dma, (args["slot"], Reply.of(args)))
 
-    def _wait(self, kind: str, args) -> Instr:
-        key_of = reply_key(args)
+    def _wait(self, kind: str, args) -> Leaf:
         value = int(args.get("value", 1))
         finish_wait = self._finish_wait
         stats = self._stats
 
-        def wait(state: _CpeState) -> int:
-            key = key_of(state)
+        def wait(state: _CpeState, key: str) -> bool:
+            """One poll: True while the counter is short of ``value``."""
             if state.counters.get(key, 0) < value:
                 state.blocked = f"{kind} {key} >= {value}"
-                return BLOCKED
+                return True
             finish_wait(state, key, value)
             stats["waits"] += 1
-            state.pc += 1
-            return STEP
+            return False
 
-        return wait
+        return Leaf(wait, (Reply.of(args),), WAIT)
 
-    def _rma(self, kind: str, args) -> Instr:
-        src_slot_of = compile_expr(args["src_slot"])
-        dst_slot_of = compile_expr(args["dst_slot"])
-        reply_slot_of = compile_expr(args["reply_slot"])
+    def _rma(self, kind: str, args) -> Leaf:
         src = str(args["src_buffer"])
         dst = str(args["dst_buffer"])
-        replys = args["replys"]
-        replyr = args["replyr"]
         issue = self._issue_rma
         stats = self._stats
 
-        def rma(state: _CpeState) -> int:
-            slot_s = src_slot_of(state)
-            slot_d = dst_slot_of(state)
-            reply_slot = reply_slot_of(state)
-            issue(
-                state, kind, src, slot_s, dst, slot_d,
-                f"{replys}#{reply_slot}", f"{replyr}#{reply_slot}",
-            )
+        def rma(state: _CpeState, slot_s: int, slot_d: int, replys: str,
+                replyr: str) -> None:
+            issue(state, kind, src, slot_s, dst, slot_d, replys, replyr)
             stats["rma_issues"] += 1
-            state.pc += 1
-            return STEP
 
-        return rma
+        slot = args["reply_slot"]
+        return Leaf(rma, (args["src_slot"], args["dst_slot"],
+                          Reply(args["replys"], slot), Reply(args["replyr"], slot)))
 
-    def _synch(self) -> List[Instr]:
+    def _synch(self) -> List[Leaf]:
         """``synch()``: the last CPE of the mesh to arrive opens the
         barrier and arms every CPE; the others spin until it opens."""
         mesh_size = self.mesh * self.mesh
         everyone = [s for row in self.states for s in row]
         stats = self._stats
 
-        def arrive(state: _CpeState) -> int:
+        def arrive(state: _CpeState) -> None:
             state.token = self._generation
             self._arrived += 1
             if self._arrived == mesh_size:
@@ -356,18 +332,15 @@ class ScheduleMachine:
                 self._generation += 1
                 for other in everyone:
                     other.armed = True
-            state.pc += 1
-            return NEXT
 
-        def barrier(state: _CpeState) -> int:
+        def barrier(state: _CpeState) -> bool:
             if self._generation <= state.token:
                 state.blocked = "synch"
-                return BLOCKED
+                return True
             stats["barriers"] += 1
-            state.pc += 1
-            return STEP
+            return False
 
-        return [arrive, barrier]
+        return [Leaf(arrive, (), RUN_ON), Leaf(barrier, (), WAIT)]
 
     # -- the runtime's ledger semantics ----------------------------------------
 
@@ -526,9 +499,8 @@ class ScheduleMachine:
                 )
 
 
-def _step(state: _CpeState) -> int:
-    state.pc += 1
-    return STEP
+#: A statement that steps without checking anything.
+_STEP = Leaf(None)
 
 
 def _spm_refs(expr) -> List[ArrayRef]:

@@ -101,6 +101,19 @@ def test_run_refuses_a_bad_shape_before_compiling(tmp_path, capsys):
     assert stats["persistent"].get("compiles", 0) == 0
 
 
+def test_run_refuses_a_negative_seed_before_compiling(tmp_path, capsys):
+    """``run`` refuses a negative seed before the compile, as it does a
+    bad shape: no artifact and no compile."""
+    cache = ["--cache-dir", str(tmp_path)]
+    assert main([*cache, "run", "--arch", "toy", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "swgemm: error: seed must be non-negative, got -1"
+    assert main([*cache, "cache", "stats", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["disk"]["artifacts"] == 0
+    assert stats["persistent"].get("compiles", 0) == 0
+
+
 def test_verify_reports_a_refused_kernel_and_exits_1(monkeypatch, capsys):
     """``verify`` compiles through the gate; on a refusal it prints the
     report the refusal carries instead of a bare error."""

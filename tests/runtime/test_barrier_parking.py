@@ -1,22 +1,26 @@
 """The executor parks CPEs at the mesh barrier until the last arrival.
 
-``synch()`` is one instruction.  An arrival that does not open the
+``synch()`` is one leaf call.  An arrival that does not open the
 barrier parks its CPE: off the run queue and the blocked list, never
 polled.  The arrival that opens it moves every parked CPE past the
 barrier and queues them, in arrival order, right behind itself.
 
-Before parking, ``synch()`` was an ``arrive`` and a ``barrier``
-instruction, and a CPE at the barrier was blocked and re-polled after
-every step that made progress, like a reply wait.  ``PollingExecutor``
-keeps that scheduler as the oracle, as ``test_run_queue.py`` keeps the
-min-clock scan.  Parking changes only which CPE runs first among equal
-clocks after a release.  On a seeded slice of the tuner's space (every
-arch, six spec kinds, recipe and no-hiding points) the elapsed time,
-every stat and the output must match the oracle bit for bit.
+Before parking, ``synch()`` was an ``arrive`` and a ``barrier`` call,
+and a CPE at the barrier was blocked and re-polled after every step
+that made progress, like a reply wait.  ``PollingExecutor`` keeps that
+scheduler as the oracle, with the run queue of its day, which re-keyed
+an entry whose clock a barrier release had moved while it was queued
+(as ``test_run_queue.py`` keeps the min-clock scan).  Parking changes
+only which CPE runs first among equal clocks after a release.  On a
+seeded slice of the tuner's space (every arch, six spec kinds, recipe
+and no-hiding points) the elapsed time, every stat and the output must
+match the oracle bit for bit, and no key the parking scheduler pops is
+stale.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heapreplace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -26,7 +30,7 @@ from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec
 from repro.errors import ExecutionError
 from repro.poly.astnodes import BinExpr, Block, CommStmt, IfStmt, IntLit, VarRef
-from repro.poly.flat import BLOCKED, DONE, NEXT, Instr
+from repro.poly.pygen import BLOCKED, DONE, RUN_ON, WAIT, YIELD, Leaf
 from repro.runtime.executor import Executor, _Cursor, _RunQueue
 from repro.service import CompileService, ServiceConfig
 from repro.sunway import all_archs
@@ -36,10 +40,26 @@ from repro.tune.pruner import analyze
 from repro.tune.space import SplitMix64, enumerate_candidates
 from tests.runtime.test_chunk_line import SPECS
 from tests.runtime.test_executor_golden import build
+from tests.runtime.test_run_queue import keys_are_clocks  # noqa: F401 (fixture)
 
 SEED = 24
 N_POINTS = 30
 STEPS = (2, 3)
+
+
+class _RekeyingQueue(_RunQueue):
+    """The run queue before parking: a barrier release could move the
+    clock of a queued cursor, so a pop re-keys a stale top with the
+    current clock and the same ``seq`` (clocks never move back)."""
+
+    def pop(self) -> _Cursor:
+        heap = self._heap
+        clock, seq, cursor = heap[0]
+        while clock < cursor.cpe.clock:
+            heapreplace(heap, (cursor.cpe.clock, seq, cursor))
+            clock, seq, cursor = heap[0]
+        heappop(heap)
+        return cursor
 
 
 class PollingExecutor(Executor):
@@ -51,15 +71,15 @@ class PollingExecutor(Executor):
             return self._arrive_and_poll()
         return super()._comm(stmt)
 
-    def _schedule(self, code: List[Instr], cursors: List[_Cursor]) -> None:
-        queue = _RunQueue()
+    def _schedule(self, cursors: List[_Cursor]) -> None:
+        queue = _RekeyingQueue()
         for cursor in cursors:
             queue.push(cursor)
         blocked: List[_Cursor] = []
         while queue:
             cursor = queue.pop()
             before = self._progress
-            status = self._resume(code, cursor)
+            status = self._resume(cursor)
             if status == BLOCKED:
                 blocked.append(cursor)
             elif status != DONE:
@@ -79,27 +99,26 @@ class PollingExecutor(Executor):
                 f"no progress — {reasons or 'no reasons recorded'}"
             )
 
-    def _arrive_and_poll(self) -> List[Instr]:
+    def _arrive_and_poll(self) -> List[Leaf]:
         """``synch()``: arrive at the barrier, then spin until it opens."""
         mesh_barrier = self.cluster.barrier
         blocked = self._blocked
         #: cursor -> the barrier generation it arrived in
         tokens: Dict[_Cursor, int] = {}
 
-        def arrive(cursor: _Cursor) -> int:
+        def arrive(cursor: _Cursor) -> None:
             tokens[cursor] = mesh_barrier.arrive(cursor.cpe)
-            cursor.pc += 1
-            return NEXT
 
-        def barrier(cursor: _Cursor) -> int:
+        def barrier(cursor: _Cursor) -> bool:
             cpe = cursor.cpe
             if not mesh_barrier.passed(tokens[cursor]):
                 blocked[(cpe.rid, cpe.cid)] = "synch"
-                return BLOCKED
+                return True
             blocked.pop((cpe.rid, cpe.cid), None)
-            return self._advance(cursor)
+            self._progress += 1
+            return False
 
-        return [arrive, barrier]
+        return [Leaf(arrive, (), RUN_ON), Leaf(barrier, (), WAIT)]
 
 
 def _draw_points():
@@ -172,7 +191,9 @@ def test_points_cover_the_grid():
     ids=[f"{i}-{a.name}-{k}-{o.variant_name()}" for i, (a, k, o)
          in enumerate(POINTS)],
 )
-def test_parking_matches_the_polling_scheduler(arch, kind, options, service):
+def test_parking_matches_the_polling_scheduler(
+    arch, kind, options, service, keys_are_clocks
+):
     program = service.get_program(SPECS[kind][0], arch, options)
     runs = [(steps, False) for steps in STEPS] + [(STEPS[0], True)]
     for steps, move_data in runs:
@@ -194,12 +215,12 @@ class TracingExecutor(Executor):
         #: ("resume", cpe) and ("synch", generation, cpe, opened) events
         self.log: List[Tuple] = []
 
-    def _resume(self, code, cursor):
+    def _resume(self, cursor):
         self.log.append(("resume", _at(cursor)))
-        return super()._resume(code, cursor)
+        return super()._resume(cursor)
 
-    def _synch(self) -> Instr:
-        synch, mesh_barrier = super()._synch(), self.cluster.barrier
+    def _synch(self) -> Leaf:
+        synch, mesh_barrier = super()._synch().fn, self.cluster.barrier
 
         def traced(cursor: _Cursor) -> int:
             generation = mesh_barrier.generation
@@ -208,7 +229,7 @@ class TracingExecutor(Executor):
             self.log.append(("synch", generation, _at(cursor), opened))
             return signal
 
-        return traced
+        return Leaf(traced, (), YIELD)
 
 
 def _at(cursor: _Cursor) -> Tuple[int, int]:

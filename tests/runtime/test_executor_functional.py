@@ -207,9 +207,9 @@ def test_direct_executor_requires_padded_shape(toy_full_program):
 
 
 def test_interpreters_are_freed_without_the_cycle_collector(toy_full_program):
-    """The lowered instruction stream holds its interpreter; neither the
-    executor (and its cluster) nor the replay machine may end up in a
-    reference cycle, or each run's mesh lingers until a GC pass."""
+    """The printed program's globals hold its interpreter's leaf calls;
+    neither the executor (and its cluster) nor the replay machine may end
+    up in a reference cycle, or each run's mesh lingers until a GC pass."""
     import gc
     import weakref
 

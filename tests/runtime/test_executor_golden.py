@@ -49,6 +49,7 @@ from repro.runtime.executor import Executor, run_gemm
 from repro.sunway.arch import SW26010PRO, TOY_ARCH
 from repro.sunway.mesh import Cluster
 from tests.runtime.test_discipline import strip_statements
+from tests.runtime.test_run_queue import keys_are_clocks  # noqa: F401 (fixture)
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "executor"
 
@@ -382,7 +383,7 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
     "group,case_id",
     [(group, case_id) for group, (ids, _) in GROUPS.items() for case_id in ids],
 )
-def test_execution_matches_golden(group, case_id):
+def test_execution_matches_golden(group, case_id, keys_are_clocks):
     expected = _golden(group)[case_id]
     assert GROUPS[group][1](case_id) == expected
 

@@ -3,14 +3,17 @@
 ``Executor._schedule`` once picked the next CPE with a first-minimum scan
 over a list, ``min(range(len(runnable)), key=clock)``, popping the pick and
 appending every enqueue.  ``_RunQueue`` must pop in exactly that order —
-smallest clock first, then the cursor enqueued first — also when queued
-clocks move forward under it, as a barrier release moves them.  Random
-operation sequences drive the queue beside that list; every pop must agree.
-Together with the executor golden corpus this pins the resume order.
+smallest clock first, then the cursor enqueued first.  Random operation
+sequences drive the queue beside that list; every pop must agree.  A
+queued cursor's clock never moves (the barrier opens only when every CPE
+has arrived, so none is queued then), which ``keys_are_clocks`` checks on
+every pop of the executor golden corpus and the barrier-parking slice.
+Together with that corpus this pins the resume order.
 """
 
 from typing import List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +27,7 @@ DELTAS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["push"] * 3 + ["pop-requeue"] * 3
-            + ["pop-park", "pop-done", "rearm", "bump", "release"]
+            ["push"] * 3 + ["pop-requeue"] * 3 + ["pop-park", "pop-done", "rearm"]
         ),
         st.integers(0, 63),
         DELTAS,
@@ -33,6 +35,20 @@ OPS = st.lists(
     min_size=50,
     max_size=300,
 )
+
+_pop = _RunQueue.pop
+
+
+def _checked_pop(queue: _RunQueue) -> _Cursor:
+    clock, _, cursor = queue._heap[0]
+    assert clock == cursor.cpe.clock, (cursor.cpe, clock, cursor.cpe.clock)
+    return _pop(queue)
+
+
+@pytest.fixture
+def keys_are_clocks(monkeypatch):
+    """Every key an executor run pops equals its cursor's clock."""
+    monkeypatch.setattr(_RunQueue, "pop", _checked_pop)
 
 
 class ScanQueue:
@@ -76,7 +92,7 @@ def test_run_queue_pops_like_the_min_clock_scan(ops):
             cpe = CPE(created // 8, created % 8, 0)
             cpe.advance(delta * (index % 3))
             created += 1
-            push(_Cursor(cpe, {}, 0))
+            push(_Cursor(cpe, {}))
         elif op.startswith("pop-") and queue:
             # A resume: the popped CPE runs on, then is requeued, blocks
             # (parked until the next re-arm) or finishes.
@@ -88,15 +104,6 @@ def test_run_queue_pops_like_the_min_clock_scan(ops):
                 parked.append(cursor)
         elif op == "rearm":
             rearm()
-        elif op == "bump" and queue:
-            scan.items[index % len(scan.items)].cpe.advance(delta)
-        elif op == "release" and (queue or parked):
-            # A barrier release: every arrived CPE, queued or parked,
-            # moves to the latest clock plus the sync cost.
-            arrived = [cursor.cpe for cursor in scan.items + parked]
-            release = max(cpe.clock for cpe in arrived) + delta
-            for cpe in arrived:
-                cpe.sync_to(release)
     rearm()
     while queue:
         pop()

@@ -232,6 +232,21 @@ def test_run_refuses_a_bad_shape_before_compiling():
     assert service.compile_count == 0
 
 
+def test_run_refuses_a_negative_seed_before_compiling():
+    """A negative seed costs the daemon no compile either."""
+    service = CompileService(ServiceConfig())
+    handle = start_in_thread(service, ServeConfig(workers=1, quota=None))
+    try:
+        with Client(handle.address, tenant="t") as client:
+            with pytest.raises(RemoteError) as err:
+                client.run({"arch": "toy", "M": 32, "N": 32, "K": 16, "seed": -1})
+    finally:
+        handle.stop()
+    assert err.value.remote_type == "ConfigurationError"
+    assert "seed must be non-negative, got -1" in str(err.value)
+    assert service.compile_count == 0
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.

@@ -15,7 +15,7 @@ def test_finish_wait_advances_clock_and_unpoisons():
     cpe = make_cpe()
     cpe.spm.mark_inflight("tile", 1, "dma_iget/r")
     cpe.reply("r").add(ReplyRecord(3e-6, ("tile", 1)))
-    cpe.finish_wait("r", 1)
+    cpe.finish_wait(cpe.reply("r"), 1)
     assert cpe.clock == pytest.approx(3e-6)
     cpe.spm.check_readable("tile", 1)  # no raise
 
@@ -30,7 +30,7 @@ def test_finish_wait_disarms_only_on_rma_counters(counter, armed):
     cpe = make_cpe()
     cpe.rma_armed = True
     cpe.reply(counter).add(ReplyRecord(1e-6))
-    cpe.finish_wait(counter, 1)
+    cpe.finish_wait(cpe.reply(counter), 1)
     assert cpe.rma_armed is armed
 
 

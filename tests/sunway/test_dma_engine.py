@@ -146,13 +146,13 @@ def test_roundtrip_through_the_wait():
     cluster.dma.iget(cpe, ("tile", 0), A, offset=0, size=16, length=4,
                      strip=12, reply_name="r")
     assert cpe.reply("r").satisfied(1)
-    cpe.finish_wait("r", 1)
+    cpe.finish_wait(cpe.reply("r"), 1)
     tile = cpe.spm.slot("tile", 0)
     assert (tile == A[:4, :4]).all()
     tile += 1
     cluster.dma.iput(cpe, A, 0, ("tile", 0), size=16, length=4,
                      strip=12, reply_name="w")
-    cpe.finish_wait("w", 1)
+    cpe.finish_wait(cpe.reply("w"), 1)
     assert (A[:4, :4] == tile).all()
 
 

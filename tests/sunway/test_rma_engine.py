@@ -54,7 +54,7 @@ def test_broadcasts_land_once_the_wait_commits():
         (cluster.rma.col_ibcast, cluster.cpe(0, 1)),
     ):
         issue(sender, ("src", 0), ("dst", 0), 16, "rma_replys", "rma_replyr")
-        receiver.finish_wait("rma_replyr", 1)
+        receiver.finish_wait(receiver.reply("rma_replyr"), 1)
         receiver.spm.check_readable("dst", 0)  # no raise
         assert (receiver.spm.slot("dst", 0) == 5.0).all()
 
