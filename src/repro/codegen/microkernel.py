@@ -22,22 +22,12 @@ for, which is the property §3's decomposition must establish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.sunway.arch import ArchSpec, MicroKernelShape
-
-
-@dataclass(frozen=True)
-class KernelProfile:
-    """Cost/identity data the simulator and printer need."""
-
-    name: str
-    shape: MicroKernelShape
-    seconds_per_call: float
 
 
 class _KernelBase:
@@ -58,9 +48,6 @@ class _KernelBase:
         self._check(c, a, b)
         # The accumulation the register tile performs: C += α·(A×B).
         c += alpha * (a @ b)
-
-    def profile(self) -> KernelProfile:
-        return KernelProfile(self.name, self.shape, self.seconds_per_call)
 
 
 class AsmMicroKernel(_KernelBase):

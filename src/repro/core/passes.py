@@ -46,8 +46,7 @@ from repro.poly.affine import aff_const, aff_var
 from repro.poly.astgen import AstGenerator
 from repro.poly.astnodes import BufferDecl, CpeProgram, ReplyDecl, walk_stmts
 from repro.poly.dependences import DependenceSummary, analyze_statement
-from repro.poly.schedule_tree import parent_map
-from repro.poly.transforms import insert_mark
+from repro.poly.schedule_tree import MarkNode, parent_map
 from repro.schedule import REWRITES, Rewrite, apply_rewrite, extract_timeline
 from repro.sunway.arch import ArchSpec
 
@@ -534,17 +533,13 @@ class MicroKernelMarkPass(Pass):
         else:
             a_buffer, b_buffer = "local_A_dma", "local_B_dma"
             slot = aff_var("ktile").mod(2) if plan.double_buffered else aff_const(0)
-        insert_mark(
-            parent,
-            point,
-            MICRO_KERNEL_MARK,
-            payload={
-                "a_buffer": a_buffer,
-                "a_slot": slot,
-                "b_buffer": b_buffer,
-                "b_slot": slot,
-            },
-        )
+        payload = {
+            "a_buffer": a_buffer,
+            "a_slot": slot,
+            "b_buffer": b_buffer,
+            "b_slot": slot,
+        }
+        parent.replace_child(point, MarkNode(MICRO_KERNEL_MARK, [point], payload))
         kernel = resolve_kernel(ctx.arch, ctx.options, plan.kernel_shape)
         ctx.decide(
             f"point band marked for kernel {kernel.name} "

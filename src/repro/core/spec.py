@@ -164,20 +164,6 @@ class GemmSpec:
         base = (self.m_param, self.n_param, self.k_param)
         return ((self.batch_param,) + base) if self.is_batched else base
 
-    def bind_params(
-        self, M: int, N: int, K: int, batch: Optional[int] = None
-    ) -> Dict[str, int]:
-        """Concrete parameter environment for execution."""
-        check_shape(M, N, K, 1 if batch is None else batch)
-        env = {self.m_param: M, self.n_param: N, self.k_param: K}
-        if self.is_batched:
-            if batch is None:
-                raise ConfigurationError("batched spec requires a batch size")
-            env[self.batch_param] = batch
-        elif batch is not None:
-            raise ConfigurationError("non-batched spec got a batch size")
-        return env
-
     @property
     def itemsize(self) -> int:
         return 8 if self.dtype == "float64" else 4

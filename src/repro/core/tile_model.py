@@ -119,9 +119,6 @@ class TilePlan:
                 return b
         raise ConfigurationError(f"tile plan has no buffer with role {role!r}")
 
-    def has_buffer(self, role: str) -> bool:
-        return any(b.role == role for b in self.buffers)
-
     def describe(self) -> Dict[str, object]:
         return {
             "tile": f"{self.mt}x{self.nt}x{self.kt}",

@@ -164,12 +164,6 @@ class CFunction:
                 return p
         raise KeyError(name)
 
-    def array_params(self) -> List[CParam]:
-        return [p for p in self.params if p.is_array]
-
-    def scalar_params(self) -> List[CParam]:
-        return [p for p in self.params if not p.is_array]
-
 
 @dataclass
 class CTranslationUnit:

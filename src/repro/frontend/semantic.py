@@ -79,12 +79,6 @@ class FunctionInfo:
     arrays: Dict[str, ArrayInfo] = field(default_factory=dict)
     statements: List[StatementInfo] = field(default_factory=list)
 
-    def int_params(self) -> List[str]:
-        return [n for n, t in self.scalars.items() if t == "int"]
-
-    def double_params(self) -> List[str]:
-        return [n for n, t in self.scalars.items() if t in ("double", "float")]
-
 
 class SemanticAnalyzer:
     def __init__(self, function: CFunction) -> None:

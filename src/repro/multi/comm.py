@@ -1,8 +1,8 @@
 """A simulated MPI-style communicator over core groups.
 
 The API follows mpi4py's lower-case object methods (``bcast``,
-``scatter``, ``gather``, ``allgather``, ``barrier``) so the driver code
-reads like an MPI program.  Instead of real processes there is one
+``scatter``, ``gather``, ``barrier``) so the driver code reads like an
+MPI program.  Instead of real processes there is one
 virtual clock per rank; each collective moves NumPy arrays immediately
 and advances the participating clocks by a linear latency+bandwidth cost
 model:
@@ -89,11 +89,6 @@ class SimComm:
         if not 0 <= rank < self.size:
             raise ConfigurationError(f"rank {rank} outside communicator of {self.size}")
 
-    def mark_dead(self, rank: int) -> None:
-        """Declare a rank permanently failed; its clock stops advancing."""
-        self._check_rank(rank)
-        self.dead.add(rank)
-
     def alive_ranks(self) -> List[int]:
         return [rank for rank in range(self.size) if rank not in self.dead]
 
@@ -178,13 +173,6 @@ class SimComm:
             if rank != root:
                 self._charge(rank, root, piece.nbytes)
         return list(pieces)
-
-    def allgather(self, pieces: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-        """Everyone collects everything (flat model: gather + bcast)."""
-        gathered = self.gather(pieces, root=0)
-        for piece in gathered:
-            self.bcast(piece, root=0)
-        return [list(gathered) for _ in range(self.size)]
 
     def barrier(self) -> None:
         alive = self.alive_ranks()

@@ -16,8 +16,6 @@ vocabulary:
   initial band (§2.2 of the paper);
 * :mod:`repro.poly.schedule_tree` — the schedule-tree IR with domain, band,
   sequence, filter, extension, mark and context nodes (Fig. 2);
-* :mod:`repro.poly.transforms` — tiling, strip-mining, dimension isolation,
-  extension insertion and loop peeling (Figs. 4, 6, 9, 11);
 * :mod:`repro.poly.astgen` — the schedule-tree → AST scanner, including the
   new AST node type introduced for DMA/RMA extensions (§7.1).
 """

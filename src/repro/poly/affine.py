@@ -301,10 +301,6 @@ class AffExpr:
             result = result + replaced_arg.floordiv(t.divisor) * c
         return result
 
-    def rename(self, mapping: Mapping[str, str]) -> "AffExpr":
-        """Rename variables (convenience wrapper over substitution)."""
-        return self.substitute({old: AffExpr.var(new) for old, new in mapping.items()})
-
     # -- structural -------------------------------------------------------
 
     def __hash__(self) -> int:

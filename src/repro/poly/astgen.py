@@ -247,10 +247,10 @@ def _apply_constraint_to_bounds(
 ) -> bool:
     """Tighten ``bounds`` of loop ``var`` with a peeling constraint.
 
-    Supports the shapes produced by :func:`repro.poly.transforms.peel_eq`
-    and :func:`repro.poly.transforms.peel_range`: the constraint expression
-    must mention ``var`` with coefficient ±1 and no other not-yet-open loop
-    variables.  Returns True when consumed.
+    Supports the filter shapes the latency-hiding pass builds (bounds such
+    as ``var <= extent - 2``) and single-iteration ``var == value`` peels:
+    the constraint expression must mention ``var`` with coefficient ±1 and
+    no other not-yet-open loop variables.  Returns True when consumed.
     """
     coeff = constraint.expr.coefficient(var)
     if coeff == 0:

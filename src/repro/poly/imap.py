@@ -10,14 +10,12 @@ quasi-affine expressions — the representation behind
   statements (``(d0,d1,d2) -> readA(d3,d4)``, Fig. 2e).
 
 The map may carry an optional range space, giving the image tuple a name
-(an array, or an auxiliary copy statement).  Maps compose, restrict to
-integer sets, and — crucially for §4's DMA argument derivation — compute
-the exact *box image* of a box domain via interval analysis.
+(an array, or an auxiliary copy statement).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpaceMismatchError
 from repro.poly.affine import AffExpr, IntLike
@@ -72,31 +70,7 @@ class AffineMap:
             names |= e.variables()
         return frozenset(names)
 
-    def parameters(self) -> frozenset:
-        return frozenset(
-            n for n in self.variables() if not self.domain_space.has_dim(n)
-        )
-
     # -- transformation --------------------------------------------------------
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """``self ∘ inner``: apply ``inner`` first.
-
-        ``inner``'s range must match this map's domain (by rank; dimension
-        names of ``self.domain_space`` are bound positionally to
-        ``inner``'s output expressions).
-        """
-        if inner.rank != self.domain_space.rank:
-            raise SpaceMismatchError(
-                f"cannot compose: inner rank {inner.rank} vs domain rank "
-                f"{self.domain_space.rank}"
-            )
-        bindings = dict(zip(self.domain_space.dims, inner.exprs))
-        return AffineMap(
-            inner.domain_space,
-            [e.substitute(bindings) for e in self.exprs],
-            self.range_space,
-        )
 
     def substitute(self, bindings: Mapping[str, IntLike]) -> "AffineMap":
         """Substitute variables (domain dims or parameters) in every output."""
@@ -105,27 +79,6 @@ class AffineMap:
             [e.substitute(bindings) for e in self.exprs],
             self.range_space,
         )
-
-    # -- footprint computation ------------------------------------------------
-
-    def box_image(
-        self,
-        box: Mapping[str, Tuple[int, int]],
-        params: Mapping[str, int] = (),
-    ) -> List[Tuple[int, int]]:
-        """Inclusive interval of each output over a box domain.
-
-        This is the memory-footprint computation of §4: given the set of
-        statement instances executed by one CPE for fixed outer schedule
-        dimensions (a box), the footprint of an affine access is the box
-        image — from which the DMA ``size``/``len``/``strip`` arguments and
-        the source coordinates of Eq. (1) fall out.
-        """
-        env_box: Dict[str, Tuple[int, int]] = {
-            name: (value, value) for name, value in dict(params or {}).items()
-        }
-        env_box.update(box)
-        return [e.interval(env_box) for e in self.exprs]
 
     # -- structural ------------------------------------------------------------
 

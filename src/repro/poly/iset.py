@@ -97,19 +97,7 @@ class IntegerSet:
                 normalised.append(c)
         self.constraints = tuple(normalised)
 
-    # -- construction ----------------------------------------------------
-
-    def with_constraints(self, extra: Iterable[Constraint]) -> "IntegerSet":
-        return IntegerSet(self.space, tuple(self.constraints) + tuple(extra))
-
     # -- queries -----------------------------------------------------------
-
-    def parameters(self) -> frozenset:
-        """Free names that are not dimensions of the space."""
-        names = set()
-        for c in self.constraints:
-            names |= c.variables()
-        return frozenset(n for n in names if not self.space.has_dim(n))
 
     def contains(self, point: Mapping[str, int], params: Mapping[str, int] = ()) -> bool:
         env: Dict[str, int] = dict(params or {})

@@ -10,8 +10,8 @@ Than Scanning Polyhedra").  The node types reproduce §2.2:
     A (partial) schedule: one quasi-affine expression per statement per
     band member.  Members carry the ``coincident`` (parallelizable) and
     band-level ``permutable`` (tilable) attributes that the dependence
-    analysis attaches, plus the explicit loop extent our transforms
-    derive — which is what the AST generator scans.
+    analysis attaches, plus the explicit loop extent the decomposition pass
+    derives — which is what the AST generator scans.
 ``SequenceNode`` / ``FilterNode``
     Ordered execution of filtered statement subsets; filters may also
     carry constraints on ancestor band variables, which is how loop

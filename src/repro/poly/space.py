@@ -22,8 +22,7 @@ class Space:
     Parameters
     ----------
     name:
-        Statement or array name (``"S1"``, ``"A"``...).  The anonymous
-        space uses an empty name.
+        Statement or array name (``"S1"``, ``"A"``...).
     dims:
         Ordered dimension names.  Dimension names must be unique within
         the space.
@@ -54,18 +53,10 @@ class Space:
                 f"dimension {dim!r} not in space {self}"
             ) from None
 
-    def has_dim(self, dim: str) -> bool:
-        return dim in self.dims
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.dims)
 
     # -- derivation ----------------------------------------------------
-
-    def drop(self, dim: str) -> "Space":
-        """Remove one dimension."""
-        self.index(dim)
-        return Space(self.name, tuple(d for d in self.dims if d != dim))
 
     def insert(self, position: int, dim: str) -> "Space":
         """Insert a new dimension at ``position``."""
@@ -79,8 +70,3 @@ class Space:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}({', '.join(self.dims)})"
-
-
-def anonymous(dims: Tuple[str, ...]) -> Space:
-    """An unnamed space, used for schedule tuples."""
-    return Space("", tuple(dims))

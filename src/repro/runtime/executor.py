@@ -665,7 +665,6 @@ def run_gemm(
     alpha: float = 1.0,
     beta: float = 1.0,
     cluster: Optional[Cluster] = None,
-    move_data: bool = True,
     scalar_naive: bool = False,
     guarded: bool = False,
 ) -> Tuple[np.ndarray, ExecutionReport]:
@@ -732,10 +731,7 @@ def run_gemm(
         from repro.verify import CertificateGuard
 
         guard = CertificateGuard.from_program(program)
-    executor = Executor(
-        program, cluster, move_data=move_data, scalar_naive=scalar_naive,
-        guard=guard,
-    )
+    executor = Executor(program, cluster, scalar_naive=scalar_naive, guard=guard)
     params = {spec.m_param: Mp, spec.n_param: Np, spec.k_param: Kp}
     if batched:
         params[spec.batch_param] = bs

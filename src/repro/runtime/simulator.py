@@ -27,7 +27,6 @@ reads a K of more than five steps off the line of its ``(options,
 spec)`` (the two samples cost five steps), which costs no executor run
 once the samples are cached.  It keeps the direct run of the requested K
 
-* for a guarded simulator: the guard checks the run it watches;
 * when the fault plane is enabled: fault streams are not periodic;
 * for ``schedule="optimize"``: its rewrites start each prefetch before
   the wait for the tile ahead of it, so every CPE keeps two loads in the
@@ -89,7 +88,6 @@ class PerformanceSimulator:
         self,
         arch: ArchSpec = SW26010PRO,
         service: Optional[object] = None,
-        guarded: bool = False,
     ) -> None:
         from repro.service import get_default_service
 
@@ -99,9 +97,6 @@ class PerformanceSimulator:
         #: per-simulator dict, so every simulator in the process — and,
         #: with a disk-backed service, every process — shares compiles.
         self.service = service if service is not None else get_default_service()
-        #: guarded mode: every chunk simulation runs under a
-        #: CertificateGuard built from the program's admission report
-        self.guarded = guarded
         #: ``(chunk seconds, micro-kernel seconds)`` of every executor
         #: run, per ``(options, spec, K)``
         self._chunk_cache: Dict[Tuple, Tuple[float, float]] = {}
@@ -158,7 +153,6 @@ class PerformanceSimulator:
         faults = options.fault_policy
         if (
             steps <= 5
-            or self.guarded
             or (faults is not None and faults.enabled)
             or program.options.schedule.mode == "optimize"
         ):
@@ -188,11 +182,6 @@ class PerformanceSimulator:
             fault_policy=options.fault_policy,
             retry_policy=options.retry_policy,
         )
-        guard = None
-        if self.guarded:
-            from repro.verify import CertificateGuard
-
-            guard = CertificateGuard.from_program(program)
         plan = program.plan
         params = {spec.m_param: plan.chunk_m, spec.n_param: plan.chunk_n,
                   spec.k_param: K}
@@ -207,7 +196,7 @@ class PerformanceSimulator:
             cluster.memory.alloc(name, lead + tuple(params[d] for d in dims))
         if lead:
             params[spec.batch_param] = 1
-        report = Executor(program, cluster, move_data=False, guard=guard).run(params)
+        report = Executor(program, cluster, move_data=False).run(params)
         chunk = report.elapsed_seconds - cluster.arch.spawn_us * 1e-6
         compute = report.stats.get("compute_seconds", 0.0)
         self._chunk_cache[key] = (chunk, compute)

@@ -123,9 +123,6 @@ class LevelTimeline:
     body: List[Segment] = field(default_factory=list)
     post: List[Segment] = field(default_factory=list)
 
-    def all_segments(self) -> List[Segment]:
-        return [*self.peel, *self.body, *self.post]
-
     def dump_lines(self) -> List[str]:
         lines = [f"{self.level}:"]
         for seg in self.peel:

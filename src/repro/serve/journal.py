@@ -270,10 +270,6 @@ class RequestJournal:
         with self._lock:
             return sorted(self._pending.items())
 
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {

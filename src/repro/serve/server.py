@@ -70,6 +70,15 @@ def _run_batch(params: Dict[str, Any]) -> int:
     return int(params.get("batch_count", RUN_BATCH))
 
 
+def _run_dims(params: Dict[str, Any]) -> Tuple[int, int, int]:
+    """The ``(M, N, K)`` a ``run`` op executes: 64×64×32 unless the
+    request names its dims."""
+    return tuple(
+        int(params.get(dim, default))
+        for dim, default in (("M", 64), ("N", 64), ("K", 32))
+    )
+
+
 def _clear_stale_unix_socket(path: str) -> None:
     """Remove a socket file left behind by a crashed/killed daemon.
 
@@ -688,16 +697,14 @@ class KernelServer:
         if op == "verify":
             # verify reports on the requested kernel itself, unsteered.
             return spec, arch, options, None
-        shape_hint = protocol.shape_hint(params)
-        if (
-            op == "run"
-            and spec.is_batched
-            and shape_hint is not None
-            and len(shape_hint) == 3
-        ):
-            # Steer by the batch this op runs, not only a requested one.
-            shape_hint += (_run_batch(params),)
-        return spec, arch, options, shape_hint
+        if op != "run":
+            return spec, arch, options, protocol.shape_hint(params)
+        # Steer by the shape and batch this op runs, not only requested ones.
+        try:
+            dims, batch = _run_dims(params), _run_batch(params)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"non-integer shape dimension: {exc}") from exc
+        return spec, arch, options, dims + ((batch,) if spec.is_batched else ())
 
     # -- operations (run on worker threads) ----------------------------------
 
@@ -788,10 +795,7 @@ class KernelServer:
         from repro.runtime.executor import run_checked
 
         spec, arch, options, shape_hint = self._kernel_lookup("run", params)
-        M, N, K = (
-            int(params.get(dim, default))
-            for dim, default in (("M", 64), ("N", 64), ("K", 32))
-        )
+        M, N, K = _run_dims(params)
         batch = _run_batch(params)
         seed = int(params.get("seed", 0))
         # Before a refused shape or seed costs a compile.

@@ -44,15 +44,8 @@ class MainMemory:
         raw = np.zeros(count + self.ALIGN // itemsize, dtype=dtype)
         offset = (-raw.ctypes.data) % self.ALIGN // itemsize
         view = raw[offset : offset + count].reshape(shape)
-        view[...] = 0
         self._arrays[name] = view
         self._used += nbytes
-        return view
-
-    def bind(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Adopt an existing array (copied to an aligned allocation)."""
-        view = self.alloc(name, array.shape, array.dtype)
-        view[...] = array
         return view
 
     def free(self, name: str) -> None:
@@ -74,9 +67,6 @@ class MainMemory:
 
     def names(self) -> Iterator[str]:
         return iter(self._arrays)
-
-    def is_aligned(self, name: str) -> bool:
-        return self[name].ctypes.data % self.ALIGN == 0
 
     @property
     def used_bytes(self) -> int:

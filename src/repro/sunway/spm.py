@@ -16,7 +16,7 @@ hiding discipline (Fig. 11) into a machine-checked property.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -156,9 +156,6 @@ class ScratchPadMemory:
     def record_checksum(self, name: str, index: int, crc: int, elems: int) -> None:
         """Remember the integrity checksum of the data that filled a slot."""
         self._checksums[(name, index)] = (crc, elems)
-
-    def stored_checksum(self, name: str, index: int) -> Optional[Tuple[int, int]]:
-        return self._checksums.get((name, index))
 
     def verify_checksum(self, name: str, index: int, size: int) -> None:
         """Re-verify a slot against its recorded checksum before the data

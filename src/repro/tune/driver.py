@@ -54,6 +54,12 @@ from repro.tune.space import (
 )
 
 
+#: Hill-climb restarts after the first climb stalls.
+HILL_CLIMB_RESTARTS = 2
+#: Neighbours measured per climb step (best-predicted first).
+HILL_CLIMB_STEP_WIDTH = 3
+
+
 @dataclass(frozen=True)
 class TuneOptions:
     """Knobs of one search run."""
@@ -62,10 +68,6 @@ class TuneOptions:
     seed: int = 0
     #: Simulator-measurement budget (journal hits are free).
     max_measurements: int = 20
-    #: Hill-climb restarts after the first climb stalls.
-    restarts: int = 2
-    #: Neighbours measured per climb step (best-predicted first).
-    step_width: int = 3
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,6 @@ class Tuner:
         arch: ArchSpec = SW26010PRO,
         service: Optional[object] = None,
         store: Optional[TuningRecordStore] = None,
-        guarded: bool = False,
     ) -> None:
         from repro.service import get_default_service
 
@@ -119,9 +120,7 @@ class Tuner:
         if store is None:
             store = getattr(self.service, "tuning_store", None)
         self.store = store if store is not None else TuningRecordStore(None)
-        self.simulator = PerformanceSimulator(
-            arch, service=self.service, guarded=guarded
-        )
+        self.simulator = PerformanceSimulator(arch, service=self.service)
 
     # -- measurement -------------------------------------------------------
 
@@ -261,7 +260,7 @@ class Tuner:
         rng = SplitMix64(opts.seed)
         visited = set()
         current = pool[0]  # the pruner's best prediction
-        for restart in range(opts.restarts + 1):
+        for restart in range(HILL_CLIMB_RESTARTS + 1):
             if restart:
                 fresh = [c for c in pool if c.name() not in visited]
                 if not fresh or not budget_left():
@@ -274,7 +273,7 @@ class Tuner:
                     n
                     for n in neighbors(current, pool)
                     if n.name() not in visited
-                ][: opts.step_width]
+                ][:HILL_CLIMB_STEP_WIDTH]
                 if not steps:
                     break
                 best_step, best_gflops = None, current_gflops

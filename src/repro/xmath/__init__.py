@@ -5,8 +5,8 @@ SW26010Pro — the paper itself treats it as a black box, measures it, and
 *guesses* at its internals (§8.2).  This package substitutes:
 
 * :mod:`repro.xmath.library` — a functionally correct implementation of
-  the xMath entry points the paper uses (``dgemm``, looped batched dgemm,
-  and the MPE-side prologue/epilogue paths of the fusion baselines);
+  the xMath entry point the paper uses (``dgemm``) and the MPE-side
+  epilogue path of the fusion baseline;
 * :mod:`repro.xmath.perfmodel` — an empirical performance model encoding
   exactly the behaviours the paper reports: strong on power-of-two K
   (93.53% peak best), custom small-shape tuning that beats the compiler

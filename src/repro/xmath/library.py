@@ -1,15 +1,16 @@
 """Functional xMath substitute.
 
 Provides the call surface the paper's baselines use.  Numerics are exact
-(NumPy); time comes from :mod:`repro.xmath.perfmodel`.  The fusion
-baselines mirror §8.4's setup: xMath for the GEMM, the element-wise
-prologue/epilogue executed on the MPE (whose modelled scalar rate is what
-makes the unfused pipeline slow).
+(NumPy); time comes from :mod:`repro.xmath.perfmodel`.  The epilogue
+baseline mirrors §8.4's setup: xMath for the GEMM, the element-wise
+epilogue executed on the MPE (whose modelled scalar rate is what makes the
+unfused pipeline slow).
 
 The library enforces xMath's interface limitations faithfully:
 
-* there is **no batched entry point** — :meth:`batched_dgemm` is the loop
-  the paper's baseline has to write, paying per-call dispatch;
+* there is **no batched entry point**: a batched baseline is one
+  :meth:`dgemm` per batch element, each paying per-call dispatch
+  (:func:`repro.xmath.perfmodel.xmath_seconds` prices the loop);
 * operands must be column-major from Fortran's point of view; this
   wrapper accepts row-major arrays and performs the layout conversion the
   paper describes ("the row-major accesses have been converted into
@@ -19,13 +20,13 @@ The library enforces xMath's interface limitations faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.codegen.elementwise import get_elementwise
 from repro.sunway.arch import SW26010PRO, ArchSpec
-from repro.xmath.perfmodel import XMATH_DISPATCH_US, xmath_seconds
+from repro.xmath.perfmodel import xmath_seconds
 
 
 @dataclass
@@ -75,22 +76,6 @@ class XMathLibrary:
         self.calls.append(XMathCall("dgemm", M, N, K, seconds))
         return C
 
-    def batched_dgemm(
-        self,
-        A: np.ndarray,
-        B: np.ndarray,
-        C: np.ndarray,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-    ) -> np.ndarray:
-        """The baseline loop: one dgemm (and one mesh start-up) per batch
-        element — the batch dimension cannot be embedded into xMath."""
-        if A.ndim != 3:
-            raise ValueError("batched_dgemm expects 3-D operands")
-        for b in range(A.shape[0]):
-            self.dgemm(A[b], B[b], C[b], alpha, beta)
-        return C
-
     # -- MPE-side element-wise stages of the fusion baselines ------------------
 
     def mpe_elementwise(self, array: np.ndarray, func: str) -> float:
@@ -102,21 +87,7 @@ class XMathLibrary:
         self.calls.append(XMathCall(f"mpe_{func}", array.shape[-2], array.shape[-1], 0, seconds))
         return seconds
 
-    # -- the two unfused baselines of §8.4 ---------------------------------------
-
-    def gemm_with_prologue(
-        self,
-        A: np.ndarray,
-        B: np.ndarray,
-        C: np.ndarray,
-        func: str = "quant",
-        alpha: float = 1.0,
-        beta: float = 1.0,
-    ) -> np.ndarray:
-        """Quantise A on the MPE, then call xMath."""
-        work = A.copy()
-        self.mpe_elementwise(work, func)
-        return self.dgemm(work, B, C, alpha, beta)
+    # -- the unfused epilogue baseline of §8.4 -----------------------------------
 
     def gemm_with_epilogue(
         self,

@@ -8,7 +8,7 @@ from repro.codegen.backend import resolve_kernel
 from repro.codegen.microkernel import AsmMicroKernel, NaiveKernel
 from repro.core.options import CompilerOptions
 from repro.errors import ConfigurationError, ExecutionError
-from repro.sunway.arch import SW26010PRO, TOY_ARCH, MicroKernelShape
+from repro.sunway.arch import SW26010PRO, TOY_ARCH
 
 
 def test_asm_kernel_accumulates():
@@ -44,12 +44,6 @@ def test_get_kernel_dispatch():
     naive = resolve_kernel(SW26010PRO, CompilerOptions(kernel_backend="naive"))
     assert isinstance(asm, AsmMicroKernel)
     assert isinstance(naive, NaiveKernel)
-
-
-def test_profile():
-    profile = AsmMicroKernel(SW26010PRO).profile()
-    assert profile.shape == MicroKernelShape(64, 64, 32)
-    assert profile.seconds_per_call > 0
 
 
 # -- element-wise registry -------------------------------------------------------

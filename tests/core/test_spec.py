@@ -60,19 +60,6 @@ def test_transposed_dims():
     assert [str(e) for e in a_access.map.exprs] == ["k", "i"]
 
 
-def test_bind_params_validation():
-    spec = GemmSpec()
-    env = spec.bind_params(4, 5, 6)
-    assert env == {"M": 4, "N": 5, "K": 6}
-    with pytest.raises(ConfigurationError):
-        spec.bind_params(0, 5, 6)
-    with pytest.raises(ConfigurationError):
-        spec.bind_params(4, 5, 6, batch=2)  # not batched
-    batched = GemmSpec(batch_param="BS")
-    with pytest.raises(ConfigurationError):
-        batched.bind_params(4, 5, 6)  # batch missing
-
-
 def test_flops():
     assert GemmSpec().flops(2, 3, 4) == 48.0
     assert GemmSpec().flops(2, 3, 4, batch=2) == 96.0

@@ -37,7 +37,8 @@ def test_chunk_geometry_matches_paper():
 
 def test_no_rma_plan_has_no_broadcast_buffers():
     plan = plan_for_kernel(SW26010PRO, CompilerOptions.with_asm())
-    assert not plan.has_buffer("A_bc")
+    roles = {b.role for b in plan.buffers}
+    assert not roles & {"A_bc", "B_bc"}
     assert plan.k_step == 32
     assert plan.strip_factor == 1
 

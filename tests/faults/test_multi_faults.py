@@ -103,8 +103,7 @@ def test_comm_retry_exhaustion_raises():
 
 
 def test_dead_endpoint_transfers_are_skipped():
-    comm = SimComm(3)
-    comm.mark_dead(1)
+    comm = SimComm(3, fault_policy=FaultPolicy(enabled=True, dead_ranks=(1,)))
     comm._charge(0, 1, 1 << 20)
     assert comm.stats["messages"] == 0
     assert comm.clocks[0] == 0.0
@@ -113,9 +112,8 @@ def test_dead_endpoint_transfers_are_skipped():
 
 
 def test_barrier_ignores_dead_ranks():
-    comm = SimComm(3)
+    comm = SimComm(3, fault_policy=FaultPolicy(enabled=True, dead_ranks=(2,)))
     comm.advance(0, 5.0)
-    comm.mark_dead(2)
     comm.barrier()
     assert comm.clocks[0] == comm.clocks[1] == 5.0
     assert comm.clocks[2] == 0.0  # frozen, not dragged to the release

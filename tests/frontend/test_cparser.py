@@ -29,8 +29,8 @@ def test_parse_gemm_function_signature():
     unit = parse_c(GEMM)
     fn = unit.function("gemm")
     assert fn.return_type == "void"
-    assert [p.name for p in fn.scalar_params()] == ["M", "N", "K", "alpha"]
-    arrays = fn.array_params()
+    assert [p.name for p in fn.params if not p.is_array] == ["M", "N", "K", "alpha"]
+    arrays = [p for p in fn.params if p.is_array]
     assert [p.name for p in arrays] == ["A", "B", "C"]
     assert arrays[0].rank == 2
 
@@ -140,4 +140,4 @@ def test_batched_vla_params():
     }
     """
     fn = parse_c(src).functions[0]
-    assert fn.array_params()[0].rank == 3
+    assert [p.rank for p in fn.params if p.is_array] == [3]

@@ -26,8 +26,8 @@ def analyze(src, name=None):
 
 def test_symbol_tables():
     info = analyze(GEMM)
-    assert info.int_params() == ["M", "N", "K"]
-    assert info.double_params() == ["alpha"]
+    assert [n for n, t in info.scalars.items() if t == "int"] == ["M", "N", "K"]
+    assert [n for n, t in info.scalars.items() if t == "double"] == ["alpha"]
     assert set(info.arrays) == {"A", "B", "C"}
     assert info.arrays["A"].rank == 2
 

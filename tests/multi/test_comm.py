@@ -81,11 +81,3 @@ def test_advance_and_elapsed():
     comm.advance(0, 1.0)
     comm.advance(1, 3.0)
     assert comm.elapsed() == 3.0
-
-
-def test_allgather():
-    comm = SimComm(2)
-    pieces = [np.array([1.0]), np.array([2.0])]
-    everything = comm.allgather(pieces)
-    assert len(everything) == 2
-    assert (everything[0][1] == [2.0]).all()

@@ -108,13 +108,6 @@ def test_substitute_inside_floordiv():
     assert replaced == aff_var("t")
 
 
-def test_rename():
-    expr = aff_var("i") + aff_var("j") * 2
-    renamed = expr.rename({"i": "x"})
-    assert renamed.coefficient("x") == 1
-    assert renamed.coefficient("j") == 2
-
-
 def test_evaluate_unbound_raises():
     with pytest.raises(NonAffineError):
         aff_var("i").evaluate({})

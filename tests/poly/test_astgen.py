@@ -15,7 +15,7 @@ from repro.poly.astnodes import (
     Stmt,
     walk_stmts,
 )
-from repro.poly.iset import box_set, le
+from repro.poly.iset import box_set, eq, le
 from repro.poly.schedule_tree import (
     BandMember,
     BandNode,
@@ -27,7 +27,6 @@ from repro.poly.schedule_tree import (
     SequenceNode,
 )
 from repro.poly.space import Space
-from repro.poly.transforms import peel_eq
 
 
 class RecordingDelegate:
@@ -121,7 +120,7 @@ def test_sequence_preserves_order():
 def test_peeled_filter_restricts_loop_to_single_iteration():
     root = simple_domain()
     inner = band("i", aff_var("M"))
-    filt = FilterNode(["S1"], [inner], constraints=[peel_eq("i", 0)])
+    filt = FilterNode(["S1"], [inner], constraints=[eq(aff_var("i"), 0)])
     root.set_child(filt)
     ast = generate(root)
     loop = next(s for s in walk_stmts(ast) if isinstance(s, ForLoop))
@@ -150,7 +149,7 @@ def test_guard_on_open_variable_becomes_if():
 
 def test_unconsumed_constraint_raises():
     root = simple_domain()
-    filt = FilterNode(["S1"], constraints=[peel_eq("zz", 0)])
+    filt = FilterNode(["S1"], constraints=[eq(aff_var("zz"), 0)])
     root.set_child(filt)
     with pytest.raises(CodegenError):
         generate(root)

@@ -1,4 +1,4 @@
-"""Affine maps: application, composition, footprints."""
+"""Affine maps: application, substitution, structural equality."""
 
 import pytest
 
@@ -33,46 +33,14 @@ def test_apply_with_params():
     assert m.apply({"i": 1, "j": 0, "k": 0}, {"M": 10}) == (11,)
 
 
-def test_compose():
-    tile = AffineMap(S1, [i.floordiv(8), j.floordiv(8), k])
-    # inner: point loops -> statement dims
-    P = Space("P", ("it", "jt", "kp"))
-    expand = AffineMap(
-        P, [aff_var("it") * 8, aff_var("jt") * 8, aff_var("kp")], S1
-    )
-    composed = tile.compose(expand)
-    assert composed.apply({"it": 3, "jt": 2, "kp": 5}) == (3, 2, 5)
-
-
-def test_compose_rank_mismatch():
-    other = AffineMap(Space("P", ("x",)), [aff_var("x")])
-    with pytest.raises(SpaceMismatchError):
-        AffineMap(S1, [i]).compose(other)
-
-
 def test_substitute():
     m = AffineMap(S1, [i + k])
     m2 = m.substitute({"k": aff_var("k") * 2})
     assert m2.apply({"i": 1, "j": 0, "k": 3}) == (7,)
 
 
-def test_box_image_is_footprint():
-    # The DMA footprint computation of §4: A[i, k] over one CPE's tile.
-    m = AffineMap.access(S1, A, [i, k])
-    box = {"i": (64, 127), "j": (0, 63), "k": (32, 63)}
-    image = m.box_image(box)
-    assert image == [(64, 127), (32, 63)]
-
-
-def test_box_image_with_params():
-    m = AffineMap(S1, [i + aff_var("M")])
-    image = m.box_image({"i": (0, 3), "j": (0, 0), "k": (0, 0)}, {"M": 100})
-    assert image == [(100, 103)]
-
-
-def test_parameters():
+def test_variables():
     m = AffineMap(S1, [i + aff_var("M") * 2])
-    assert m.parameters() == frozenset({"M"})
     assert m.variables() == frozenset({"i", "M"})
 
 

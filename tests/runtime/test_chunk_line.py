@@ -3,11 +3,11 @@ direct executor runs.
 
 After the §6 peel every k step of a chunk does the same work, so
 ``chunk_stats`` reads a K of more than five k steps off the line through
-the timed chunks at 2 and 3 steps, unless the simulator is guarded, the
-fault plane is on or the schedule is ``optimize``.  The line must equal
-a direct run of the same chunk up to rounding over a seeded slice of
-the tuner's search space, and the cases the line does not cover must
-stay direct runs, bit for bit.
+the timed chunks at 2 and 3 steps, unless the fault plane is on or the
+schedule is ``optimize``.  The line must equal a direct run of the same
+chunk up to rounding over a seeded slice of the tuner's search space,
+and the cases the line does not cover must stay direct runs, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -130,22 +130,21 @@ def test_line_matches_a_direct_run(arch, kind, options, service):
 
 _FAULTS = FaultPolicy(enabled=True, seed=3, dma_fault_rate=0.2,
                       latency_spike_rate=0.2)
-#: ``(guarded, options, steps)`` of each case the line does not cover.
+#: ``(options, steps)`` of each case the line does not cover.
 DIRECT_CASES = {
-    "five-steps": (False, CompilerOptions.full(), 5),
-    "guarded": (True, CompilerOptions.full(), 9),
-    "fault-plane": (False, CompilerOptions.full().with_(fault_policy=_FAULTS), 9),
-    "optimize": (False, CompilerOptions.full().with_(schedule="optimize"), 9),
+    "five-steps": (CompilerOptions.full(), 5),
+    "fault-plane": (CompilerOptions.full().with_(fault_policy=_FAULTS), 9),
+    "optimize": (CompilerOptions.full().with_(schedule="optimize"), 9),
 }
 
 
-@pytest.mark.parametrize("guarded,options,steps", DIRECT_CASES.values(),
+@pytest.mark.parametrize("options,steps", DIRECT_CASES.values(),
                          ids=list(DIRECT_CASES))
-def test_uncovered_cases_keep_the_direct_run(guarded, options, steps, service):
-    """Five steps or fewer, a guarded simulator, an enabled fault plane
-    and the ``optimize`` schedule time the requested K itself: it is the
-    only chunk cached, and its value is the direct run's, bit for bit."""
-    sim = PerformanceSimulator(TOY_ARCH, service=service, guarded=guarded)
+def test_uncovered_cases_keep_the_direct_run(options, steps, service):
+    """Five steps or fewer, an enabled fault plane and the ``optimize``
+    schedule time the requested K itself: it is the only chunk cached,
+    and its value is the direct run's, bit for bit."""
+    sim = PerformanceSimulator(TOY_ARCH, service=service)
     spec = sim._default_spec(options)
     K = steps * sim.program_for(options, spec).plan.k_step
     got = sim.chunk_stats(K, options)

@@ -61,7 +61,7 @@ def test_every_step_kind_is_canonical(toy_context):
     timeline = extract_timeline(dec.root)
     seen = set()
     for lvl in timeline.levels.values():
-        for seg in lvl.all_segments():
+        for seg in [*lvl.peel, *lvl.body, *lvl.post]:
             for step in seg.steps:
                 assert step.kind in STEP_KINDS
                 seen.add(step.kind)

@@ -83,7 +83,7 @@ def test_pending_requests_replay_on_boot(tmp_path):
         handle.stop()
     # Every replayed entry was tombstoned: the next boot has nothing.
     reopened = RequestJournal(tmp_path / "journal")
-    assert reopened.pending_count() == 0
+    assert len(reopened.pending()) == 0
     reopened.close()
 
 
@@ -105,7 +105,7 @@ def test_unparseable_journal_entry_is_tombstoned_not_fatal(tmp_path):
     finally:
         handle.stop()
     reopened = RequestJournal(tmp_path / "journal")
-    assert reopened.pending_count() == 0  # the garbage cannot wedge boots
+    assert len(reopened.pending()) == 0  # the garbage cannot wedge boots
     reopened.close()
 
 
@@ -137,7 +137,7 @@ def test_journaled_schedule_object_is_tombstoned_not_fatal(tmp_path):
     finally:
         handle.stop()
     reopened = RequestJournal(tmp_path / "journal")
-    assert reopened.pending_count() == 0
+    assert len(reopened.pending()) == 0
     reopened.close()
 
 

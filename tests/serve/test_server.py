@@ -125,6 +125,32 @@ def test_batched_run_is_steered_by_the_batched_record(tmp_path):
     assert service.tuning_hits - hits == 1
 
 
+def test_run_is_steered_by_the_shape_it_runs():
+    """A ``run`` that names no dims executes 64×64×32, so the record of
+    that shape steers it exactly as it steers a request naming it."""
+    from repro import api
+    from repro.core import CompilerOptions, GemmSpec
+    from repro.service import cache_key
+    from repro.sunway.arch import TOY_ARCH
+
+    service = CompileService(ServiceConfig())
+    record = api.tune(GemmSpec(), shape=(64, 64, 32), arch=TOY_ARCH,
+                      seed=0, budget=8, service=service)
+    steered = cache_key(GemmSpec(), TOY_ARCH, record.apply(CompilerOptions()))
+    hits = service.tuning_hits
+    handle = start_in_thread(service, ServeConfig(workers=1, quota=None))
+    try:
+        with Client(handle.address, tenant="t") as client:
+            implicit = client.run({"arch": "toy"})
+            explicit = client.run({"arch": "toy", "M": 64, "N": 64, "K": 32})
+    finally:
+        handle.stop()
+    assert implicit["ok"] and explicit["ok"]
+    assert implicit["key"] == explicit["key"] == steered
+    assert implicit["gflops"] == explicit["gflops"]
+    assert service.tuning_hits - hits == 2
+
+
 def test_brownout_probe_judges_the_key_a_batched_run_compiles():
     """A batched ``run`` without ``batch_count`` compiles under the b4
     record's key, so with only the unsteered key warm the brownout

@@ -1,0 +1,142 @@
+"""Every definition under ``src/repro`` has a caller outside the tests, and
+DESIGN.md's module map lists exactly the modules of the tree.
+
+(a) Reachability is checked by name.  Every ``.py`` file under ``src/``,
+``perfbench/``, ``benchmarks/`` and ``examples/`` is parsed, and each
+``Name``, ``Attribute``, imported name and identifier-shaped string
+constant is collected.  A ``def`` or ``class`` under ``src/repro`` whose
+name appears nowhere among them is reached only from ``tests/`` or not
+at all.  Dunders are exempt; :data:`ALLOWED` names the definitions kept
+on purpose.
+
+The scan is a name-level over-approximation.  A definition counts as
+reached when any same-named attribute or string appears anywhere, and a
+cluster of dead definitions that only name each other (or a recursive
+function that names itself) escapes it.
+
+(b) The module map of DESIGN.md §3 names files relative to
+``src/repro/``: a line ``  poly/`` opens a package, the ``*.py`` tokens
+that start a line inside it are its modules.  Every listed file must
+exist, and every module of the tree must be listed (a package line
+stands for its ``__init__.py``).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from functools import lru_cache
+from pathlib import Path
+from typing import FrozenSet, Iterator, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+SCANNED = ("src", "perfbench", "benchmarks", "examples")
+
+#: Definitions no code outside ``tests/`` names, kept on purpose.
+ALLOWED = {
+    "enumerate_distances": "test oracle: brute-force dependence distances",
+    "verify_reconstruction": "test oracle: band schedules round-trip the point",
+    "find_all": "tree inspector five suites use",
+    "find_mark": "tree inspector five suites use",
+    "member_vars": "tree inspector five suites use",
+    "enable_tracing": "ROADMAP item 1 builds stall attribution on it",
+    "duration": "ROADMAP item 1 builds stall attribution on it",
+    "busy_time": "ROADMAP item 1 builds stall attribution on it",
+    "analyze_overlap": "ROADMAP item 1 builds stall attribution on it",
+    "degraded_summary": "documented in README and DESIGN A.5",
+}
+
+
+def _names_used(tree: ast.AST) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+                if alias.asname:
+                    yield alias.asname
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value
+
+
+@lru_cache(maxsize=None)
+def _scan() -> Tuple[FrozenSet[str], Tuple[Tuple[str, int, str], ...]]:
+    """``(names used, ((path, line, name) of every src/repro definition))``."""
+    used: Set[str] = set()
+    defined = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used.update(_names_used(tree))
+            if PACKAGE not in path.parents:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                    where = str(path.relative_to(ROOT))
+                    defined.append((where, node.lineno, node.name))
+    return frozenset(used), tuple(defined)
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    used, defined = _scan()
+    unreached = [
+        f"{path}:{line}: {name}"
+        for path, line, name in defined
+        if name not in used and name not in ALLOWED
+    ]
+    assert not unreached, "reached only from tests/ or not at all:\n" + "\n".join(
+        unreached
+    )
+
+
+def test_allowed_names_are_still_unreached_definitions():
+    """An ALLOWED entry that gained a caller, or whose definition is gone,
+    is stale."""
+    used, defined = _scan()
+    names = {name for _, _, name in defined}
+    assert set(ALLOWED) <= names
+    assert not set(ALLOWED) & used
+
+
+def _module_map() -> Set[str]:
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("## 3. System inventory (module map)", 1)[1]
+    block = section.split("```", 2)[1]
+    listed: Set[str] = set()
+    package = ""
+    for line in block.splitlines()[1:]:
+        if not line.strip() or line.strip() == "src/repro/":
+            continue
+        indent = len(line) - len(line.lstrip())
+        tokens = line.split()
+        if indent == 2 and tokens[0].endswith("/"):
+            package = tokens[0]
+            listed.add(package + "__init__.py")
+            continue
+        prefix = package if indent > 2 else ""
+        if indent == 2:
+            package = ""
+        for token in tokens:
+            if not re.fullmatch(r"\w+\.py", token):
+                break
+            listed.add(prefix + token)
+    return listed
+
+
+def test_design_module_map_matches_the_tree():
+    listed = _module_map()
+    on_disk = {
+        str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
+    }
+    assert sorted(listed - on_disk) == [], "listed in DESIGN.md §3, not on disk"
+    assert sorted(on_disk - listed) == [], "on disk, not in DESIGN.md §3"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import HardwareError, SynchronizationError
+from repro.errors import DataIntegrityError, HardwareError, SynchronizationError
 from repro.sunway.spm import ScratchPadMemory, SPMOverflowError
 
 CAPACITY = 4096
@@ -122,7 +122,8 @@ def test_free_drops_checksums_with_buffer():
     spm = ScratchPadMemory(CAPACITY)
     spm.alloc("buf", (4,))
     spm.record_checksum("buf", 0, 0xDEAD, 4)
-    assert spm.stored_checksum("buf", 0) is not None
+    with pytest.raises(DataIntegrityError):
+        spm.verify_checksum("buf", 0, 4)
     spm.free("buf")
     spm.alloc("buf", (4,))
-    assert spm.stored_checksum("buf", 0) is None
+    spm.verify_checksum("buf", 0, 4)  # the record went with the buffer
