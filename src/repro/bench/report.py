@@ -6,7 +6,7 @@ aggregate block — the same content EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench.harness import FigureResult
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import CodegenError
-from repro.poly.affine import AffExpr, FloorDiv
+from repro.poly.affine import AffExpr
 from repro.poly.astnodes import (
     AddrOf,
     AffRef,

@@ -37,11 +37,10 @@ from repro.errors import CompilationError
 from repro.core.decomposition import Decomposition
 from repro.core.dma import DmaSpec
 from repro.core.rma import RmaSpec
-from repro.poly.affine import AffExpr, aff_const, aff_var
+from repro.poly.affine import aff_const, aff_var
 from repro.poly.imap import AffineMap
 from repro.poly.iset import Constraint, le
 from repro.poly.schedule_tree import (
-    BandNode,
     ExtensionNode,
     ExtensionStmt,
     FilterNode,

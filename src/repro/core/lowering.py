@@ -16,7 +16,7 @@ from repro.core.decomposition import Decomposition
 from repro.core.dma import DmaSpec
 from repro.core.rma import RmaSpec
 from repro.codegen.backend import resolve_kernel
-from repro.poly.affine import AffExpr, aff_var
+from repro.poly.affine import AffExpr
 from repro.poly.astgen import ScanContext
 from repro.poly.astnodes import (
     AffRef,

@@ -22,21 +22,12 @@ emits the :class:`~repro.core.spec.GemmSpec` and the matching
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PatternError
 from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec
-from repro.frontend.cast import (
-    CArrayRef,
-    CBinary,
-    CCall,
-    CExpr,
-    CFloatLit,
-    CIdent,
-    CIntLit,
-    CUnary,
-)
+from repro.frontend.cast import CArrayRef, CBinary, CCall, CExpr, CIdent
 from repro.frontend.cparser import parse_c
 from repro.frontend.scop import Scop, ScopStatement, extract_scop
 from repro.frontend.semantic import FunctionInfo, analyze_function

@@ -12,10 +12,10 @@ form is what makes the frontend honest: parallelism and tilability are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.errors import SemanticError
-from repro.frontend.cast import CArrayRef, CAssign, CExpr, walk_exprs
+from repro.frontend.cast import CArrayRef, walk_exprs
 from repro.frontend.semantic import FunctionInfo, StatementInfo
 from repro.poly.affine import AffExpr
 from repro.poly.dependences import Access, DependenceSummary, analyze_statement

@@ -16,7 +16,7 @@ and subscripts, expressed with :class:`~repro.poly.affine.AffExpr`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SemanticError
 from repro.codegen.elementwise import available_functions

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import CodegenError
-from repro.poly.affine import AffExpr, aff_const
+from repro.poly.affine import AffExpr
 from repro.poly.astnodes import (
     AffRef,
     BinExpr,
@@ -41,7 +41,7 @@ from repro.poly.astnodes import (
     IntLit,
     Stmt,
 )
-from repro.poly.iset import EQ, GE, Constraint
+from repro.poly.iset import EQ, Constraint
 from repro.poly.schedule_tree import (
     BandNode,
     ContextNode,

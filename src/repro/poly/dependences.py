@@ -31,13 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import PolyhedralError
 from repro.poly.affine import AffExpr
 from repro.poly.imap import AffineMap
 from repro.poly.iset import IntegerSet
-from repro.poly.space import Space
 
 
 @dataclass(frozen=True)

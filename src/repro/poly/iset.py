@@ -27,8 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.errors import EmptySetError, NonAffineError, PolyhedralError, SpaceMismatchError
-from repro.poly.affine import AffExpr, IntLike, aff_const
+from repro.errors import EmptySetError, PolyhedralError, SpaceMismatchError
+from repro.poly.affine import AffExpr, IntLike
 from repro.poly.space import Space
 
 EQ = "=="

@@ -30,11 +30,16 @@ Two modes share all of this logic:
 * ``move_data=True`` — functional execution: every DMA/RMA actually
   copies NumPy data and the result must equal ``α·A·B + β·C``;
 * ``move_data=False`` — timing-only execution used by the benchmark
-  simulator: the same control flow and clock bookkeeping without the
-  copies.
+  simulator: the same control flow, checks and clock bookkeeping, and
+  no data.  Each CPE's SPM buffers stay plans
+  (:class:`~repro.sunway.spm.BufferPlan`): the engines and the kernel
+  and block-op leaves check slot indices, transfer sizes and element
+  widths against them, in the order and with the errors of a
+  data-moving run, and create no array.
 
-Each run sets the mode, and the guard of guarded execution, on both
-engines before the first statement.
+Each run reserves every CPE's buffer plan, sets the mode and the guard
+of guarded execution on both engines, and, when it moves data, creates
+every SPM array, all before the first statement.
 
 The virtual clocks advance through compute charges and transfer
 completions, so wall time *emerges from the schedule*: if the latency-
@@ -243,11 +248,17 @@ class Executor:
         )
 
     def _allocate_spm(self) -> None:
+        """Reserve every CPE's buffer plan; a data-moving run also creates
+        the arrays now, before its first statement."""
         np_dtype = np.float64 if self.program.spec.dtype == "float64" else np.float32
+        buffers = self.program.cpe_program.buffers
         for cpe in self.cluster.all_cpes():
-            for decl in self.program.cpe_program.buffers:
-                if decl.name not in cpe.spm:
-                    cpe.spm.alloc(decl.name, decl.shape, dtype=np_dtype)
+            spm = cpe.spm
+            for decl in buffers:
+                if decl.name not in spm:
+                    spm.alloc(decl.name, decl.shape, dtype=np_dtype)
+                if self.move_data:
+                    spm.buffer(decl.name)
 
     # ------------------------------------------------------------------
     # Virtual-time-ordered cooperative scheduler
@@ -495,23 +506,33 @@ class Executor:
               update: Optional[Callable[..., None]]) -> Leaf:
         """A kernel call or naive compute: the SPM tiles the slots of
         ``refs`` select, each checked readable, then ``update(C, A, B,
-        alpha)`` unless it is None (timing only), then the compute charge."""
+        alpha)`` on their views unless it is None (timing only, which
+        checks the slots against the buffer plans and takes no view),
+        then the compute charge."""
         names = tuple(ref.array for ref in refs)
+        operands = tuple(ref.indices[0] for ref in refs) + (alpha,)
+        if update is None:
+
+            def timed_gemm(cursor: _Cursor, c_slot: int, a_slot: int,
+                           b_slot: int, alpha: object) -> None:
+                _check_tiles(cursor.cpe.spm, names, (c_slot, a_slot, b_slot))
+                float(alpha)
+                self._kernel_done(cursor.cpe, seconds)
+
+            return Leaf(timed_gemm, operands)
 
         def gemm(cursor: _Cursor, c_slot: int, a_slot: int, b_slot: int,
                  alpha: object) -> None:
             cpe = cursor.cpe
             c_view, a_view, b_view = _tiles(cpe.spm, names, (c_slot, a_slot, b_slot))
-            alpha = float(alpha)
-            if update is not None:
-                # Transposed entry points read the SPM tiles in their
-                # storage layouts (kt×mt / nt×kt); the zero-copy transpose
-                # restores the kernel's canonical contract shapes.
-                update(c_view, a_view.T if trans_a else a_view,
-                       b_view.T if trans_b else b_view, alpha)
+            # Transposed entry points read the SPM tiles in their storage
+            # layouts (kt×mt / nt×kt); the zero-copy transpose restores the
+            # kernel's canonical contract shapes.
+            update(c_view, a_view.T if trans_a else a_view,
+                   b_view.T if trans_b else b_view, float(alpha))
             self._kernel_done(cpe, seconds)
 
-        return Leaf(gemm, tuple(ref.indices[0] for ref in refs) + (alpha,))
+        return Leaf(gemm, operands)
 
     def _kernel_done(self, cpe: CPE, seconds: float) -> None:
         """The bookkeeping that ends a kernel call or naive compute."""
@@ -541,13 +562,17 @@ class Executor:
         cluster = self.cluster
 
         def block_op(cursor: _Cursor, slot: int, factor: object = None) -> None:
-            (view,) = _tiles(cursor.cpe.spm, name, (slot,))
-            if func is None:
-                factor = float(factor)
-                if move_data:
-                    view *= factor
-            elif move_data:
-                view[...] = func.numpy_fn(view)
+            spm = cursor.cpe.spm
+            if not move_data:
+                _check_tiles(spm, name, (slot,))
+                if func is None:
+                    float(factor)
+            else:
+                (view,) = _tiles(spm, name, (slot,))
+                if func is None:
+                    view *= float(factor)
+                else:
+                    view[...] = func.numpy_fn(view)
             charge_compute(cluster, cursor.cpe, seconds, kind="blockop")
             self._progress += 1
 
@@ -611,6 +636,14 @@ def _tiles(spm, names, slots) -> List[np.ndarray]:
         spm.check_readable(name, slot)
         views.append(spm.slot(name, slot))
     return views
+
+
+def _check_tiles(spm, names, slots) -> None:
+    """The checks of :func:`_tiles`, in its order, against the buffer
+    plans alone: a timing-only compute touches no data."""
+    for name, slot in zip(names, slots):
+        spm.check_readable(name, slot)
+        spm.tile(name, slot)
 
 
 def _fail(message: str) -> Leaf:

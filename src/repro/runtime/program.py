@@ -8,15 +8,15 @@ engineering-cost claim is about exactly this number)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.core.decomposition import Decomposition
 from repro.core.diagnostics import PassStat
 from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec, check_shape
 from repro.core.tile_model import TilePlan
-from repro.poly.astnodes import BufferDecl, CpeProgram, ReplyDecl
+from repro.poly.astnodes import CpeProgram
 from repro.poly.schedule_tree import DomainNode
 from repro.sunway.arch import ArchSpec
 

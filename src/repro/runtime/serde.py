@@ -27,7 +27,7 @@ fail loudly — silent ``repr`` fallbacks would poison the cache.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import SwGemmError
 

@@ -22,7 +22,10 @@ and 3 steps give the line.
 The simulator runs the real executor (timing-only, no data movement) on
 one chunk — full pipeline, barriers, channel contention and edge
 effects, its operands laid out as the spec stores them — and caches each
-run per ``(options, spec, K)``.  :meth:`PerformanceSimulator.chunk_stats`
+run per ``(options, spec, K)``.  The run holds no data: its operands are
+shapes with no bytes behind them (:meth:`~repro.sunway.memory.MainMemory.declare`)
+and its SPM buffers are plans the engines check
+(:class:`~repro.sunway.spm.BufferPlan`).  :meth:`PerformanceSimulator.chunk_stats`
 reads a K of more than five steps off the line of its ``(options,
 spec)`` (the two samples cost five steps), which costs no executor run
 once the samples are cached.  It keeps the direct run of the requested K
@@ -186,14 +189,15 @@ class PerformanceSimulator:
         params = {spec.m_param: plan.chunk_m, spec.n_param: plan.chunk_n,
                   spec.k_param: K}
         # Operands in their storage layouts: A is K×M under trans_a, B is
-        # N×K under trans_b — the layout run_gemm pads to.
+        # N×K under trans_b — the layout run_gemm pads to.  A timing-only
+        # run reads their shapes alone, so they are declared, not filled.
         lead = (1,) if spec.is_batched else ()
         for name, dims in (
             (spec.a_name, spec.a_dims()),
             (spec.b_name, spec.b_dims()),
             (spec.c_name, spec.c_dims()),
         ):
-            cluster.memory.alloc(name, lead + tuple(params[d] for d in dims))
+            cluster.memory.declare(name, lead + tuple(params[d] for d in dims))
         if lead:
             params[spec.batch_param] = 1
         report = Executor(program, cluster, move_data=False).run(params)

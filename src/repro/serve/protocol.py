@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.serve.queue import DEFAULT_PRIORITY, PRIORITIES, check_priority
+from repro.serve.queue import DEFAULT_PRIORITY, check_priority
 
 #: Hard ceiling on one frame (request or response), newline included.
 MAX_FRAME_BYTES = 1 << 20

@@ -49,6 +49,7 @@ from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, DeadlineExceededError, OverloadError
+from repro.serve.overload import is_expired
 
 #: The priority classes, highest priority first.  Order is the scheduling
 #: policy: a class is only served when every class before it is empty.
@@ -299,10 +300,7 @@ class FairPriorityQueue:
                     order.popleft()
                     del self._queues[priority][tenant]
                 self._size -= 1
-                if (
-                    entry.deadline_at is not None
-                    and now >= entry.deadline_at
-                ):
+                if is_expired(entry.deadline_at, now):
                     # Expired while queued: shed it *before* dispatch so
                     # no worker is ever wasted on a caller that gave up.
                     self.expired[priority] += 1

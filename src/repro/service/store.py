@@ -28,7 +28,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector
 from repro.runtime.program import CompiledProgram
@@ -104,6 +104,10 @@ class ArtifactStore:
         #: optional fault plane corrupting freshly written artifacts
         #: (chaos testing of the quarantine/recompile path)
         self.injector = injector
+        #: artifact path -> (mtime ns, size, arch tag or None): the tag of
+        #: each file version, so :meth:`stats` reads a file once per
+        #: version; :meth:`put` records the tag it writes
+        self._arch_tags: Dict[Path, Tuple[int, int, Optional[str]]] = {}
 
     # -- artifact files ----------------------------------------------------
 
@@ -155,6 +159,8 @@ class ArtifactStore:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(path, json.dumps(payload))
+        stat = path.stat()
+        self._arch_tags[path] = (stat.st_mtime_ns, stat.st_size, payload["arch"])
         self.writes += 1
         if self.injector is not None:
             # The fault plane may truncate the artifact we just landed —
@@ -188,32 +194,19 @@ class ArtifactStore:
     def keys(self) -> List[str]:
         return sorted(p.stem for p in self._artifact_paths())
 
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self._artifact_paths())
-
-    def shard_counts(self) -> Dict[str, int]:
-        """Artifacts per (non-empty) shard directory."""
-        counts: Dict[str, int] = {}
-        for path in self._artifact_paths():
-            shard = path.parent.name
-            counts[shard] = counts.get(shard, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def arch_counts(self) -> Dict[str, int]:
-        """Artifacts per architecture (top-level ``arch`` tag).
-
-        Every :meth:`put` writes the tag; a file the store cannot
-        attribute — unreadable, or without the tag, which :meth:`get`
-        quarantines — counts as ``(unreadable)``."""
-        counts: Dict[str, int] = {}
-        for path in self._artifact_paths():
-            try:
-                tag = json.loads(path.read_text()).get("arch")
-            except (OSError, ValueError, AttributeError):
-                tag = None
-            name = str(tag).lower() if tag else "(unreadable)"
-            counts[name] = counts.get(name, 0) + 1
-        return dict(sorted(counts.items()))
+    def _arch_entry(
+        self, path: Path, stat: os.stat_result
+    ) -> Tuple[int, int, Optional[str]]:
+        """``(mtime ns, size, arch tag or None)`` of one artifact file
+        version; the file is read only if this version is new."""
+        known = self._arch_tags.get(path)
+        if known is not None and known[:2] == (stat.st_mtime_ns, stat.st_size):
+            return known
+        try:
+            tag = json.loads(path.read_text()).get("arch")
+        except (OSError, ValueError, AttributeError):
+            tag = None
+        return (stat.st_mtime_ns, stat.st_size, tag)
 
     def clear(self) -> int:
         """Remove every artifact and the persistent counters."""
@@ -269,18 +262,39 @@ class ArtifactStore:
         return sorted(str(k) for k in keys) if isinstance(keys, list) else []
 
     def stats(self) -> Dict[str, object]:
+        """The store's report, from one walk of the shards.
+
+        ``archs`` counts artifacts per architecture (the top-level
+        ``arch`` tag every :meth:`put` writes); a file the store cannot
+        attribute — unreadable, or without the tag, which :meth:`get`
+        quarantines — counts as ``(unreadable)``.  A file that vanishes
+        during the walk is not counted."""
         qdir = self.quarantine_dir
         quarantine_files = (
             len(list(qdir.glob(f"*{_SUFFIX}"))) if qdir.is_dir() else 0
         )
-        shards = self.shard_counts()
+        shards: Dict[str, int] = {}
+        archs: Dict[str, int] = {}
+        total_bytes = 0
+        tags: Dict[Path, Tuple[int, int, Optional[str]]] = {}
+        for path in self._artifact_paths():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # removed during the walk
+            tags[path] = entry = self._arch_entry(path, stat)
+            total_bytes += stat.st_size
+            shards[path.parent.name] = shards.get(path.parent.name, 0) + 1
+            arch = str(entry[2]).lower() if entry[2] else "(unreadable)"
+            archs[arch] = archs.get(arch, 0) + 1
+        self._arch_tags = tags  # forgets the files that are gone
         return {
             "dir": str(self.root),
-            "artifacts": len(self.keys()),
-            "bytes": self.total_bytes(),
+            "artifacts": sum(shards.values()),
+            "bytes": total_bytes,
             "shards": len(shards),
-            "per_shard": shards,
-            "archs": self.arch_counts(),
+            "per_shard": dict(sorted(shards.items())),
+            "archs": dict(sorted(archs.items())),
             "hits": self.disk_hits,
             "misses": self.disk_misses,
             "writes": self.writes,

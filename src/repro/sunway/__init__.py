@@ -15,7 +15,8 @@ Real SW26010Pro hardware is inaccessible, so this subpackage provides a
 * :mod:`repro.sunway.arch` — architecture parameters (SW26010Pro default,
   SW26010 and a down-scaled test preset);
 * :mod:`repro.sunway.memory` — the core group's main memory;
-* :mod:`repro.sunway.spm` — per-CPE SPM with capacity enforcement;
+* :mod:`repro.sunway.spm` — per-CPE SPM with capacity enforcement, whose
+  buffers are plans until data touches them;
 * :mod:`repro.sunway.cpe` / :mod:`repro.sunway.mesh` — CPE state (reply
   counters with the ``*_wait_value`` commit) and the 8×8 mesh (cluster)
   with its ``synch()`` barrier;

@@ -114,11 +114,18 @@ class CPE:
         return counter
 
     def reset_reply(self, name: str) -> None:
-        """``reply = 0``: zero a counter before its transfers are issued."""
-        self.reply(name).reset()
+        """``reply = 0``: zero a counter before its transfers are issued.
+
+        The most frequent leaf of a run, so it looks the counter up once."""
+        counter = self.replies.get(name)
+        if counter is None:
+            self.replies[name] = ReplyCounter(name)
+        else:
+            counter.reset()
         # A reset opens a new transfer window: any reply loss recorded for
         # the previous window no longer explains a stall on this counter.
-        self.lost_replies.pop(name, None)
+        if self.lost_replies:
+            self.lost_replies.pop(name, None)
 
     def finish_wait(self, counter: ReplyCounter, value: int) -> None:
         """Commit a completed ``*_wait_value`` on one of this CPE's

@@ -18,10 +18,11 @@ mesh shares one memory channel: a message occupies the channel for
 ``startup + bytes/bandwidth`` seconds starting no earlier than both its
 issue time and the channel becoming free — so 64 concurrent tile fetches
 contend exactly as they would on the shared DDR4 controller.  A
-message's bytes are its element count times the width of the SPM tile's
-dtype (8 B for DGEMM, 4 B for SGEMM).  With ``move_data`` off the engine
-runs timing-only: same validation, channel and reply bookkeeping, no
-copies.
+message's bytes are its element count times the element width of the
+SPM buffer's plan (8 B for DGEMM, 4 B for SGEMM).  With ``move_data``
+off the engine runs timing-only: the same validation, channel and reply
+bookkeeping, against the SPM buffer's plan and the main-memory array's
+shape alone — it takes no tile view and copies nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class DMAEngine:
         #: the admission verifier's certificate (guarded mode)
         self.guard = None
         #: functional mode copies the data; timing-only mode (False) keeps
-        #: the validation, channel occupancy and reply bookkeeping only
+        #: the validation, channel occupancy and reply bookkeeping only,
+        #: and touches no SPM or main-memory data
         self.move_data = True
 
     def reset(self) -> None:
@@ -206,15 +208,15 @@ class DMAEngine:
     ) -> float:
         """Main-memory array ``src`` → the SPM tile ``dst_key`` (buffer,
         slot).  Returns the modelled completion time."""
-        dst = cpe.spm.slot(dst_key[0], dst_key[1])
-        rows = self._validate(src.size, offset, size, length, strip, dst.size)
+        plan = cpe.spm.tile(dst_key[0], dst_key[1])
+        rows = self._validate(src.size, offset, size, length, strip, plan.slot_elems)
         if self.guard is not None:
             self.guard.on_dma("get", dst_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
         if self.move_data:
             idx = self._gather_indices(offset, rows, length, strip)
             payload = src.reshape(-1)[idx]
-            dst_flat = dst.reshape(-1)
+            dst_flat = cpe.spm.slot(dst_key[0], dst_key[1]).reshape(-1)
 
             def copy_fn() -> Optional[int]:
                 dst_flat[:size] = payload
@@ -226,10 +228,10 @@ class DMAEngine:
             def readback_fn() -> int:
                 return tile_checksum(dst_flat[:size])
 
-        nbytes = size * dst.itemsize
+        nbytes = size * plan.itemsize
         completion, checksum = self._transfer(
             cpe, f"dma_iget into {dst_key[0]}[{dst_key[1]}]", nbytes,
-            length * dst.itemsize, copy_fn, corrupt_fn, readback_fn,
+            length * plan.itemsize, copy_fn, corrupt_fn, readback_fn,
         )
         if checksum is not None:
             cpe.spm.record_checksum(dst_key[0], dst_key[1], checksum, size)
@@ -249,18 +251,18 @@ class DMAEngine:
     ) -> float:
         """The SPM tile ``src_key`` (buffer, slot) → main-memory array
         ``dst``.  Returns the modelled completion time."""
-        src = cpe.spm.slot(src_key[0], src_key[1])
+        plan = cpe.spm.tile(src_key[0], src_key[1])
         # The tile being written out must itself be ready (e.g. the getC
         # that filled local_C must have been waited on).
         cpe.spm.check_readable(src_key[0], src_key[1])
-        rows = self._validate(dst.size, offset, size, length, strip, src.size)
+        rows = self._validate(dst.size, offset, size, length, strip, plan.slot_elems)
         if self.guard is not None:
             self.guard.on_dma("put", src_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
         if self.move_data:
             flat = dst.reshape(-1)
             idx = self._gather_indices(offset, rows, length, strip)
-            payload = src.reshape(-1)[:size]
+            payload = cpe.spm.slot(src_key[0], src_key[1]).reshape(-1)[:size]
 
             def copy_fn() -> Optional[int]:
                 flat[idx] = payload
@@ -272,10 +274,10 @@ class DMAEngine:
             def readback_fn() -> int:
                 return tile_checksum(flat[idx])
 
-        nbytes = size * src.itemsize
+        nbytes = size * plan.itemsize
         completion, _ = self._transfer(
             cpe, f"dma_iput from {src_key[0]}[{src_key[1]}]", nbytes,
-            length * src.itemsize, copy_fn, corrupt_fn, readback_fn,
+            length * plan.itemsize, copy_fn, corrupt_fn, readback_fn,
         )
         # The SPM source must not be overwritten until the put completed.
         self._book(cpe, src_key, "dma_iput", reply_name, completion, nbytes)

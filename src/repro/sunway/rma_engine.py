@@ -24,8 +24,10 @@ Timing: each mesh row and each mesh column owns an independent broadcast
 channel (so the simultaneous A-row and B-column broadcasts of §6.1 do not
 contend), and a broadcast is a pipelined multicast occupying its channel
 for ``startup + bytes/bandwidth`` seconds.  Its bytes are the element
-count times the width of the source SPM buffer's dtype (8 B for DGEMM,
-4 B for SGEMM).
+count times the element width of the source SPM buffer's plan (8 B for
+DGEMM, 4 B for SGEMM).  With ``move_data`` off the engine checks the
+source and destination slots and sizes against the buffers' plans and
+copies nothing.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class RMAEngine:
         #: the admission verifier's certificate (guarded mode)
         self.guard = None
         #: functional mode copies the tiles; timing-only mode (False) keeps
-        #: the channel and reply bookkeeping only
+        #: the checks, channel and reply bookkeeping only, against the SPM
+        #: buffer plans
         self.move_data = True
 
     def reset(self) -> None:
@@ -147,25 +150,27 @@ class RMAEngine:
             # End-to-end integrity: the tile the DMA landed must still be
             # intact when it leaves the SPM again on the RMA hop.
             sender.spm.verify_checksum(src_key[0], src_key[1], size)
-        src_tile = sender.spm.slot(src_key[0], src_key[1])
-        if size <= 0 or size > src_tile.size:
+        src_elems = sender.spm.tile(src_key[0], src_key[1]).slot_elems
+        if size <= 0 or size > src_elems:
             raise InvalidRMAError(
-                f"RMA size {size} outside source tile of {src_tile.size} elements"
+                f"RMA size {size} outside source tile of {src_elems} elements"
             )
         expected: Optional[int] = None
-        if move_data and self.policy.checksums:
-            expected = tile_checksum(src_tile.reshape(-1)[:size])
+        if move_data:
+            payload = sender.spm.slot(src_key[0], src_key[1]).reshape(-1)[:size]
+            if self.policy.checksums:
+                expected = tile_checksum(payload)
         for receiver in receivers:
-            dst_tile = receiver.spm.slot(dst_key[0], dst_key[1])
-            if size > dst_tile.size:
+            dst_elems = receiver.spm.tile(dst_key[0], dst_key[1]).slot_elems
+            if size > dst_elems:
                 raise InvalidRMAError(
-                    f"RMA size {size} exceeds destination tile of {dst_tile.size}"
+                    f"RMA size {size} exceeds destination tile of {dst_elems}"
                 )
             if move_data:
-                dst_flat = dst_tile.reshape(-1)
+                dst_flat = receiver.spm.slot(dst_key[0], dst_key[1]).reshape(-1)
                 attempts = 0
                 while True:
-                    dst_flat[:size] = src_tile.reshape(-1)[:size]
+                    dst_flat[:size] = payload
                     if (self.injector is not None
                             and self.injector.corrupts("rma")):
                         self.injector.corrupt_tile(dst_flat[:size])
@@ -217,9 +222,9 @@ class RMAEngine:
         self._check_armed(sender)
         if self.guard is not None:
             self.guard.on_rma(axis, src_key[0], dst_key[0], size)
-        # The width comes from the source buffer itself; a bad slot index
+        # The width comes from the source buffer's plan; a bad slot index
         # still fails in _deliver, after the channel attempt.
-        nbytes = size * sender.spm.buffer(src_key[0]).itemsize
+        nbytes = size * sender.spm.plan(src_key[0]).itemsize
         completion = self._occupy_with_retries(
             sender, free_list, index, nbytes, f"{axis}{index}",
             f"rma_{axis}_ibcast",

@@ -7,6 +7,15 @@ materialised here.  The allocator enforces capacity exactly: a plan that
 would not fit on the real hardware raises :class:`SPMOverflowError`, which
 is how the analytical tile-size model of §3.1 is validated.
 
+:meth:`ScratchPadMemory.alloc` records a :class:`BufferPlan` — shape,
+dtype, slot count, slot size and element width — and nothing more.  A
+buffer's NumPy array exists only once data is touched
+(:meth:`~ScratchPadMemory.buffer`, :meth:`~ScratchPadMemory.slot`), so a
+timing-only run, which moves no data, holds none: the engines and the
+executor check slot indices, transfer sizes and element widths against
+the plan (:meth:`~ScratchPadMemory.tile`) and take a tile view only to
+copy or compute.
+
 The allocator also tracks an *in-flight* flag per buffer slot: a DMA or
 RMA whose reply counter has not been waited on leaves its destination slot
 poisoned, and any compute touching a poisoned slot raises
@@ -16,11 +25,42 @@ hiding discipline (Fig. 11) into a machine-checked property.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from math import prod
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.errors import HardwareError, SPMOverflowError, SynchronizationError
+
+
+class BufferPlan(NamedTuple):
+    """One SPM buffer as :meth:`ScratchPadMemory.alloc` reserved it."""
+
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    #: a 2-D buffer is one tile (slot 0); any other is addressed by its
+    #: leading dimension, one slot per index
+    single: bool
+    slots: int
+    #: elements of one slot: the most a transfer into it may move
+    slot_elems: int
+    itemsize: int
+    nbytes: int
+
+    @classmethod
+    def of(cls, shape: Tuple[int, ...], dtype) -> "BufferPlan":
+        dtype = np.dtype(dtype)
+        single = len(shape) == 2
+        count = prod(shape)
+        return cls(
+            shape=shape,
+            dtype=dtype,
+            single=single,
+            slots=1 if single else (shape[0] if shape else 0),
+            slot_elems=count if single else prod(shape[1:]),
+            itemsize=dtype.itemsize,
+            nbytes=count * dtype.itemsize,
+        )
 
 
 class ScratchPadMemory:
@@ -34,7 +74,9 @@ class ScratchPadMemory:
     def __init__(self, capacity_bytes: int, owner: str = "") -> None:
         self.capacity_bytes = capacity_bytes
         self.owner = owner
-        self._buffers: Dict[str, np.ndarray] = {}
+        self._plans: Dict[str, BufferPlan] = {}
+        #: the arrays of the buffers whose data has been touched
+        self._arrays: Dict[str, np.ndarray] = {}
         self._inflight: Dict[Tuple[str, int], str] = {}
         # End-to-end integrity: (buffer, slot) -> (crc32, element count)
         # recorded by the engine that last filled the slot.
@@ -45,20 +87,21 @@ class ScratchPadMemory:
 
     def alloc(
         self, name: str, shape: Tuple[int, ...], dtype=np.float64
-    ) -> np.ndarray:
-        if name in self._buffers:
+    ) -> BufferPlan:
+        """Reserve buffer ``name`` and return its plan; its zero-filled
+        array is created when :meth:`buffer` first touches it."""
+        if name in self._plans:
             raise HardwareError(f"SPM buffer {name!r} already allocated ({self.owner})")
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        if self._used + nbytes > self.capacity_bytes:
+        plan = BufferPlan.of(shape, dtype)
+        if self._used + plan.nbytes > self.capacity_bytes:
             raise SPMOverflowError(
                 f"SPM overflow on {self.owner or 'CPE'}: buffer {name!r} "
-                f"({nbytes} B) exceeds capacity "
+                f"({plan.nbytes} B) exceeds capacity "
                 f"({self._used} used of {self.capacity_bytes})"
             )
-        buffer = np.zeros(shape, dtype=dtype)
-        self._buffers[name] = buffer
-        self._used += nbytes
-        return buffer
+        self._plans[name] = plan
+        self._used += plan.nbytes
+        return plan
 
     def free(self, name: str) -> None:
         """Release one buffer, returning its bytes to the allocator.
@@ -68,8 +111,8 @@ class ScratchPadMemory:
         :class:`SynchronizationError` — the same discipline the verifier's
         hazard machine proves statically.
         """
-        buffer = self._buffers.get(name)
-        if buffer is None:
+        plan = self._plans.get(name)
+        if plan is None:
             raise HardwareError(
                 f"cannot free SPM buffer {name!r}: not allocated "
                 f"on {self.owner or 'CPE'}"
@@ -82,49 +125,69 @@ class ScratchPadMemory:
                 f"slot(s) {pending} are still in flight "
                 f"({', '.join(sorted(causes))})"
             )
-        del self._buffers[name]
-        self._used -= buffer.nbytes
+        del self._plans[name]
+        self._arrays.pop(name, None)
+        self._used -= plan.nbytes
         self._checksums = {
             key: value for key, value in self._checksums.items() if key[0] != name
         }
 
     def free_all(self) -> None:
-        self._buffers.clear()
+        self._plans.clear()
+        self._arrays.clear()
         self._inflight.clear()
         self._checksums.clear()
         self._used = 0
 
     # -- access -------------------------------------------------------------
 
-    def buffer(self, name: str) -> np.ndarray:
+    def plan(self, name: str) -> BufferPlan:
         try:
-            return self._buffers[name]
+            return self._plans[name]
         except KeyError:
             raise HardwareError(
                 f"SPM buffer {name!r} not allocated on {self.owner or 'CPE'}"
             ) from None
 
-    def slot(self, name: str, index: int = 0) -> np.ndarray:
-        """One slot of a (possibly multi-slot) buffer as a 2-D tile."""
-        buf = self.buffer(name)
-        if buf.ndim == 2:
+    def buffer(self, name: str) -> np.ndarray:
+        """The whole buffer's array, created zero-filled on first touch."""
+        array = self._arrays.get(name)
+        if array is None:
+            plan = self.plan(name)
+            array = self._arrays[name] = np.zeros(plan.shape, dtype=plan.dtype)
+        return array
+
+    def tile(self, name: str, index: int = 0) -> BufferPlan:
+        """The plan of ``name`` once ``index`` is checked to be one of its
+        slots: the checks :meth:`slot` makes, in its order and with its
+        errors, without touching data."""
+        plan = self._plans.get(name) or self.plan(name)
+        if plan.single:
             if index != 0:
                 raise HardwareError(
                     f"buffer {name!r} is single-slot; got slot index {index}"
                 )
-            return buf
-        if not 0 <= index < buf.shape[0]:
+        elif not 0 <= index < plan.slots:
             raise HardwareError(
                 f"slot index {index} out of range for buffer {name!r} "
-                f"with {buf.shape[0]} slots"
+                f"with {plan.slots} slots"
             )
-        return buf[index]
+        elif type(index) is not int:
+            # NumPy decides what any other index selects, or raises.
+            self.buffer(name)[index]
+        return plan
+
+    def slot(self, name: str, index: int = 0) -> np.ndarray:
+        """One slot of a (possibly multi-slot) buffer as a 2-D tile."""
+        plan = self.tile(name, index)
+        array = self.buffer(name)
+        return array if plan.single else array[index]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._buffers
+        return name in self._plans
 
     def names(self) -> Iterator[str]:
-        return iter(self._buffers)
+        return iter(self._plans)
 
     @property
     def used_bytes(self) -> int:
@@ -133,7 +196,8 @@ class ScratchPadMemory:
     # -- in-flight discipline ------------------------------------------------
 
     def mark_inflight(self, name: str, index: int, cause: str) -> None:
-        self.buffer(name)  # existence check
+        if name not in self._plans:
+            self.plan(name)  # raises: not allocated
         self._inflight[(name, index)] = cause
 
     def clear_inflight(self, name: str, index: int) -> None:

@@ -15,8 +15,8 @@ concurrently running kernels, and with hiding disabled it is not.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 Span = Tuple[float, float]  # [start, end)
 

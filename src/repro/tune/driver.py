@@ -30,14 +30,14 @@ on ragged shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.options import CompilerOptions
 from repro.core.passes import reconcile_options
 from repro.core.spec import GemmSpec, check_shape
 from repro.runtime.simulator import PerformanceSimulator
 from repro.sunway.arch import SW26010PRO, ArchSpec
-from repro.tune.pruner import PrunedCandidate, prune
+from repro.tune.pruner import prune
 from repro.tune.records import (
     TuningRecord,
     TuningRecordStore,

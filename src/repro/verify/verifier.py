@@ -26,7 +26,7 @@ hazards``                     it in flight
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.verify.machine import MachineResult, ScheduleMachine
 from repro.verify.report import (

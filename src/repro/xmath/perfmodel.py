@@ -23,7 +23,6 @@ spread visible in the paper's bars without introducing randomness.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from repro.sunway.arch import SW26010PRO, ArchSpec
 

@@ -41,7 +41,7 @@ def test_root_level_file_is_not_an_artifact(tmp_path):
     (tmp_path / f"{key}.json").write_text(json.dumps(payload))
     assert store.keys() == []
     assert store.get(key) is None
-    assert store.shard_counts() == {}
+    assert store.stats()["per_shard"] == {}
 
 
 def test_stats_report_shard_layout(tmp_path):

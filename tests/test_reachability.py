@@ -1,20 +1,26 @@
-"""Every definition under ``src/repro`` has a caller outside the tests, and
-DESIGN.md's module map lists exactly the modules of the tree.
+"""Every definition under ``src/repro`` has a caller outside the tests,
+every module reads what it imports, and DESIGN.md's module map lists
+exactly the modules of the tree.
 
 (a) Reachability is checked by name.  Every ``.py`` file under ``src/``,
 ``perfbench/``, ``benchmarks/`` and ``examples/`` is parsed, and each
-``Name``, ``Attribute``, imported name and identifier-shaped string
-constant is collected.  A ``def`` or ``class`` under ``src/repro`` whose
-name appears nowhere among them is reached only from ``tests/`` or not
-at all.  Dunders are exempt; :data:`ALLOWED` names the definitions kept
-on purpose.
+``Name``, ``Attribute`` and identifier-shaped string constant is
+collected.  An import is not a use, and neither is a string of
+``__all__``: a name only re-exported is reached by nothing.  A ``def``
+or ``class`` under ``src/repro`` whose name appears nowhere among them
+is reached only from ``tests/`` or not at all.  Dunders are exempt;
+:data:`ALLOWED` names the definitions kept on purpose.
 
 The scan is a name-level over-approximation.  A definition counts as
 reached when any same-named attribute or string appears anywhere, and a
 cluster of dead definitions that only name each other (or a recursive
 function that names itself) escapes it.
 
-(b) The module map of DESIGN.md §3 names files relative to
+(b) Every name a module under ``src/repro`` imports is read in that
+module: as a ``Name``, or inside a string annotation.  A package
+``__init__.py`` is exempt, since its imports are its re-exports.
+
+(c) The module map of DESIGN.md §3 names files relative to
 ``src/repro/``: a line ``  poly/`` opens a package, the ``*.py`` tokens
 that start a line inside it are its modules.  Every listed file must
 exist, and every module of the tree must be listed (a package line
@@ -45,24 +51,34 @@ ALLOWED = {
     "busy_time": "ROADMAP item 1 builds stall attribution on it",
     "analyze_overlap": "ROADMAP item 1 builds stall attribution on it",
     "degraded_summary": "documented in README and DESIGN A.5",
+    "set_default_service": "public API (tests/api's surface snapshot)",
+    "all_archs": "CI's multi-arch smoke iterates the registry with it",
 }
 
 
+def _all_strings(tree: ast.AST) -> Set[int]:
+    """The ids of the string constants assigned to ``__all__``."""
+    found: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            found.update(id(c) for c in ast.walk(node.value))
+    return found
+
+
 def _names_used(tree: ast.AST) -> Iterator[str]:
+    exported = _all_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                yield from alias.name.split(".")
-                if alias.asname:
-                    yield alias.asname
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
+            and id(node) not in exported
         ):
             yield node.value
 
@@ -106,6 +122,57 @@ def test_allowed_names_are_still_unreached_definitions():
     names = {name for _, _, name in defined}
     assert set(ALLOWED) <= names
     assert not set(ALLOWED) & used
+
+
+def _imported(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """``(line, bound name)`` of every import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _names_read(tree: ast.AST) -> Set[str]:
+    """Names a module loads, string annotations (``"ArchSpec"``) included."""
+    read: Set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations += [
+                a.annotation
+                for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          args.vararg, args.kwarg)
+                if a is not None
+            ] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return read
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _names_read(tree)
+        unread += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in _imported(tree)
+            if name not in read
+        ]
+    assert not unread, "imported and never read:\n" + "\n".join(unread)
 
 
 def _module_map() -> Set[str]:

@@ -3,7 +3,9 @@
 Hypothesis drives randomized alloc/free/in-flight traces against a
 shadow model: used bytes always equal the sum of live buffers, capacity
 is never exceeded, and the in-flight discipline (no free while a slot
-is in flight, no double free) is enforced on every path.
+is in flight, no double free) is enforced on every path.  A buffer's
+plan answers what its array would: ``tile`` raises what ``slot`` raises
+and gives the slot's size and element width without creating the array.
 """
 
 import numpy as np
@@ -57,8 +59,11 @@ def test_accounting_matches_shadow_model(trace):
                 with pytest.raises(SPMOverflowError):
                     spm.alloc(name, (arg,))
             else:
-                buffer = spm.alloc(name, (arg,))
-                assert buffer.shape == (arg,)
+                assert spm.alloc(name, (arg,)).nbytes == nbytes
+                # alloc records a plan; the zero-filled array exists once
+                # the data is touched.
+                buffer = spm.buffer(name)
+                assert buffer.shape == (arg,) and not buffer.any()
                 live[name] = nbytes
         elif op == "free":
             if name not in live:
@@ -127,3 +132,28 @@ def test_free_drops_checksums_with_buffer():
     spm.free("buf")
     spm.alloc("buf", (4,))
     spm.verify_checksum("buf", 0, 4)  # the record went with the buffer
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    st.sampled_from([np.float64, np.float32]),
+    st.integers(min_value=-2, max_value=7),
+)
+def test_plan_checks_what_the_array_would(shape, dtype, index):
+    spm = ScratchPadMemory(CAPACITY * 8, owner="prop")
+    spm.alloc("buf", tuple(shape), dtype=dtype)
+    try:
+        plan = spm.tile("buf", index)
+    except HardwareError as exc:
+        planned = str(exc)
+    else:
+        planned = None
+    assert not spm._arrays, "checking a slot touched no data"
+    try:
+        view = spm.slot("buf", index)
+    except HardwareError as exc:
+        assert planned == str(exc)
+    else:
+        assert planned is None
+        assert (plan.slot_elems, plan.itemsize) == (view.size, view.itemsize)
