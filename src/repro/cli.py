@@ -281,28 +281,49 @@ def _introspection_requested(args) -> bool:
 def _build_introspected(args, spec, options) -> "CompiledProgram":
     """Direct (cache-bypassing) compile with pass-level introspection.
 
-    Snapshots live on the compile context, not on cached artifacts, so
-    ``--print-after`` / ``--dump-ir`` always run the real pipeline.
+    Cached artifacts carry no IR, so ``--print-after`` / ``--dump-ir``
+    always run the real pipeline; an after-pass hook renders the
+    context's snapshot for just the passes they print or write.
     """
     from repro.core.pipeline import GemmCompiler
+    from repro.errors import ConfigurationError
 
     compiler = GemmCompiler(_arch_from_args(args), options)
+    names = [p.name for p in compiler.pipeline_for(spec)]
+    print_after = args.print_after or []
+    if "all" in print_after:
+        print_after = names
+    unknown = [n for n in print_after if n not in names]
+    if unknown:
+        raise ConfigurationError(
+            f"--print-after: unknown pass(es) {unknown}; "
+            f"this pipeline has {names}"
+        )
+    dumped = []
 
-    def sink(pass_, header, snapshot):
-        print(header)
-        print(snapshot, end="")
+    def after_pass(index, pass_, ctx):
+        printed = pass_.name in print_after
+        if not (printed or args.dump_ir):
+            return
+        snapshot = ctx.snapshot()
+        if printed:
+            print(
+                f";; ---- IR after {index}/{len(names)}: {pass_.name} "
+                f"({pass_.section}) ----"
+            )
+            print(snapshot, end="")
+        if args.dump_ir:
+            dumped.append((f"{index:02d}-{pass_.name}.txt", snapshot))
 
-    program, ctx = compiler.compile_with_context(
-        spec, print_after=args.print_after or None, sink=sink,
-        timeout_s=getattr(args, "timeout", None),
+    program, _ = compiler.compile_with_context(
+        spec, after_pass=after_pass, timeout_s=getattr(args, "timeout", None)
     )
     if args.dump_ir:
         outdir = Path(args.dump_ir)
         outdir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for index, (name, snapshot) in enumerate(ctx.snapshots.items(), 1):
-            (outdir / f"{index:02d}-{name}.txt").write_text(snapshot)
-            count = index
+        for name, snapshot in dumped:
+            (outdir / name).write_text(snapshot)
+        count = len(dumped)
         if program.plan.double_buffered:
             # Per-pass snapshots show the tree; the artifact set is only
             # complete with the final post-schedule timeline alongside.

@@ -9,10 +9,11 @@ the tuner's pruner can record.
 Two backends ship:
 
 * :class:`VendorKernelBackend` (``"vendor"``, the default) — the
-  existing §7.2 contract.  It wraps :class:`~repro.codegen.microkernel.
-  AsmMicroKernel` for any shape the tile planner admits, so default
-  compiles stay bit-exact with the pre-backend pipeline (same kernel
-  names, same cost model, same emitted source).
+  existing §7.2 contract.  It wraps
+  :class:`~repro.codegen.microkernel.AsmMicroKernel` for any shape the
+  tile planner admits, so default compiles stay bit-exact with the
+  pre-backend pipeline (same kernel names, same cost model, same
+  emitted source).
 * :class:`ParametricKernelBackend` (``"parametric"``) — a generator for
   register-tiled kernels at any legal (mt, nt, kt).  Legality is proved
   before generation: the shape must align to the arch's SIMD width, a

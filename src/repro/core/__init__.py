@@ -10,15 +10,16 @@ End-to-end pipeline (§2.3):
 5. :mod:`repro.core.rma` inserts row/column broadcasts (§5);
 6. :mod:`repro.core.latency_hiding` builds the two-level software
    pipeline with loop peeling and double buffering (§6);
-7. :mod:`repro.core.fusion` handles the DL prologue/epilogue patterns
-   (§7.3);
+7. the prologue/epilogue fusion passes of :mod:`repro.core.passes`
+   check the DL fusion patterns (§7.3);
 8. :mod:`repro.core.lowering` + :mod:`repro.poly.astgen` scan the final
    schedule tree into the AST that both the athread-C printer and the
    simulator-backed interpreter consume (§7).
 
 Public entry point: :class:`repro.core.pipeline.GemmCompiler` — a thin
 facade over the instrumented pass pipeline of :mod:`repro.core.passes`
-(per-pass timings, IR snapshots, diagnostics, pass replacement hooks).
+(per-pass timings, diagnostics, pass replacement hooks, and an
+after-pass hook that renders IR snapshots on request).
 """
 
 from repro.core.options import CompilerOptions

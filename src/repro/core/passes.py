@@ -11,10 +11,13 @@ one opaque ``compile`` function:
 * :func:`build_pipeline` assembles the *variant-aware* pass list — the
   batched, fused, no-RMA and no-latency-hiding variants are pipeline
   edits (extra or swapped passes), not branches buried inside passes;
-* :class:`PassManager` executes the list with per-pass wall time, a
-  schedule-tree/IR snapshot after every pass (the print-after-all
-  introspection production polyhedral compilers like PPCG expose), and
-  structured :class:`~repro.core.diagnostics.PassDiagnostic` records;
+* :class:`PassManager` executes the list with per-pass wall time and
+  structured :class:`~repro.core.diagnostics.PassDiagnostic` records,
+  then calls the caller's after-pass hook, if any: ``swgemm
+  --print-after`` / ``--dump-ir`` (the print-after-all introspection
+  production polyhedral compilers like PPCG expose) render
+  :meth:`CompileContext.snapshot` from that hook, and a compile nobody
+  inspects renders no IR;
 * :func:`pipeline_identity` hashes the pass list so the compilation
   service's cache keys change whenever the pipeline changes.
 """
@@ -25,7 +28,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import CompilationError, CompileTimeout, ConfigurationError
 from repro.core.decomposition import (
@@ -150,8 +153,8 @@ class CompileContext:
     """Mutable state threaded through the pass pipeline.
 
     Passes read what earlier passes produced and publish their own
-    results here; the manager records a snapshot of this context after
-    every pass.
+    results here; :meth:`snapshot` renders it for whoever inspects a
+    pass.
     """
 
     spec: GemmSpec
@@ -166,15 +169,9 @@ class CompileContext:
     cpe_program: Optional[CpeProgram] = None
     #: the admission verifier's report (repro.verify.VerificationReport)
     verification: Optional[object] = None
-    #: deterministic dump of the post-rewrite timeline (set by the
-    #: schedule rewrite passes; None on recipe pipelines keeps their
-    #: snapshots byte-identical to before the schedule IR existed)
-    schedule_timeline: Optional[str] = None
 
     diagnostics: List[PassDiagnostic] = field(default_factory=list)
     stats: List[PassStat] = field(default_factory=list)
-    #: pass name -> IR snapshot taken right after the pass ran
-    snapshots: Dict[str, str] = field(default_factory=dict)
     current_pass: str = "<pipeline>"
 
     # -- diagnostics -------------------------------------------------------
@@ -206,7 +203,9 @@ class CompileContext:
 
         The header lists every intermediate artifact present so far; the
         body is the schedule tree (the same printer the golden
-        ``schedule_tree_full.txt`` locks down) once it exists.
+        ``schedule_tree_full.txt`` locks down) once it exists, preceded
+        by its communication timeline once a ``schedule:*`` rewrite pass
+        has run (recipe pipelines render none).
         """
         spec = self.spec
         options = self.options
@@ -276,11 +275,11 @@ class CompileContext:
             if self.decomposition is not None
             else "<no schedule tree yet>"
         )
-        timeline = (
-            "\n--- schedule timeline ---\n" + self.schedule_timeline.rstrip("\n")
-            if self.schedule_timeline
-            else ""
-        )
+        timeline = ""
+        if any(stat.name.startswith("schedule:") for stat in self.stats):
+            timeline = "\n--- schedule timeline ---\n" + extract_timeline(
+                self.decomposition.root
+            ).dump().rstrip("\n")
         return (
             "\n".join(lines)
             + timeline
@@ -624,7 +623,6 @@ class ScheduleRewritePass(Pass):
             ctx.decide(f"{self.rewrite}: applied")
         else:
             ctx.info(f"{self.rewrite}: not applied — no opportunity")
-        ctx.schedule_timeline = extract_timeline(dec.root).dump()
 
     def fingerprint(self) -> str:
         return f"{super().fingerprint()}[{self.rewrite}]"
@@ -784,47 +782,30 @@ def pipeline_identity(passes: Sequence[Pass]) -> str:
 # The manager
 # ---------------------------------------------------------------------------
 
-#: Sink for --print-after style introspection: (pass, header, snapshot).
-SnapshotSink = Callable[[Pass, str, str], None]
+#: Called after each pass as ``after_pass(index, pass_, ctx)``: ``index``
+#: counts from 1, and the pass's stat is already on ``ctx.stats``.
+AfterPass = Callable[[int, Pass, CompileContext], None]
 
 
 class PassManager:
-    """Executes a pipeline over a context with timing, snapshots and
-    print-after hooks."""
+    """Executes a pipeline over a context with per-pass timing, stats
+    and an optional after-pass hook."""
 
-    def __init__(
-        self,
-        passes: Sequence[Pass],
-        print_after: Optional[Sequence[str]] = None,
-        sink: Optional[SnapshotSink] = None,
-    ) -> None:
+    def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes = list(passes)
-        self.sink = sink
-        names = [p.name for p in self.passes]
-        if print_after is None:
-            self.print_after: Tuple[str, ...] = ()
-        elif "all" in print_after:
-            self.print_after = tuple(names)
-        else:
-            unknown = [n for n in print_after if n not in names]
-            if unknown:
-                raise ConfigurationError(
-                    f"--print-after: unknown pass(es) {unknown}; "
-                    f"this pipeline has {names}"
-                )
-            self.print_after = tuple(print_after)
-
-    def identity(self) -> str:
-        return pipeline_identity(self.passes)
 
     def run(
-        self, ctx: CompileContext, deadline: Optional[float] = None
+        self,
+        ctx: CompileContext,
+        deadline: Optional[float] = None,
+        after_pass: Optional[AfterPass] = None,
     ) -> CompileContext:
         """Run the pipeline; ``deadline`` is an absolute
         ``time.monotonic()`` instant past which compilation aborts with
         a structured :class:`CompileTimeout` (checked between passes —
         individual passes are short, so the wall-time overshoot is
-        bounded by one pass)."""
+        bounded by one pass).  ``after_pass`` runs after each pass's
+        stat is recorded, outside its timing."""
         total = len(self.passes)
         for index, pass_ in enumerate(self.passes, start=1):
             if deadline is not None and time.monotonic() >= deadline:
@@ -845,13 +826,7 @@ class PassManager:
                     diagnostics=tuple(ctx.diagnostics[before:]),
                 )
             )
-            snapshot = ctx.snapshot()
-            ctx.snapshots[pass_.name] = snapshot
-            if pass_.name in self.print_after and self.sink is not None:
-                header = (
-                    f";; ---- IR after {index}/{total}: {pass_.name} "
-                    f"({pass_.section}) ----"
-                )
-                self.sink(pass_, header, snapshot)
+            if after_pass is not None:
+                after_pass(index, pass_, ctx)
         ctx.current_pass = "<pipeline>"
         return ctx

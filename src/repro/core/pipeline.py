@@ -6,7 +6,9 @@ builds the variant-aware pass list (batched, fused, no-RMA and
 no-latency-hiding requests are pipeline edits, not branches inside
 passes), runs it through a :class:`~repro.core.passes.PassManager`, and
 packages the result as a :class:`~repro.runtime.program.CompiledProgram`
-carrying a compact per-pass ``pass_stats`` block.
+carrying a compact per-pass ``pass_stats`` block.  It renders no IR: a
+caller that inspects passes (``swgemm --print-after`` / ``--dump-ir``)
+passes an after-pass hook to :meth:`GemmCompiler.compile_with_context`.
 
 Compilation takes milliseconds; the paper's §8.5 contrasts exactly this
 ("seconds, including the integer linear solver") with the months of
@@ -19,14 +21,14 @@ stage.
 from __future__ import annotations
 
 import time
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.options import CompilerOptions
 from repro.core.passes import (
+    AfterPass,
     CompileContext,
     Pass,
     PassManager,
-    SnapshotSink,
     build_pipeline,
     pipeline_identity,
     reconcile_options,
@@ -77,26 +79,25 @@ class GemmCompiler:
     def compile_with_context(
         self,
         spec: GemmSpec,
-        print_after: Optional[Sequence[str]] = None,
-        sink: Optional[SnapshotSink] = None,
+        after_pass: Optional[AfterPass] = None,
         timeout_s: Optional[float] = None,
     ) -> Tuple[CompiledProgram, CompileContext]:
-        """Compile and hand back the pass context (snapshots, diagnostics).
+        """Compile and hand back the pass context (diagnostics, stats).
 
         This is the introspection entry point behind ``swgemm compile
-        --print-after`` / ``--dump-ir``: the returned context holds one
-        IR snapshot per executed pass and every structured diagnostic.
-        ``timeout_s`` sets a wall-clock deadline for the whole pipeline
+        --print-after`` / ``--dump-ir``: ``after_pass(index, pass_, ctx)``
+        runs after every pass (see :class:`~repro.core.passes.PassManager`)
+        and may render ``ctx.snapshot()``.  ``timeout_s`` sets a
+        wall-clock deadline for the whole pipeline
         (:class:`repro.errors.CompileTimeout` on overrun).
         """
         options = self.effective_options(spec)
         passes = self.pipeline_for(spec)
         ctx = CompileContext(spec=spec, arch=self.arch, options=options)
-        manager = PassManager(passes, print_after=print_after, sink=sink)
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
-        manager.run(ctx, deadline=deadline)
+        PassManager(passes).run(ctx, deadline=deadline, after_pass=after_pass)
         stats = tuple(ctx.stats)
         program = CompiledProgram(
             spec=spec,

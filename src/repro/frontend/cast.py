@@ -158,12 +158,6 @@ class CFunction:
     body: List[CStmt]
     line: int = 0
 
-    def param(self, name: str) -> CParam:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
 
 @dataclass
 class CTranslationUnit:

@@ -43,12 +43,6 @@ class Scop:
 
     statements: List[ScopStatement]
 
-    def statement(self, name: str) -> ScopStatement:
-        for s in self.statements:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 def _domain_for(stmt: StatementInfo, name: str) -> IntegerSet:
     space = Space(name, stmt.loop_vars)

@@ -1,11 +1,10 @@
 """A simulated MPI-style communicator over core groups.
 
-The API follows mpi4py's lower-case object methods (``bcast``,
-``scatter``, ``gather``, ``barrier``) so the driver code reads like an
-MPI program.  Instead of real processes there is one
-virtual clock per rank; each collective moves NumPy arrays immediately
-and advances the participating clocks by a linear latency+bandwidth cost
-model:
+The API follows mpi4py's lower-case object methods (``scatter``,
+``gather``, ``barrier``) so the driver code reads like an MPI program.
+Instead of real processes there is one virtual clock per rank; each
+collective moves NumPy arrays immediately and advances the
+participating clocks by a linear latency+bandwidth cost model:
 
 * ranks on the *same processor* talk through the network on chip
   (SW26010Pro: six core groups per chip);
@@ -137,16 +136,6 @@ class SimComm:
         return max(self.clocks[r] for r in alive) if alive else max(self.clocks)
 
     # -- collectives (mpi4py-style lower-case object API) ----------------------
-
-    def bcast(self, array: np.ndarray, root: int = 0) -> List[np.ndarray]:
-        """Broadcast ``array`` from ``root``; returns per-rank copies."""
-        self._check_rank(root)
-        copies: List[np.ndarray] = []
-        for rank in range(self.size):
-            if rank != root:
-                self._charge(root, rank, array.nbytes)
-            copies.append(array.copy() if rank != root else array)
-        return copies
 
     def scatter(self, chunks: Sequence[np.ndarray], root: int = 0) -> List[np.ndarray]:
         """Rank ``i`` receives ``chunks[i]``."""

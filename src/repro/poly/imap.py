@@ -45,10 +45,6 @@ class AffineMap:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def identity(space: Space) -> "AffineMap":
-        return AffineMap(space, [AffExpr.var(d) for d in space.dims], space)
-
-    @staticmethod
     def access(domain_space: Space, array: Space, exprs: Sequence[IntLike]) -> "AffineMap":
         """An access relation ``stmt -> array[exprs]``."""
         return AffineMap(domain_space, exprs, array)

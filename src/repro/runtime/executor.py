@@ -581,19 +581,18 @@ class Executor:
 
     def _naive(self, stmt: NaiveComputeStmt) -> Leaf:
         seconds = self.program.arch.naive_time_s(*stmt.extents) * self._kernel_time_factor
-        done = self._kernel_done
-        if not self.move_data:
-            return Leaf(lambda cursor: done(cursor.cpe, seconds))
-        if self.scalar_naive:
+        if self.move_data and self.scalar_naive:
             update = _scalar_oracle(stmt)
+            done = self._kernel_done
 
             def naive(cursor: _Cursor) -> None:
                 update(cursor)
                 done(cursor.cpe, seconds)
 
             return Leaf(naive)
-        # Fast path: the --no-use-asm body is always the canonical GEMM
-        # update, so the whole point-loop box evaluates as one matmul.
+        # The --no-use-asm body is always the canonical GEMM update, so
+        # the whole point-loop box evaluates as one matmul, and a
+        # timing-only run checks the same three tiles a kernel call does.
         value = stmt.value
         if not (
             isinstance(value, BinExpr)
@@ -608,7 +607,7 @@ class Executor:
             )
         return self._gemm(
             (stmt.target, value.lhs.rhs, value.rhs), value.lhs.lhs, stmt.trans_a,
-            stmt.trans_b, seconds, _matmul,
+            stmt.trans_b, seconds, _matmul if self.move_data else None,
         )
 
 

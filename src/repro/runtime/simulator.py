@@ -124,12 +124,6 @@ class PerformanceSimulator:
 
     # -- chunk measurement -----------------------------------------------------
 
-    def chunk_seconds(
-        self, K: int, options: CompilerOptions, spec: Optional[GemmSpec] = None
-    ) -> float:
-        """Timed simulation of one 512×512×K mesh pass, spawn excluded."""
-        return self.chunk_stats(K, options, spec)[0]
-
     def chunk_stats(
         self, K: int, options: CompilerOptions, spec: Optional[GemmSpec] = None
     ) -> Tuple[float, float]:

@@ -151,11 +151,6 @@ class FairPriorityQueue:
         with self._cond:
             return self._size
 
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
     # -- admission -----------------------------------------------------------
 
     def retry_after_s(self) -> float:
@@ -345,11 +340,6 @@ class FairPriorityQueue:
             p: sum(len(q) for q in self._queues[p].values())
             for p in PRIORITIES
         }
-
-    def depths(self) -> Dict[str, int]:
-        """Currently queued items per priority class."""
-        with self._cond:
-            return self._depths_locked()
 
     def stats(self) -> Dict[str, object]:
         with self._cond:

@@ -13,7 +13,7 @@ alignment, and keeping the property explicit lets tests assert it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class MainMemory:
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
-
-    def names(self) -> Iterator[str]:
-        return iter(self._arrays)
 
     @property
     def used_bytes(self) -> int:

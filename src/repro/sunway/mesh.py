@@ -1,4 +1,4 @@
-"""The core group (cluster): MPE + 8×8 CPE mesh + engines + barrier.
+"""The core group (cluster): 8×8 CPE mesh + engines + barrier.
 
 The cluster object is what a compiled program executes against.  It owns
 the main memory, the DMA and RMA engines, the mesh barrier that implements
@@ -16,7 +16,6 @@ from repro.sunway.arch import ArchSpec
 from repro.sunway.cpe import CPE
 from repro.sunway.dma_engine import DMAEngine
 from repro.sunway.memory import MainMemory
-from repro.sunway.mpe import MPE
 from repro.sunway.rma_engine import RMAEngine
 
 
@@ -69,7 +68,6 @@ class Cluster:
     ) -> None:
         self.arch = arch
         self.memory = MainMemory()
-        self.mpe = MPE(arch)
         self.cpes: List[List[CPE]] = [
             [CPE(r, c, arch.spm_bytes) for c in range(arch.mesh_cols)]
             for r in range(arch.mesh_rows)

@@ -26,7 +26,7 @@ hiding discipline (Fig. 11) into a machine-checked property.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, Iterator, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -185,9 +185,6 @@ class ScratchPadMemory:
 
     def __contains__(self, name: str) -> bool:
         return name in self._plans
-
-    def names(self) -> Iterator[str]:
-        return iter(self._plans)
 
     @property
     def used_bytes(self) -> int:

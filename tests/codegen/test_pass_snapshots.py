@@ -1,8 +1,11 @@
-"""Per-pass golden IR snapshots for the four pipeline variants.
+"""Per-pass golden IR snapshots for the five pipeline variants.
 
-The pass manager captures a context snapshot (artifact summary + the
-schedule tree) after every pass; these tests lock those snapshots down
-byte-for-byte for the default, batched, fused and no-RMA pipelines.  Any
+A compile renders no IR unless a caller asks: ``swgemm --print-after`` /
+``--dump-ir`` pass an after-pass hook that renders the context snapshot
+(artifact summary + the schedule tree, with the communication timeline
+once a ``schedule:*`` rewrite has run).  These tests collect the
+snapshots through that hook and lock them down byte-for-byte for the
+default, batched, fused, no-RMA and ``optimize`` pipelines.  Any
 compiler change that alters an intermediate stage — not just the final
 tree — shows up as a diff here.  Review it, then regenerate with::
 
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CompilerOptions, GemmCompiler, GemmSpec
+from repro.core import CompileContext, CompilerOptions, GemmCompiler, GemmSpec
+from repro.service import CompileService, ServiceConfig
 from repro.sunway.arch import SW26010PRO
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "passes"
@@ -28,14 +32,22 @@ VARIANTS = {
     ),
     "fused": (GemmSpec(epilogue_func="relu"), CompilerOptions.full()),
     "no-rma": (GemmSpec(), CompilerOptions.full().with_(enable_rma=False)),
+    "optimize": (GemmSpec(), CompilerOptions.full().with_(schedule="optimize")),
 }
 
 
 def _snapshots(variant):
+    """pass name -> the IR the after-pass hook rendered, in pass order."""
     spec, options = VARIANTS[variant]
-    compiler = GemmCompiler(SW26010PRO, options)
-    _, ctx = compiler.compile_with_context(spec)
-    return ctx.snapshots
+    snapshots = {}
+
+    def after_pass(index, pass_, ctx):
+        snapshots[pass_.name] = ctx.snapshot()
+
+    GemmCompiler(SW26010PRO, options).compile_with_context(
+        spec, after_pass=after_pass
+    )
+    return snapshots
 
 
 def _golden_files(variant):
@@ -87,3 +99,23 @@ def test_final_snapshot_tree_matches_repo_golden():
     tree = snapshots["latency-hiding"].split("--- schedule tree ---\n", 1)[1]
     golden = (GOLDEN.parent / "schedule_tree_full.txt").read_text()
     assert tree == golden
+
+
+def test_uninspected_compiles_render_no_snapshot(monkeypatch):
+    """Only a hook renders IR: neither a plain compile nor a service
+    compile calls :meth:`CompileContext.snapshot`."""
+    calls = []
+    snapshot = CompileContext.snapshot
+
+    def counted(self):
+        calls.append(self.current_pass)
+        return snapshot(self)
+
+    monkeypatch.setattr(CompileContext, "snapshot", counted)
+    spec, options = VARIANTS["optimize"]
+    GemmCompiler(SW26010PRO, options).compile(spec)
+    service = CompileService(ServiceConfig(cache_dir=None))
+    program = service.get_program(spec, SW26010PRO, options)
+    assert service.stats()["compiles"]["count"] == 1
+    assert any(s.name.startswith("schedule:") for s in program.pass_stats)
+    assert calls == []

@@ -6,7 +6,6 @@ from repro.core import (
     CompilerOptions,
     GemmCompiler,
     GemmSpec,
-    PassManager,
     build_pipeline,
     pipeline_identity,
     reconcile_options,
@@ -142,35 +141,23 @@ def test_pass_stats_match_pipeline_and_sum_to_codegen_seconds():
 
 
 def test_one_snapshot_per_pass_and_diagnostics_sliced():
+    """The after-pass hook runs once per pass, in order, once that
+    pass's stat is recorded; the IR it renders is its own call."""
+    calls = []
+
+    def after_pass(index, pass_, ctx):
+        assert ctx.stats[-1].name == pass_.name and len(ctx.stats) == index
+        calls.append((index, pass_.name, ctx.snapshot()))
+
     compiler = GemmCompiler(SW26010PRO, CompilerOptions.full())
-    _, ctx = compiler.compile_with_context(GemmSpec())
-    assert list(ctx.snapshots) == [s.name for s in ctx.stats]
+    _, ctx = compiler.compile_with_context(GemmSpec(), after_pass=after_pass)
+    names = [s.name for s in ctx.stats]
+    assert [(i, name) for i, name, _ in calls] == list(enumerate(names, 1))
+    assert all("--- schedule tree ---" in snapshot for *_, snapshot in calls)
     # Every diagnostic belongs to exactly one pass's stat slice.
     sliced = [d for s in ctx.stats for d in s.diagnostics]
     assert sliced == list(ctx.diagnostics)
     assert any(d.category == "decision" for d in ctx.diagnostics)
-
-
-def test_print_after_sink_receives_headers():
-    seen = []
-    manager_sink = lambda pass_, header, snapshot: seen.append(
-        (pass_.name, header, snapshot)
-    )
-    compiler = GemmCompiler(SW26010PRO, CompilerOptions.full())
-    compiler.compile_with_context(
-        GemmSpec(), print_after=["tile-selection"], sink=manager_sink
-    )
-    assert [name for name, _, _ in seen] == ["tile-selection"]
-    assert "IR after" in seen[0][1] and "tile-selection" in seen[0][1]
-    assert "--- schedule tree ---" in seen[0][2]
-
-
-def test_print_after_unknown_pass_rejected():
-    with pytest.raises(ConfigurationError):
-        PassManager(
-            build_pipeline(GemmSpec(), SW26010PRO, CompilerOptions.full()),
-            print_after=["nonexistent-pass"],
-        )
 
 
 # -- context and option plumbing --------------------------------------------

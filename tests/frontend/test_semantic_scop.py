@@ -154,9 +154,7 @@ def test_scop_multiple_statements_ordered():
     """
     scop = extract_scop(analyze(src))
     assert [s.name for s in scop.statements] == ["S0", "S1"]
-    assert scop.statement("S0").domain.space.rank == 2
-    with pytest.raises(KeyError):
-        scop.statement("S7")
+    assert scop.statements[0].domain.space.rank == 2
 
 
 def test_compound_assignment_reads_target():

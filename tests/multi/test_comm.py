@@ -7,19 +7,6 @@ from repro.errors import ConfigurationError
 from repro.multi.comm import NetworkSpec, SimComm
 
 
-def test_bcast_copies_and_charges():
-    comm = SimComm(4)
-    data = np.arange(8.0)
-    copies = comm.bcast(data, root=0)
-    assert len(copies) == 4
-    for rank, copy in enumerate(copies):
-        assert (copy == data).all()
-        if rank != 0:
-            assert copy is not data
-    assert comm.stats["messages"] == 3
-    assert comm.elapsed() > 0
-
-
 def test_scatter_gather_roundtrip():
     comm = SimComm(3)
     chunks = [np.full(4, float(i)) for i in range(3)]
@@ -38,7 +25,7 @@ def test_scatter_size_check():
 def test_rank_validation():
     comm = SimComm(2)
     with pytest.raises(ConfigurationError):
-        comm.bcast(np.zeros(1), root=5)
+        comm.scatter([np.zeros(1)] * 2, root=5)
     with pytest.raises(ConfigurationError):
         comm.advance(2, 1.0)
     with pytest.raises(ConfigurationError):

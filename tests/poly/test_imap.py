@@ -12,11 +12,6 @@ A = Space("A", ("r", "c"))
 i, j, k = aff_var("i"), aff_var("j"), aff_var("k")
 
 
-def test_identity():
-    m = AffineMap.identity(S1)
-    assert m.apply({"i": 1, "j": 2, "k": 3}) == (1, 2, 3)
-
-
 def test_access_map():
     m = AffineMap.access(S1, A, [i, k])
     assert m.apply({"i": 4, "j": 9, "k": 7}) == (4, 7)

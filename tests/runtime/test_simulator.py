@@ -16,8 +16,8 @@ def sim():
 
 def test_chunk_cache_reused(sim):
     options = CompilerOptions.full()
-    first = sim.chunk_seconds(1024, options)
-    second = sim.chunk_seconds(1024, options)
+    first = sim.chunk_stats(1024, options)[0]
+    second = sim.chunk_stats(1024, options)[0]
     assert first == second
     assert (options, sim._default_spec(options), 1024) in sim._chunk_cache
 

@@ -1,6 +1,5 @@
-"""Cluster topology, barrier, MPE and reply counters."""
+"""Cluster topology, barrier and reply counters."""
 
-import numpy as np
 import pytest
 
 from repro.errors import HardwareError, MeshError, SynchronizationError
@@ -91,14 +90,6 @@ def test_total_stats_aggregates():
     cluster.cpe(0, 0).stats["kernel_calls"] = 3
     cluster.cpe(1, 1).stats["kernel_calls"] = 4
     assert cluster.total_stats()["kernel_calls"] == 7
-
-
-def test_mpe_elementwise():
-    cluster = Cluster(TOY_ARCH)
-    data = np.array([-1.0, 2.0])
-    seconds = cluster.mpe.elementwise(data, lambda x: np.maximum(x, 0))
-    assert (data == [0.0, 2.0]).all()
-    assert seconds == pytest.approx(2 / TOY_ARCH.mpe_elementwise_rate)
 
 
 # -- reply counters ------------------------------------------------------------

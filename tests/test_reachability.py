@@ -1,6 +1,7 @@
 """Every definition under ``src/repro`` has a caller outside the tests,
-every module reads what it imports, and DESIGN.md's module map lists
-exactly the modules of the tree.
+every module reads what it imports, DESIGN.md's module map lists
+exactly the modules of the tree, and every docstring cross-reference
+to a ``repro.*`` name resolves.
 
 (a) Reachability is checked by name.  Every ``.py`` file under ``src/``,
 ``perfbench/``, ``benchmarks/`` and ``examples/`` is parsed, and each
@@ -8,13 +9,16 @@ exactly the modules of the tree.
 collected.  An import is not a use, and neither is a string of
 ``__all__``: a name only re-exported is reached by nothing.  A ``def``
 or ``class`` under ``src/repro`` whose name appears nowhere among them
-is reached only from ``tests/`` or not at all.  Dunders are exempt;
-:data:`ALLOWED` names the definitions kept on purpose.
+is reached only from ``tests/`` or not at all.  A method (a ``def``
+directly inside a class) is reached only through an ``Attribute``
+(``obj.name``): a local variable or a string that shares its name does
+not call it.  Dunders are exempt; :data:`ALLOWED` names the definitions
+kept on purpose.
 
 The scan is a name-level over-approximation.  A definition counts as
-reached when any same-named attribute or string appears anywhere, and a
-cluster of dead definitions that only name each other (or a recursive
-function that names itself) escapes it.
+reached when any same-named attribute (or, outside a class, name or
+string) appears anywhere, and a cluster of dead definitions that only
+name each other (or a recursive function that names itself) escapes it.
 
 (b) Every name a module under ``src/repro`` imports is read in that
 module: as a ``Name``, or inside a string annotation.  A package
@@ -25,15 +29,21 @@ module: as a ``Name``, or inside a string annotation.  A package
 that start a line inside it are its modules.  Every listed file must
 exist, and every module of the tree must be listed (a package line
 stands for its ``__init__.py``).
+
+(d) Every Sphinx role (``:mod:``, ``:func:``, ``:class:``, ``:meth:``,
+``:attr:``, ``:data:``, ``:exc:``) in ``src/repro`` whose target is a
+``repro.*`` name imports and resolves: a module, then attributes (a
+dataclass field counts).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -53,6 +63,8 @@ ALLOWED = {
     "degraded_summary": "documented in README and DESIGN A.5",
     "set_default_service": "public API (tests/api's surface snapshot)",
     "all_archs": "CI's multi-arch smoke iterates the registry with it",
+    "ping": "client verb api.connect documents; CI's serve smoke calls it",
+    "verify": "client verb api.connect documents",
 }
 
 
@@ -83,32 +95,52 @@ def _names_used(tree: ast.AST) -> Iterator[str]:
             yield node.value
 
 
+def _definitions(tree: ast.AST) -> Iterator[Tuple[int, str, bool]]:
+    """``(line, name, is a method)`` of every non-dunder def and class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, functions)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (*functions, ast.ClassDef)) and not (
+            node.name.startswith("__") and node.name.endswith("__")
+        ):
+            yield node.lineno, node.name, id(node) in methods
+
+
 @lru_cache(maxsize=None)
-def _scan() -> Tuple[FrozenSet[str], Tuple[Tuple[str, int, str], ...]]:
-    """``(names used, ((path, line, name) of every src/repro definition))``."""
+def _unreached() -> Tuple[Tuple[str, int, str], ...]:
+    """``(path, line, name)`` of every src/repro definition nothing
+    outside ``tests/`` reaches."""
     used: Set[str] = set()
+    attributes: Set[str] = set()
     defined = []
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             used.update(_names_used(tree))
-            if PACKAGE not in path.parents:
-                continue
-            for node in ast.walk(tree):
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ) and not (node.name.startswith("__") and node.name.endswith("__")):
-                    where = str(path.relative_to(ROOT))
-                    defined.append((where, node.lineno, node.name))
-    return frozenset(used), tuple(defined)
+            attributes.update(
+                node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            )
+            if PACKAGE in path.parents:
+                where = str(path.relative_to(ROOT))
+                defined += [(where, *d) for d in _definitions(tree)]
+    return tuple(
+        (path, line, name)
+        for path, line, name, method in defined
+        if name not in (attributes if method else used)
+    )
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    used, defined = _scan()
     unreached = [
         f"{path}:{line}: {name}"
-        for path, line, name in defined
-        if name not in used and name not in ALLOWED
+        for path, line, name in _unreached()
+        if name not in ALLOWED
     ]
     assert not unreached, "reached only from tests/ or not at all:\n" + "\n".join(
         unreached
@@ -118,10 +150,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_allowed_names_are_still_unreached_definitions():
     """An ALLOWED entry that gained a caller, or whose definition is gone,
     is stale."""
-    used, defined = _scan()
-    names = {name for _, _, name in defined}
-    assert set(ALLOWED) <= names
-    assert not set(ALLOWED) & used
+    assert set(ALLOWED) <= {name for _, _, name in _unreached()}
 
 
 def _imported(tree: ast.AST) -> Iterator[Tuple[int, str]]:
@@ -207,3 +236,38 @@ def test_design_module_map_matches_the_tree():
     }
     assert sorted(listed - on_disk) == [], "listed in DESIGN.md §3, not on disk"
     assert sorted(on_disk - listed) == [], "on disk, not in DESIGN.md §3"
+
+
+#: A Sphinx role whose target names something under ``repro``.
+_XREF = re.compile(r":(?:mod|func|class|meth|attr|data|exc):`~?(repro\.[^`]*)`")
+
+
+def _resolves(target: str) -> bool:
+    """Whether ``target`` imports as a module followed by attributes."""
+    if not re.fullmatch(r"\w+(\.\w+)*", target):
+        return False
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if hasattr(obj, name):
+                obj = getattr(obj, name)
+            elif name in getattr(obj, "__dataclass_fields__", {}):
+                obj = None  # a field without a default: nothing to descend
+            else:
+                return False
+        return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    stale = [
+        f"{path.relative_to(ROOT)}: {match.group(0)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for match in _XREF.finditer(path.read_text())
+        if not _resolves(match.group(1))
+    ]
+    assert not stale, "unresolved cross-references:\n" + "\n".join(stale)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.elementwise import get_elementwise
-from repro.sunway.arch import SW26010PRO
+from repro.sunway.arch import SW26010PRO, TOY_ARCH
 from repro.xmath.library import XMathLibrary
 from repro.xmath.perfmodel import (
     XMATH_DISPATCH_US,
@@ -48,6 +48,16 @@ def test_fusion_baselines_numerics():
     assert np.allclose(C, relu(A @ B))
     # The MPE stage was logged and charged.
     assert any(c.kind == "mpe_relu" for c in lib.calls)
+
+
+def test_mpe_elementwise():
+    """The MPE applies the function in place at the arch's scalar rate."""
+    lib = XMathLibrary(TOY_ARCH)
+    data = np.array([[-1.0, 2.0]])
+    seconds = lib.mpe_elementwise(data, "relu")
+    assert (data == [[0.0, 2.0]]).all()
+    assert seconds == pytest.approx(2 / TOY_ARCH.mpe_elementwise_rate)
+    assert lib.elapsed == seconds
 
 
 # -- performance model -----------------------------------------------------------
