@@ -278,6 +278,13 @@ def _introspection_requested(args) -> bool:
     )
 
 
+def ir_dump_name(index: int, name: str) -> str:
+    """The ``--dump-ir`` file of the ``index``-th snapshot, named after
+    its pass (``schedule:split-waits`` writes ``NN-schedule-split-waits.txt``:
+    ``:`` is not legal in every file system's names)."""
+    return f"{index:02d}-{name.replace(':', '-')}.txt"
+
+
 def _build_introspected(args, spec, options) -> "CompiledProgram":
     """Direct (cache-bypassing) compile with pass-level introspection.
 
@@ -313,7 +320,7 @@ def _build_introspected(args, spec, options) -> "CompiledProgram":
             )
             print(snapshot, end="")
         if args.dump_ir:
-            dumped.append((f"{index:02d}-{pass_.name}.txt", snapshot))
+            dumped.append((ir_dump_name(index, pass_.name), snapshot))
 
     program, _ = compiler.compile_with_context(
         spec, after_pass=after_pass, timeout_s=getattr(args, "timeout", None)
@@ -330,7 +337,7 @@ def _build_introspected(args, spec, options) -> "CompiledProgram":
             from repro.schedule import extract_timeline
 
             timeline = extract_timeline(program.tree).dump()
-            (outdir / f"{count + 1:02d}-schedule-timeline.txt").write_text(
+            (outdir / ir_dump_name(count + 1, "schedule-timeline")).write_text(
                 timeline
             )
             count += 1

@@ -332,7 +332,7 @@ class CpeProgram:
 
 
 def walk_stmts(stmt: Stmt):
-    """Pre-order traversal over statements (test/debug helper)."""
+    """Pre-order traversal over statements."""
     yield stmt
     if isinstance(stmt, Block):
         for s in stmt.body:

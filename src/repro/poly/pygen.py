@@ -16,6 +16,12 @@ interpreter's :data:`YIELD` leaf returns, and :data:`DONE` at the end.
 yield.  The source is compiled once per distinct text; each run binds
 its leaf functions through the new function's globals.
 
+A run that watches its k steps (:class:`Boundary`) prints one loop as a
+``while`` that re-reads its bound before every iteration and calls a
+run-on marker at the top of its body, and prints every read of the
+bound's name as a read of the current binding, so the run may lower that
+binding while it runs.  A plain run prints neither.
+
 Program data never becomes code: the only text taken from the AST is a
 plain ASCII identifier, an exact int or bool literal, or the ``repr`` of
 an exact ``str`` key.  Every other value (a leaf function, an
@@ -88,6 +94,18 @@ class Reply(NamedTuple):
         return cls(args["reply"], args["reply_slot"])
 
 
+class Boundary(NamedTuple):
+    """The k-step loop of a watched run: the loop over ``var`` re-reads
+    its bound before every iteration and calls ``mark(cursor, var)``
+    (run-on) first in its body, and every read of ``bound`` reads the
+    current binding in ``ienv``.  ``var`` must name one loop, with step
+    1 and no loop of the same name inside it."""
+
+    var: str
+    bound: str
+    mark: Callable[..., None]
+
+
 class Cursor:
     """One CPE running a printed program: its bindings and its generator.
 
@@ -110,17 +128,23 @@ class Cursor:
 LeafBuilder = Callable[[Stmt], Sequence[Leaf]]
 
 
-def lower(body: Stmt, leaf: LeafBuilder, env: Mapping[str, object]):
+def lower(
+    body: Stmt,
+    leaf: LeafBuilder,
+    env: Mapping[str, object],
+    boundary: Optional[Boundary] = None,
+):
     """``body`` as a generator function of ``(cursor, env, ienv)``.
 
     ``leaf`` gives the calls each leaf statement prints to; ``env`` is the
     bindings every CPE starts with (the same names, of the same types, on
-    every CPE).  The function's globals hold the leaf functions, so it is
-    local to one run; its code object comes from a cache keyed on the
-    source text.  A program CPython cannot compile (more than 20 nested
-    blocks, or expressions nested past the parser's limits) is refused
-    with an :class:`~repro.errors.ExecutionError`."""
-    source, namespace = render(body, leaf, env)
+    every CPE); ``boundary`` marks a watched run's k-step loop.  The
+    function's globals hold the leaf functions, so it is local to one
+    run; its code object comes from a cache keyed on the source text.
+    A program CPython cannot compile (more than 20 nested blocks, or
+    expressions nested past the parser's limits) is refused with an
+    :class:`~repro.errors.ExecutionError`."""
+    source, namespace = render(body, leaf, env, boundary)
     try:
         code = _code(source)
     except (SyntaxError, RecursionError) as exc:
@@ -129,10 +153,13 @@ def lower(body: Stmt, leaf: LeafBuilder, env: Mapping[str, object]):
 
 
 def render(
-    body: Stmt, leaf: LeafBuilder, env: Mapping[str, object]
+    body: Stmt,
+    leaf: LeafBuilder,
+    env: Mapping[str, object],
+    boundary: Optional[Boundary] = None,
 ) -> Tuple[str, Dict[str, object]]:
     """The source :func:`lower` compiles, and the globals it runs in."""
-    printer = _Printer(leaf, env)
+    printer = _Printer(leaf, env, boundary)
     return printer.source(body), printer.globals
 
 
@@ -168,8 +195,14 @@ class _Printer:
     prints as a call of its own ``evaluate`` over the mirrored bindings,
     which returns what it returned before or raises what it raised."""
 
-    def __init__(self, leaf: LeafBuilder, env: Mapping[str, object]) -> None:
+    def __init__(
+        self,
+        leaf: LeafBuilder,
+        env: Mapping[str, object],
+        boundary: Optional[Boundary] = None,
+    ) -> None:
         self.leaf = leaf
+        self.boundary = boundary
         #: starting binding -> whether it is an exact int (an ``AffRef``
         #: may read only those; a ``VarRef`` reads any)
         self.start = {name: type(value) is int for name, value in env.items()}
@@ -240,19 +273,30 @@ class _Printer:
 
     def _loop(self, loop: ForLoop, loops: FrozenSet[str], depth: int) -> None:
         """Python ``range`` semantics: ``lo`` then ``hi`` evaluated once, on
-        entry.  The variable is mirrored into ``env``/``ienv`` on every
+        entry; a watched run's k-step loop (:class:`Boundary`) reads
+        ``hi`` again before every iteration and calls its marker first in
+        the body.  The variable is mirrored into ``env``/``ienv`` on every
         iteration and unbound from both on exit.  Only a str variable is
         read back as a local; any other is a key like any other."""
         var = loop.var
         named = type(var) is str
         ident = self._ident(var) if named else f"_n{depth}"
         key = self._key(var)
-        bounds = f"{self._expr(loop.lo, loops)}, {self._expr(loop.hi, loops)}"
-        self._emit(depth, f"for {ident} in range({bounds}, {self._const(loop.step)}):")
+        lo, hi = self._expr(loop.lo, loops), self._expr(loop.hi, loops)
+        watched = self.boundary is not None and var == self.boundary.var
+        if watched:
+            self._emit(depth, f"{ident} = {lo}")
+            self._emit(depth, f"while {ident} < {hi}:")
+        else:
+            self._emit(depth, f"for {ident} in range({lo}, {hi}, {self._const(loop.step)}):")
         self._emit(depth + 1, f"_env[{key}] = _ienv[{key}] = {ident}")
         if named and var not in self.shadowed:
             loops = loops | {var}
+        if watched:
+            self._emit(depth + 1, f"{self._global(self.boundary.mark, '_l')}(_cur, {ident})")
         self._stmt(loop.body, loops, depth + 1)
+        if watched:
+            self._emit(depth + 1, f"{ident} += 1")
         self._emit(depth, f"_env.pop({key}, None)")
         self._emit(depth, f"_ienv.pop({key}, None)")
 
@@ -364,7 +408,15 @@ class _Printer:
 
     def _read(self, name: str, loops: FrozenSet[str]) -> str:
         """A bound name as a local: a starting binding is loaded once, at
-        the top of the function."""
+        the top of the function, except a watched run's bound, which is
+        read from ``ienv`` where it is read."""
+        if (
+            self.boundary is not None
+            and name == self.boundary.bound
+            and name not in loops
+            and self.start[name]
+        ):
+            return f"_ienv[{self._key(name)}]"
         ident = self._ident(name)
         if name not in loops and ident not in self.loads:
             self.loads[ident] = f"{'_ienv' if self.start[name] else '_env'}[{self._key(name)}]"

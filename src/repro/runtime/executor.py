@@ -41,6 +41,16 @@ Each run reserves every CPE's buffer plan, sets the mode and the guard
 of guarded execution on both engines, and, when it moves data, creates
 every SPM array, all before the first statement.
 
+A timing-only, fault-free, unguarded run of one chunk may be *watched*
+(:class:`~repro.runtime.period.Watch`, which
+:meth:`~repro.runtime.simulator.PerformanceSimulator.chunk_stats`
+passes): the CPE program is printed with a run-on marker at the top of
+its k-step loop, and the first CPE to begin each iteration snapshots the
+executor's state there (:meth:`Executor._snapshot`).  When a snapshot
+repeats an earlier one, the run lowers every CPE's ``K`` binding by
+whole periods and finishes as that shorter chunk; its report is that
+chunk's, bit for bit.
+
 The virtual clocks advance through compute charges and transfer
 completions, so wall time *emerges from the schedule*: if the latency-
 hiding pass failed to overlap a transfer, the measured time shows it.
@@ -48,9 +58,11 @@ hiding pass failed to overlap a transfer, the measured time shows it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import product
+from itertools import chain, product
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -76,14 +88,19 @@ from repro.poly.pygen import (
     STEP,
     WAIT,
     YIELD,
+    Boundary,
     Cursor,
     Leaf,
     Reply,
     lower,
 )
+from repro.runtime.period import CPEState, Snapshot, Watch
 from repro.runtime.program import CompiledProgram
 from repro.sunway.cpe import CPE
 from repro.sunway.mesh import Cluster
+
+#: A reply counter's completion records.
+_records = attrgetter("records")
 
 #: The end of a resume that arrived at the mesh barrier without opening
 #: it: the CPE waits off the run queue and the blocked list, and is never
@@ -160,6 +177,7 @@ class Executor:
         move_data: bool = True,
         scalar_naive: bool = False,
         guard: Optional[object] = None,
+        watch: Optional[Watch] = None,
     ) -> None:
         self.program = program
         self.cluster = cluster or Cluster(
@@ -186,6 +204,11 @@ class Executor:
         self._parked: List[_Cursor] = []
         self._released: List[_Cursor] = []
         self._progress = 0
+        #: the k-step watch of a timed chunk run, or None
+        self.watch = watch
+        #: during a run: the run queue and the blocked cursors
+        self._queue: Optional[_RunQueue] = None
+        self._waiting: Optional[List[_Cursor]] = None
 
     # ------------------------------------------------------------------
     # Launch
@@ -224,9 +247,12 @@ class Executor:
                               beta=beta))
             for cpe in self.cluster.all_cpes()
         ]
+        boundary = None if self.watch is None else self._boundary(params, cursors)
         # The function is local to the run: its globals hold the leaf
         # closures, which hold this executor.
-        cpe_program = lower(program.cpe_program.body, self._leaf, cursors[0].env)
+        cpe_program = lower(
+            program.cpe_program.body, self._leaf, cursors[0].env, boundary
+        )
         for cursor in cursors:
             cursor.start(cpe_program)
         try:
@@ -238,7 +264,12 @@ class Executor:
                 cursor.gen.close()
             self._parked.clear()
             self._released.clear()
+            self._queue = self._waiting = None
+            if boundary is not None:
+                del self._cursors, self._index, self._shared
 
+        # A watched run that found its period finished at a smaller K.
+        K = cursors[0].env[spec.k_param]
         elapsed = self.cluster.elapsed()
         return ExecutionReport(
             elapsed_seconds=elapsed,
@@ -298,6 +329,7 @@ class Executor:
         for cursor in cursors:
             queue.push(cursor)
         blocked: List[_Cursor] = []
+        self._queue, self._waiting = queue, blocked
         parked, released = self._parked, self._released
         while queue:
             cursor = queue.pop()
@@ -334,6 +366,111 @@ class Executor:
         if signal == DONE:
             self._progress += 1
         return signal
+
+    # ------------------------------------------------------------------
+    # k-step boundaries of a watched run
+    # ------------------------------------------------------------------
+
+    def _boundary(self, params: Mapping[str, int], cursors: List[_Cursor]) -> Boundary:
+        """The marker of a watched run's k-step loop.  The first CPE to
+        begin iteration ``s ≥ 1`` snapshots the run until a snapshot
+        repeats an earlier one; then every CPE's ``K`` binding drops to
+        the step count of the period found."""
+        watch, spec, plan = self.watch, self.program.spec, self.program.plan
+        if (
+            self.move_data
+            or self.guard is not None
+            or self.cluster.fault_policy.enabled
+            or params[spec.m_param] != plan.chunk_m
+            or params[spec.n_param] != plan.chunk_n
+            or (spec.is_batched and params[spec.batch_param] != 1)
+            or params[spec.k_param] != watch.steps * plan.k_step
+        ):
+            raise ExecutionError(
+                "a k-step watch needs a timing-only, fault-free, unguarded "
+                "run of one chunk at the watch's K"
+            )
+        self._cursors = cursors
+        self._index = {cursor.cpe: i for i, cursor in enumerate(cursors)}
+        self._shared: Dict[Tuple, Tuple] = {}
+        name, K = watch.loop.bound, params[spec.k_param]
+        following = 1
+
+        def mark(cursor: _Cursor, s: int) -> None:
+            nonlocal following
+            if s < following:
+                return
+            following = s + 1
+            if not watch.wants(s):
+                return
+            found = watch.observe(s, self._snapshot(cursor, s))
+            if found is not None:
+                following = math.inf
+                short = found.steps * plan.k_step
+                if short != K:
+                    for each in cursors:
+                        each.env[name] = each.ienv[name] = short
+
+        return Boundary(watch.loop.var, name, mark)
+
+    def _snapshot(self, running: _Cursor, s: int) -> Optional[Snapshot]:
+        """The run's state as ``running`` begins iteration ``s``, or None
+        while a CPE is outside the k-step loop.  For each CPE: its
+        generator's frame offset and its int bindings with the k index
+        taken relative to ``s``, its RMA arming, SPM in-flight slots,
+        clock, watchdog start and reply counters; for the mesh: which CPE
+        runs, the run-queue order, the blocked, parked, released and
+        barrier-arrived CPEs in order, and the DMA and RMA channels' free
+        times.
+
+        Whether the running resume has made progress yet (which decides
+        whether it re-arms the blocked CPEs) needs no entry: since its
+        last ``yield`` it ran the tail of iteration ``s − 1``, whose path
+        the running CPE, its bindings and the guards' sides fix, and
+        every leaf on such a path makes progress unconditionally."""
+        var = self.watch.loop.var
+        index = self._index
+        # Equal parts of the run's snapshots are stored once.
+        share = self._shared.setdefault
+        cpes = []
+        compute = 0.0
+        for cursor in self._cursors:
+            ienv = cursor.ienv
+            k = ienv.get(var)
+            if k is None:
+                return None
+            ienv[var] = k - s
+            bindings = tuple(ienv.values())
+            ienv[var] = k
+            names = tuple(ienv)
+            cpe = cursor.cpe
+            compute += cpe.stats["compute_seconds"]
+            replies = cpe.replies
+            records = list(map(_records, replies.values()))
+            counters, pending = tuple(replies), tuple(map(len, records))
+            inflight = tuple(cpe.spm.inflight_slots().items())
+            # A counter's value is its record count in a fault-free run.
+            cpes.append(CPEState(
+                cursor.gen.gi_frame.f_lasti, share(names, names),
+                share(bindings, bindings), cpe.rma_armed,
+                share(inflight, inflight), share(counters, counters),
+                share(pending, pending), cpe.clock, cursor.waited_since,
+                tuple(chain.from_iterable(records)),
+            ))
+        order = (
+            index[running.cpe],
+            tuple(index[entry[2].cpe] for entry in sorted(self._queue._heap)),
+            tuple(index[c.cpe] for c in self._waiting),
+            tuple(index[c.cpe] for c in self._parked),
+            tuple(index[c.cpe] for c in self._released),
+            tuple(index[cpe] for cpe in self.cluster.barrier.arrivals()),
+        )
+        rma = self.cluster.rma
+        channels = (
+            self.cluster.dma.channel_free, *rma.row_channel_free,
+            *rma.col_channel_free,
+        )
+        return Snapshot(running.cpe.clock, compute, order, cpes, channels)
 
     def _watchdog_error(
         self, cpe: CPE, kind: str, key: str, value: int, lost: bool

@@ -14,27 +14,27 @@ one-off spawn cost.
 *k steps.*  After the §6 peel, every iteration of the k loop does the
 same work (Fig. 10): with latency hiding it waits for its tile,
 prefetches the next one and computes, and only the last iteration skips
-the prefetch.  So from two steps on, each further step of ``steps =
-K / k_step`` adds the same time: a chunk's time and its micro-kernel
-time are affine in ``steps`` up to rounding, and the timed chunks at 2
-and 3 steps give the line.
+the prefetch.  So once the executor's state at the start of an
+iteration repeats, relative to that start, every further period of
+iterations adds the same time.
 
 The simulator runs the real executor (timing-only, no data movement) on
 one chunk — full pipeline, barriers, channel contention and edge
-effects, its operands laid out as the spec stores them — and caches each
-run per ``(options, spec, K)``.  The run holds no data: its operands are
-shapes with no bytes behind them (:meth:`~repro.sunway.memory.MainMemory.declare`)
-and its SPM buffers are plans the engines check
-(:class:`~repro.sunway.spm.BufferPlan`).  :meth:`PerformanceSimulator.chunk_stats`
-reads a K of more than five steps off the line of its ``(options,
-spec)`` (the two samples cost five steps), which costs no executor run
-once the samples are cached.  It keeps the direct run of the requested K
-
-* when the fault plane is enabled: fault streams are not periodic;
-* for ``schedule="optimize"``: its rewrites start each prefetch before
-  the wait for the tile ahead of it, so every CPE keeps two loads in the
-  shared DMA queue, and the queue's order can take more steps to settle
-  or keep cycling (on the toy arch the 2/3-step line is off by up to 6%).
+effects, its operands laid out as the spec stores them.  The run holds
+no data: its operands are shapes with no bytes behind them
+(:meth:`~repro.sunway.memory.MainMemory.declare`) and its SPM buffers
+are plans the engines check (:class:`~repro.sunway.spm.BufferPlan`).
+A fault-free run long enough to show a period is *watched*
+(:mod:`repro.runtime.period`): the executor snapshots its state at each
+k-step boundary, and when a snapshot repeats one a period earlier, it
+finishes the chunk whole periods short.
+:meth:`PerformanceSimulator.chunk_stats` adds the skipped periods' chunk
+and micro-kernel time, and keeps the period of each ``(options, spec)``,
+so any further K it covers costs no executor run.  A run with the fault
+plane enabled (fault streams are not periodic), too short to show a
+period, that shows none, or whose program the watch cannot vouch for is
+the direct run of the requested K.  Every K a run answers is cached per
+``(options, spec, K)``.
 
 Batched GEMM composes the same way: our compiler starts the mesh once and
 iterates the batch inside the CPE code (§8.3), so
@@ -45,12 +45,13 @@ iterates the batch inside the CPE code (§8.3), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.options import CompilerOptions
 from repro.core.spec import GemmSpec, check_shape
 from repro.runtime.executor import Executor
+from repro.runtime.period import KLoop, Period, Watch, k_loop
 from repro.runtime.program import CompiledProgram
 from repro.sunway.arch import SW26010PRO, ArchSpec
 from repro.sunway.mesh import Cluster
@@ -100,9 +101,14 @@ class PerformanceSimulator:
         #: per-simulator dict, so every simulator in the process — and,
         #: with a disk-backed service, every process — shares compiles.
         self.service = service if service is not None else get_default_service()
-        #: ``(chunk seconds, micro-kernel seconds)`` of every executor
-        #: run, per ``(options, spec, K)``
+        #: ``(chunk seconds, micro-kernel seconds)`` of every K an
+        #: executor run answered, per ``(options, spec, K)``
         self._chunk_cache: Dict[Tuple, Tuple[float, float]] = {}
+        #: per ``(options, spec)``: each period found, with the chunk and
+        #: micro-kernel seconds of the step count its run finished at
+        self._periods: Dict[Tuple, List[Tuple[Period, float, float]]] = {}
+        #: per ``(options, spec)``: the program's k-step loop, or None
+        self._loops: Dict[Tuple, Optional[KLoop]] = {}
 
     # -- compilation cache ---------------------------------------------------
 
@@ -130,9 +136,9 @@ class PerformanceSimulator:
         """``(chunk seconds, bubble fraction)`` of one timed ``chunk_m ×
         chunk_n × K`` mesh pass, spawn excluded.
 
-        Chunk seconds and micro-kernel seconds come from a direct run of
-        the requested K, or, where the module docstring says the line
-        holds, from the line through the cached runs at 2 and 3 steps.
+        Chunk seconds and micro-kernel seconds come from a period of the
+        ``(options, spec)`` that covers the requested K, or else from an
+        executor run of it, watched where the module docstring says.
 
         The bubble fraction, ``1 − compute / (n_cpes · chunk)``, is the
         share of total CPE-time the mesh spends *outside* the micro
@@ -146,18 +152,7 @@ class PerformanceSimulator:
             raise ConfigurationError(
                 f"K={K} is not a multiple of the k step {plan.k_step}"
             )
-        steps = K // plan.k_step
-        faults = options.fault_policy
-        if (
-            steps <= 5
-            or (faults is not None and faults.enabled)
-            or program.options.schedule.mode == "optimize"
-        ):
-            chunk, compute = self._timed_chunk(program, K, options, spec)
-        else:
-            x2 = self._timed_chunk(program, 2 * plan.k_step, options, spec)
-            x3 = self._timed_chunk(program, 3 * plan.k_step, options, spec)
-            chunk, compute = (a + (steps - 2) * (b - a) for a, b in zip(x2, x3))
+        chunk, compute = self._timed_chunk(program, K, options, spec)
         n_cpes = plan.mesh * plan.mesh
         bubble = max(0.0, 1.0 - compute / (n_cpes * chunk)) if chunk > 0 else 0.0
         return chunk, bubble
@@ -169,11 +164,58 @@ class PerformanceSimulator:
         options: CompilerOptions,
         spec: GemmSpec,
     ) -> Tuple[float, float]:
-        """``(chunk seconds, micro-kernel seconds)`` of one executor run
-        of the chunk at ``K``, cached per ``(options, spec, K)``."""
+        """``(chunk seconds, micro-kernel seconds)`` of the chunk at
+        ``K``: read off a period found before, or one executor run."""
         key = (options, spec, K)
         if key in self._chunk_cache:
             return self._chunk_cache[key]
+        steps = K // program.plan.k_step
+        for period, chunk, compute in self._periods.get((options, spec), ()):
+            if period.covers(steps):
+                return _extend(period, chunk, compute, steps)
+        watch = self._watch(program, options, spec, steps)
+        chunk, compute = self._run_chunk(program, K, options, spec, watch)
+        if watch is not None and watch.found is not None:
+            self._periods.setdefault((options, spec), []).append(
+                (watch.found, chunk, compute)
+            )
+            chunk, compute = _extend(watch.found, chunk, compute, steps)
+        self._chunk_cache[key] = (chunk, compute)
+        return chunk, compute
+
+    def _watch(
+        self,
+        program: CompiledProgram,
+        options: CompilerOptions,
+        spec: GemmSpec,
+        steps: int,
+    ) -> Optional[Watch]:
+        """A watch for a run of ``steps`` k steps, or None when the run
+        is direct: the fault plane is on, the program's k-step loop is
+        not one :func:`~repro.runtime.period.k_loop` can read, or the run
+        is too short to show a period."""
+        faults = options.fault_policy
+        if (faults is not None and faults.enabled) or steps < Watch.SHORTEST:
+            return None
+        key = (options, spec)
+        if key not in self._loops:
+            self._loops[key] = k_loop(program)
+        loop = self._loops[key]
+        if loop is None or not Watch.shows(loop, steps):
+            return None
+        return Watch(loop, steps)
+
+    def _run_chunk(
+        self,
+        program: CompiledProgram,
+        K: int,
+        options: CompilerOptions,
+        spec: GemmSpec,
+        watch: Optional[Watch] = None,
+    ) -> Tuple[float, float]:
+        """``(chunk seconds, micro-kernel seconds)`` of one executor run
+        of the chunk at ``K``: of the step count it finished at, when
+        ``watch`` found a period."""
         cluster = Cluster(
             self.arch,
             fault_policy=options.fault_policy,
@@ -194,10 +236,9 @@ class PerformanceSimulator:
             cluster.memory.declare(name, lead + tuple(params[d] for d in dims))
         if lead:
             params[spec.batch_param] = 1
-        report = Executor(program, cluster, move_data=False).run(params)
+        report = Executor(program, cluster, move_data=False, watch=watch).run(params)
         chunk = report.elapsed_seconds - cluster.arch.spawn_us * 1e-6
         compute = report.stats.get("compute_seconds", 0.0)
-        self._chunk_cache[key] = (chunk, compute)
         return chunk, compute
 
     # -- the headline API ----------------------------------------------------------
@@ -279,3 +320,12 @@ class PerformanceSimulator:
         return {
             name: self.simulate(M, N, K, options) for name, options in variants
         }
+
+
+def _extend(
+    period: Period, chunk: float, compute: float, steps: int
+) -> Tuple[float, float]:
+    """``(chunk, micro-kernel)`` seconds at ``steps``, from those at the
+    step count ``period``'s run finished at."""
+    n = (steps - period.steps) // period.period
+    return chunk + n * period.seconds, compute + n * period.compute

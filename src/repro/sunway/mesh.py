@@ -52,6 +52,10 @@ class Barrier:
     def passed(self, token: int) -> bool:
         return self.generation > token
 
+    def arrivals(self) -> List[CPE]:
+        """The CPEs that arrived in this generation, in arrival order."""
+        return list(self._arrived)
+
     def reset(self) -> None:
         self.generation = 0
         self._arrived.clear()

@@ -13,10 +13,12 @@ tree — shows up as a diff here.  Review it, then regenerate with::
       "from tests.codegen.test_pass_snapshots import regenerate; regenerate()"
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import ir_dump_name
 from repro.core import CompileContext, CompilerOptions, GemmCompiler, GemmSpec
 from repro.service import CompileService, ServiceConfig
 from repro.sunway.arch import SW26010PRO
@@ -63,15 +65,16 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
         for index, (name, snapshot) in enumerate(
             _snapshots(variant).items(), start=1
         ):
-            (outdir / f"{index:02d}-{name}.txt").write_text(snapshot)
+            (outdir / ir_dump_name(index, name)).write_text(snapshot)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_per_pass_snapshots_match_golden(variant):
     snapshots = _snapshots(variant)
     files = _golden_files(variant)
-    expected_names = [f.stem.split("-", 1)[1] for f in files]
-    assert list(snapshots) == expected_names, (
+    assert [
+        ir_dump_name(index, name) for index, name in enumerate(snapshots, start=1)
+    ] == [f.name for f in files], (
         "pipeline changed shape — regenerate the golden snapshots after "
         "reviewing the diff"
     )
@@ -80,6 +83,21 @@ def test_per_pass_snapshots_match_golden(variant):
             f"IR after pass {name!r} ({variant} pipeline) drifted from "
             f"{file}"
         )
+
+
+#: A dump file name every file system accepts.
+_PORTABLE = re.compile(r"^[0-9]{2}-[a-z0-9.-]+\.txt$")
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_dump_names_are_portable(variant):
+    """Every ``--dump-ir`` name, the pass snapshots' and the timeline's,
+    is two digits, a dash and lower-case letters, digits, dots and
+    dashes: no ``:``, which Windows refuses in a file name."""
+    names = list(_snapshots(variant)) + ["schedule-timeline"]
+    for index, name in enumerate(names, start=1):
+        assert _PORTABLE.match(ir_dump_name(index, name)), name
+    assert all(_PORTABLE.match(f.name) for f in _golden_files(variant))
 
 
 def test_variant_pipelines_are_distinct():
